@@ -134,10 +134,10 @@ def _check_ef14_virtual(seed: int = 0, rounds: int = 100) -> CheckResult:
     server, nodes, _ = optim.init(optim.EF14_SGD, problem, hp, comp, streams)
     worst = 0.0
     for _ in range(rounds):
-        cached = np.mean([node.sg_prev for node in nodes], axis=0)
-        xtil = server.x - np.mean([node.e for node in nodes], axis=0)
+        cached = nodes.sg_prev.mean(axis=0)
+        xtil = server.x - nodes.e.mean(axis=0)
         optim.run_round(optim.EF14_SGD, server, nodes, problem, hp, comp, streams)
-        xtil_new = server.x - np.mean([node.e for node in nodes], axis=0)
+        xtil_new = server.x - nodes.e.mean(axis=0)
         expect = xtil - hp.gamma * cached
         rel = math.sqrt(norm_sq(xtil_new - expect)) / (1.0 + math.sqrt(norm_sq(expect)))
         worst = max(worst, rel)

@@ -114,6 +114,7 @@ def cmd_reproduce(args) -> int:
             exp["metric_every"] = args.metric_every
         try:
             _apply_overrides(exp, args.override or [])
+            validate_experiment(exp)
         except SchemaError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -122,7 +123,11 @@ def cmd_reproduce(args) -> int:
         with open(path, "w") as fh:
             json.dump(exp, fh, indent=1)
             fh.write("\n")
-        summary = run_experiment(exp, out_dir, workers=args.workers)
+        try:
+            summary = run_experiment(exp, out_dir, workers=args.workers)
+        except ValueError as exc:  # e.g. a problem size its generator rejects
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         _print_summary(exp["name"], summary)
         all_diverged = all_diverged and summary["_all_diverged"]
         if args.figure == "speedup":

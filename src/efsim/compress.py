@@ -29,6 +29,8 @@ __all__ = [
     "rand_k",
     "identity",
     "hard_threshold",
+    "draw_picks",
+    "keep_mask",
     "compress",
     "densify",
     "contraction_alpha",
@@ -101,34 +103,61 @@ class CompressedVector:
     dim: int
 
 
-def compress(spec: Compressor, x: np.ndarray, rng: np.random.Generator | None = None) -> CompressedVector:
-    """Apply the operator to x, returning the kept coordinates.
+def draw_picks(spec: Compressor, rng: np.random.Generator | None) -> np.ndarray | None:
+    """RandK's random coordinates, drawn from ``rng`` (None for the
+    deterministic operators, which draw nothing)."""
+    if not spec.is_random:
+        return None
+    if rng is None:
+        raise ValueError("randk requires a random stream")
+    return rng.choice(spec.dim, size=spec.k, replace=False)
 
-    TopK keeps the k largest-magnitude entries with ties broken toward the
-    lowest index (determinism is required for bitwise replay).  RandK keeps
-    k coordinates chosen uniformly without replacement, unscaled.  Identity
-    keeps everything.  Hard thresholding keeps entries with |x_j| >= tau.
+
+def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
+    """Boolean mask of the coordinates the operator keeps in each row of
+    ``rows`` (shape (m, d)); ``picks`` holds each row's ``draw_picks``.
+
+    TopK keeps the k largest magnitudes with ties broken toward the lowest
+    index (determinism is required for bitwise replay), exactly the first k
+    of a stable sort on -|x|: +-inf rank first and NaN last.  Top1 is numpy's
+    argmax of |x| (the first maximum, and a NaN if there is one).  RandK keeps
+    its picks, unscaled.  Identity keeps everything.  Hard thresholding keeps
+    entries with |x_j| >= tau.
     """
+    if spec.kind == "identity":
+        return np.ones(rows.shape, dtype=bool)
+    if spec.kind == "hard_threshold":
+        return np.abs(rows) >= spec.tau
+    if spec.kind == "randk":
+        mask = np.zeros(rows.shape, dtype=bool)
+        for r, idx in enumerate(picks):
+            mask[r, idx] = True
+        return mask
+    if spec.k == 1:
+        mask = np.zeros(rows.shape, dtype=bool)
+        mask[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)] = True
+        return mask
+    size = np.abs(rows)
+    np.fmax(size, -1.0, out=size)  # NaN -> -1: ranked after every number
+    kth = np.partition(size, spec.dim - spec.k, axis=1)[:, spec.dim - spec.k :][:, :1]
+    mask = size > kth
+    tied = size == kth
+    # each row has at most k-1 entries above its k-th largest and at least k
+    # down to it, so the total is k per row exactly when no row has surplus
+    # ties; otherwise the lowest-index tied entries fill each row up to k
+    if np.count_nonzero(mask) + np.count_nonzero(tied) != spec.k * len(rows):
+        need = spec.k - np.count_nonzero(mask, axis=1, keepdims=True)
+        tied &= np.cumsum(tied, axis=1) <= need
+    mask |= tied
+    return mask
+
+
+def compress(spec: Compressor, x: np.ndarray, rng: np.random.Generator | None = None) -> CompressedVector:
+    """Apply the operator to x, returning the kept coordinates (see
+    ``keep_mask``); RandK draws its coordinates from ``rng``."""
     if x.shape != (spec.dim,):
         raise ValueError(f"dimension mismatch: compressor dim {spec.dim}, vector shape {x.shape}")
-    if spec.kind == "identity":
-        idx = np.arange(spec.dim, dtype=np.int64)
-        return CompressedVector(idx, x.copy(), spec.dim)
-    if spec.kind == "topk":
-        if spec.k == 1:
-            j = int(np.argmax(np.abs(x)))  # argmax takes the first (lowest-index) maximum
-            return CompressedVector(np.array([j], dtype=np.int64), x[j : j + 1].copy(), spec.dim)
-        # stable sort on (-|x|, index): lowest index wins ties
-        order = np.argsort(-np.abs(x), kind="stable")
-        idx = np.sort(order[: spec.k])
-        return CompressedVector(idx.astype(np.int64), x[idx], spec.dim)
-    if spec.kind == "randk":
-        if rng is None:
-            raise ValueError("randk requires a random stream")
-        idx = np.sort(rng.choice(spec.dim, size=spec.k, replace=False)).astype(np.int64)
-        return CompressedVector(idx, x[idx], spec.dim)
-    # hard threshold
-    idx = np.nonzero(np.abs(x) >= spec.tau)[0].astype(np.int64)
+    idx = np.flatnonzero(keep_mask(spec, x[None, :], [draw_picks(spec, rng)])[0])
     return CompressedVector(idx, x[idx], spec.dim)
 
 

@@ -58,12 +58,12 @@ def ensure_finite(a: np.ndarray, context: str = "", round_index: int | None = No
     return a
 
 
-def _philox_key(seed: int, node: int, round_index: int) -> np.ndarray:
+def _philox_key(seed: int, node: int, round_index: int, out: np.ndarray | None = None) -> np.ndarray:
     if node < 0 or round_index < 0:
         raise ValueError("node and round must be nonnegative")
     if node > _MASK32 or round_index > _MASK32:
         raise ValueError("node/round exceed 32-bit stream id space")
-    key = np.empty(2, dtype=np.uint64)
+    key = np.empty(2, dtype=np.uint64) if out is None else out
     key[0] = seed & _MASK64
     key[1] = (node << 32) | round_index
     return key
@@ -103,6 +103,6 @@ class StreamFactory:
         }
 
     def stream(self, node: int, round_index: int) -> np.random.Generator:
-        self._key[:] = _philox_key(self.seed, node, round_index)
+        _philox_key(self.seed, node, round_index, out=self._key)
         self._bitgen.state = self._state
         return self._gen

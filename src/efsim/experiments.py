@@ -130,6 +130,17 @@ _HYPER_SCHEMA = {
 
 _TUNE_SCHEMA = {"k_lo": ..., "k_hi": ..., "criterion": "final_loss", "seeds": None}
 
+# integer keys of each section and the least value each may take (None: no
+# bound); a key set to None is left to the checks that follow
+_INT_KEYS = {
+    "experiment": {"metric_every": 1, "lyapunov_every": 1},
+    "experiment.problem": {"n": 1, "d": 1, "variance_batch": 1, "classes": 1, "features": 1, "examples": 1,
+                           "seed": 0, "split_seed": 0},
+    "experiment.compressor": {"k": 1},
+    "experiment.hyper": {"batch": 1, "b_init": 1, "rounds": 0},
+    "experiment.tune": {"k_lo": None, "k_hi": None},
+}
+
 _EXPERIMENT_SCHEMA = {
     "name": ...,
     "problem": ...,
@@ -143,6 +154,30 @@ _EXPERIMENT_SCHEMA = {
     "tune": None,
     "out": None,
 }
+
+
+def _check_int(value, where: str, least: int | None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise SchemaError(f"{where}: must be >= {least}, got {value}")
+
+
+def _check_ints(exp: dict) -> None:
+    sections = {"experiment": exp, **{f"experiment.{k}": exp[k] or {} for k in ("problem", "compressor", "hyper", "tune")}}
+    for where, keys in _INT_KEYS.items():
+        for key, least in keys.items():
+            if sections[where].get(key) is not None:
+                _check_int(sections[where][key], f"{where}.{key}", least)
+    tune_seeds = sections["experiment.tune"].get("seeds")
+    for where, seeds in (("experiment.seeds", exp["seeds"]), ("experiment.tune.seeds", tune_seeds)):
+        if seeds is not None and not isinstance(seeds, list):
+            raise SchemaError(f"{where}: expected a list of integers, got {seeds!r}")
+        for seed in seeds or ():
+            _check_int(seed, where, 0)
+    comp = exp["compressor"]
+    if comp["kind"] in ("topk", "randk") and comp["k"] is None:
+        raise SchemaError(f"experiment.compressor.k: required by {comp['kind']}")
 
 
 def validate_experiment(doc: dict) -> dict:
@@ -171,6 +206,7 @@ def validate_experiment(doc: dict) -> dict:
             raise SchemaError(f"experiment.algorithms: unknown algorithm {a!r}")
     if not isinstance(exp["seeds"], list) or not exp["seeds"]:
         raise SchemaError("experiment.seeds: need a nonempty list")
+    _check_ints(exp)
     return exp
 
 

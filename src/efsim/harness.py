@@ -21,7 +21,7 @@ import numpy as np
 from . import optim
 from .compress import Compressor, contraction_alpha
 from .core import NumericFailure, StreamFactory, norm_sq
-from .optim import HyperParams, NodeState, ServerState, schedule_at
+from .optim import HyperParams, NodeArrays, ServerState, schedule_at
 from .problems.base import Problem
 
 __all__ = [
@@ -100,7 +100,7 @@ class RunTrace:
 def lyapunov(
     problem: Problem,
     server: ServerState,
-    nodes: list[NodeState],
+    nodes: NodeArrays,
     gamma: float,
     eta: float,
     alpha: float,
@@ -115,7 +115,7 @@ def lyapunov(
     Uses full-gradient oracles.  When f* is unknown the first term is the
     raw objective value (a shifted version of the same quantity).
     """
-    if any(node.v is None for node in nodes):
+    if nodes.v is None:
         raise ValueError("algorithm state has no momentum estimator v_i")
     n = problem.n_nodes
     x = server.x
@@ -124,10 +124,10 @@ def lyapunov(
     comp_err = 0.0
     mom_err = 0.0
     mean_dev = np.zeros(problem.dim)
-    for i, node in enumerate(nodes):
+    for i in range(n):
         gi = problem.full_grad(i, x)
-        comp_err += norm_sq(node.g - node.v)
-        dev = node.v - gi
+        comp_err += norm_sq(nodes.g[i] - nodes.v[i])
+        dev = nodes.v[i] - gi
         mom_err += norm_sq(dev)
         mean_dev += dev
     mean_dev /= n
@@ -144,9 +144,9 @@ def _measure(cfg: RunConfig, server, nodes, coords_cum, samples_cum, want_lyap) 
     # near-divergent iterates overflow benignly; non-finite rows are handled
     # by truncation, so silence numpy here
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_norm = math.sqrt(norm_sq(problem.mean_full_grad(server.x)))
+        value, mean_grad = problem.value_and_mean_grad(server.x)
+        grad_norm = math.sqrt(norm_sq(mean_grad))
         f_star = problem.f_star
-        value = problem.value(server.x)
         obj_gap = value - f_star if f_star is not None else value
         lam = None
         if want_lyap:

@@ -25,6 +25,14 @@ Node update rules (per node i, fresh sample at the new iterate x'):
   stored states by exact gradients, g_i <- grad f_i(x') + C(eta * noise);
   they transmit a dense vector every round.
 
+``RULES`` holds these as data, and one engine runs every kind.  Node
+states are (n, d) arrays (``NodeArrays``) walked in blocks of rows whose
+temporaries stay under ``BLOCK_BYTES``.  In a block each node in turn resets
+its own (seed, node, round) stream and draws its oracle sample, then its
+RandK coordinates; the gradients, recursions and compression of the block
+follow as array operations with the operand order of the formulas above,
+and the messages are added to the aggregate row by row in ascending node
+order, so traces are bitwise those of a loop over single nodes.
 Compressed-state updates write the kept coordinates of the target directly
 into g_i (mathematically identical to adding the transmitted residual, and
 it makes the eta = 1 and identity-compressor reductions exact bitwise).
@@ -37,14 +45,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compress import Compressor, compress, coordinates_sent, densify
-from .core import NumericFailure, StreamFactory, ensure_finite
+from .compress import Compressor, draw_picks, keep_mask
+from .core import StreamFactory, ensure_finite
 from .problems.base import Problem, SmoothnessInfo
 
 __all__ = [
     "ALGORITHMS",
+    "RULES",
     "HyperParams",
-    "NodeState",
+    "NodeArrays",
     "ServerState",
     "RoundLog",
     "schedule_at",
@@ -52,7 +61,6 @@ __all__ = [
     "init",
     "run_round",
     "theoretical_params",
-    "state_fields",
 ]
 
 SGD = "sgd"
@@ -66,24 +74,44 @@ EF21_STORM = "ef21_storm"
 EF21_SGD_IDEAL = "ef21_sgd_ideal"
 EF21_SGDM_IDEAL = "ef21_sgdm_ideal"
 
-ALGORITHMS = (
-    SGD,
-    SGDM,
-    EF14_SGD,
-    EF21_SGD,
-    EF21_SGDM,
-    EF21_SGD2M,
-    EF21_SGDM_ABS,
-    EF21_STORM,
-    EF21_SGD_IDEAL,
-    EF21_SGDM_IDEAL,
-)
+# upper bound on the bytes of one (rows, d) float64 temporary of a block
+BLOCK_BYTES = 64 * 1024
 
-_IDEAL = (EF21_SGD_IDEAL, EF21_SGDM_IDEAL)
-_USES_ETA = (SGDM, EF21_SGDM, EF21_SGD2M, EF21_SGDM_ABS, EF21_STORM, EF21_SGDM_IDEAL)
-# kinds whose node state carries the momentum estimator v_i (needed by the
-# Lyapunov diagnostic)
-MOMENTUM_KINDS = (SGDM, EF21_SGDM, EF21_SGD2M, EF21_SGDM_ABS)
+
+@dataclass(frozen=True)
+class Rule:
+    """How one kind updates a node: the (n, d) estimators it keeps besides
+    g_i, advanced in this order (v, u: momentum, u averaging v; w: STORM; e
+    and sg_prev: error feedback), and the message rule that turns the target
+    (the last of v, u, w, else the fresh sample gradient) into g_i:
+
+    * write:    g_i takes the kept coordinates of the target, C(target - g_i)
+    * absolute: g_i += gamma * C((target - g_i) / gamma)
+    * ef14:     g_i = C(e_i + gamma * sample gradient)
+    * ideal:    g_i = exact gradient + C(noise), the noise times eta if
+                ``scale_noise``
+    """
+
+    estimators: tuple[str, ...]
+    message: str
+    scale_noise: bool = False
+
+
+RULES = {
+    SGD: Rule((), "write"),
+    SGDM: Rule(("v",), "write"),
+    EF14_SGD: Rule(("e", "sg_prev"), "ef14"),
+    EF21_SGD: Rule((), "write"),
+    EF21_SGDM: Rule(("v",), "write"),
+    EF21_SGD2M: Rule(("v", "u"), "write"),
+    EF21_SGDM_ABS: Rule(("v",), "absolute"),
+    EF21_STORM: Rule(("w",), "write"),
+    EF21_SGD_IDEAL: Rule((), "ideal"),
+    EF21_SGDM_IDEAL: Rule((), "ideal", scale_noise=True),
+}
+ALGORITHMS = tuple(RULES)
+# kinds that keep the momentum estimator v_i (needed by the Lyapunov diagnostic)
+MOMENTUM_KINDS = tuple(kind for kind, rule in RULES.items() if "v" in rule.estimators)
 
 
 @dataclass
@@ -127,14 +155,24 @@ def schedule_at(hp: HyperParams, t: int) -> tuple[float, float]:
 
 
 @dataclass
-class NodeState:
+class NodeArrays:
+    """The states of all n nodes: row i of each (n, d) array is node i's.
+
+    ``sg_prev`` is the cached sample gradient of plain error feedback, and
+    ``x_prev`` the previous iterate of STORM, one vector shared by every
+    node.  Fields a kind does not keep are None.
+    """
+
     g: np.ndarray
     v: np.ndarray | None = None
     u: np.ndarray | None = None
     w: np.ndarray | None = None
     e: np.ndarray | None = None
+    sg_prev: np.ndarray | None = None
     x_prev: np.ndarray | None = None
-    sg_prev: np.ndarray | None = None  # cached sample gradient (plain error feedback)
+
+    def __len__(self) -> int:
+        return len(self.g)
 
 
 @dataclass
@@ -150,22 +188,6 @@ class RoundLog:
     grad_evals: int = 0  # stochastic gradient evaluations per node
 
 
-def state_fields(kind: str) -> tuple[str, ...]:
-    """Which NodeState fields a given algorithm keeps."""
-    return {
-        SGD: ("g",),
-        SGDM: ("g", "v"),
-        EF14_SGD: ("g", "e", "sg_prev"),
-        EF21_SGD: ("g",),
-        EF21_SGDM: ("g", "v"),
-        EF21_SGD2M: ("g", "v", "u"),
-        EF21_SGDM_ABS: ("g", "v"),
-        EF21_STORM: ("g", "w", "x_prev"),
-        EF21_SGD_IDEAL: ("g",),
-        EF21_SGDM_IDEAL: ("g",),
-    }[kind]
-
-
 def validate_pairing(kind: str, comp: Compressor) -> None:
     if kind not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {kind!r}")
@@ -179,13 +201,30 @@ def validate_pairing(kind: str, comp: Compressor) -> None:
         raise ValueError(f"{kind} requires a contractive compressor")
 
 
+def _blocks(n: int, d: int) -> list[slice]:
+    step = max(1, BLOCK_BYTES // (8 * d))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _draw(problem: Problem, comp: Compressor | None, streams: StreamFactory, rows: slice, round_index: int, batch: int):
+    """Each node's oracle sample, then its RandK picks, from its own stream."""
+    draws, picks = [], []
+    for i in range(rows.start, rows.stop):
+        rng = streams.stream(i, round_index)
+        draws.append(problem.draw(i, rng, batch))
+        picks.append(None if comp is None else draw_picks(comp, rng))
+    return draws, picks
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray, mask: np.ndarray | None = None) -> None:
+    """acc += each row in turn (only its kept coordinates if masked)."""
+    for r in range(len(rows)):
+        np.add(acc, rows[r], out=acc, where=True if mask is None else mask[r])
+
+
 def init(
-    kind: str,
-    problem: Problem,
-    hp: HyperParams,
-    comp: Compressor,
-    streams: StreamFactory,
-) -> tuple[ServerState, list[NodeState], RoundLog]:
+    kind: str, problem: Problem, hp: HyperParams, comp: Compressor, streams: StreamFactory
+) -> tuple[ServerState, NodeArrays, RoundLog]:
     """Build round-0 states.
 
     All kinds except plain error feedback start their estimators from a
@@ -196,48 +235,27 @@ def init(
     validate_pairing(kind, comp)
     if comp.dim != problem.dim:
         raise ValueError("compressor dimension does not match the problem")
+    n, d = problem.n_nodes, problem.dim
     x0 = problem.x0.copy()
-    nodes: list[NodeState] = []
-    gsum = np.zeros(problem.dim)
-    for i in range(problem.n_nodes):
-        rng = streams.stream(i, 0)
-        if kind == EF14_SGD:
-            sg0 = problem.stoch_grad(i, x0, rng, hp.batch)
-            node = NodeState(g=np.zeros(problem.dim), e=np.zeros(problem.dim), sg_prev=sg0)
-            evals = hp.batch
-        else:
-            g0 = problem.stoch_grad(i, x0, rng, hp.b_init)
-            node = NodeState(g=g0.copy())
-            if kind in (SGDM, EF21_SGDM, EF21_SGDM_ABS):
-                node.v = g0.copy()
-            elif kind == EF21_SGD2M:
-                node.v = g0.copy()
-                node.u = g0.copy()
-            elif kind == EF21_STORM:
-                node.w = g0.copy()
-                node.x_prev = x0.copy()
-            evals = hp.b_init
-        gsum += node.g
-        nodes.append(node)
-    server = ServerState(x=x0, g=gsum / problem.n_nodes, t=0)
-    return server, nodes, RoundLog(coords_sent=0, grad_evals=evals)
-
-
-def _apply_compressed_target(node: NodeState, target: np.ndarray, comp: Compressor, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Compress target - g_i, assign the kept coordinates, return message."""
-    c = compress(comp, target - node.g, rng)
-    node.g[c.indices] = target[c.indices]
-    return c.indices, c.values
+    batch = hp.batch if kind == EF14_SGD else hp.b_init
+    g0 = np.empty((n, d))
+    for rows in _blocks(n, d):
+        draws, _ = _draw(problem, None, streams, rows, 0, batch)
+        g0[rows] = problem.stoch_grads(rows, x0, draws)
+    if kind == EF14_SGD:
+        nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)), sg_prev=g0)
+    else:
+        nodes = NodeArrays(g=g0, **{f: g0.copy() for f in RULES[kind].estimators})
+        if kind == EF21_STORM:
+            nodes.x_prev = x0.copy()
+    gsum = np.zeros(d)
+    _add_rows(gsum, nodes.g)
+    return ServerState(x=x0, g=gsum / n, t=0), nodes, RoundLog(coords_sent=0, grad_evals=batch)
 
 
 def run_round(
-    kind: str,
-    server: ServerState,
-    nodes: list[NodeState],
-    problem: Problem,
-    hp: HyperParams,
-    comp: Compressor,
-    streams: StreamFactory,
+    kind: str, server: ServerState, nodes: NodeArrays,
+    problem: Problem, hp: HyperParams, comp: Compressor, streams: StreamFactory,
 ) -> RoundLog:
     """Execute one synchronous round in place; returns the round's costs.
 
@@ -251,90 +269,71 @@ def run_round(
 
 
 def _run_round_unchecked(kind, server, nodes, problem, hp, comp, streams) -> RoundLog:
+    rule = RULES[kind]
     t = server.t
     gamma_t, eta_t = schedule_at(hp, t)
     n = problem.n_nodes
-    if kind == EF14_SGD:
-        x_new = server.x - server.g
-    else:
-        x_new = server.x - gamma_t * server.g
+    x_new = server.x - (server.g if kind == EF14_SGD else gamma_t * server.g)
     ensure_finite(x_new, "iterate", t)
 
-    log = RoundLog()
-    if kind in (SGD, SGDM, EF21_SGD, EF21_SGDM, EF21_SGD2M, EF21_STORM):
-        delta = np.zeros(problem.dim)
-        for i in range(n):
-            rng = streams.stream(i, t + 1)
-            node = nodes[i]
-            if kind == EF21_STORM:
-                sg_new, sg_old = problem.stoch_grad_pair(i, x_new, node.x_prev, rng, hp.batch)
-                node.w = sg_new + (1.0 - eta_t) * (node.w - sg_old)
-                node.x_prev = x_new
-                target = node.w
-                log.grad_evals = 2 * hp.batch
-            else:
-                sg = problem.stoch_grad(i, x_new, rng, hp.batch)
-                log.grad_evals = hp.batch
-                if kind in (SGD, EF21_SGD):
-                    target = sg
-                else:
-                    node.v = (1.0 - eta_t) * node.v + eta_t * sg
-                    target = node.v
-                    if kind == EF21_SGD2M:
-                        node.u = (1.0 - eta_t) * node.u + eta_t * node.v
-                        target = node.u
-            idx, vals = _apply_compressed_target(node, target, comp, rng)
-            delta[idx] += vals  # indices are unique, plain fancy add is safe
-            log.coords_sent += len(idx)
-        server.g = server.g + delta / n
-    elif kind == EF21_SGDM_ABS:
-        delta = np.zeros(problem.dim)
-        for i in range(n):
-            rng = streams.stream(i, t + 1)
-            node = nodes[i]
-            sg = problem.stoch_grad(i, x_new, rng, hp.batch)
-            node.v = (1.0 - eta_t) * node.v + eta_t * sg
-            c = compress(comp, (node.v - node.g) / gamma_t, rng)
-            scaled = gamma_t * c.values
-            node.g[c.indices] += scaled
-            delta[c.indices] += scaled
-            log.coords_sent += coordinates_sent(c)
-            log.grad_evals = hp.batch
-        server.g = server.g + delta / n
-    elif kind == EF14_SGD:
-        gsum = np.zeros(problem.dim)
-        for i in range(n):
-            rng = streams.stream(i, t + 1)
-            node = nodes[i]
-            node.e = node.e + gamma_t * node.sg_prev - node.g
-            sg = problem.stoch_grad(i, x_new, rng, hp.batch)
-            c = compress(comp, node.e + gamma_t * sg, rng)
-            node.g = densify(c)
-            node.sg_prev = sg
-            gsum += node.g
-            log.coords_sent += coordinates_sent(c)
-            log.grad_evals = hp.batch
-        server.g = gsum / n
-    elif kind in _IDEAL:
-        gsum = np.zeros(problem.dim)
-        for i in range(n):
-            rng = streams.stream(i, t + 1)
-            full = problem.full_grad(i, x_new)
-            sg = problem.stoch_grad(i, x_new, rng, hp.batch)
-            noise = sg - full
-            if kind == EF21_SGDM_IDEAL:
-                noise = eta_t * noise
-            gsum += full + densify(compress(comp, noise, rng))
-            log.coords_sent += problem.dim  # dense states are shipped
-            log.grad_evals = hp.batch
-        server.g = gsum / n
-    else:
-        raise ValueError(f"unknown algorithm {kind!r}")
+    acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
+    coords = 0
+    for rows in _blocks(n, problem.dim):
+        draws, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
+        sg = problem.stoch_grads(rows, x_new, draws)
+        g = nodes.g[rows]
+        target = sg
+        # in-place updates, each operation in the order of the formulas above
+        for name in rule.estimators:
+            state = getattr(nodes, name)[rows]
+            if name in ("v", "u"):  # v averages the sample gradient, u averages v
+                np.multiply(1.0 - eta_t, state, out=state)
+                state += eta_t * target
+                target = state
+            elif name == "w":
+                np.subtract(state, problem.stoch_grads(rows, nodes.x_prev, draws), out=state)
+                np.multiply(1.0 - eta_t, state, out=state)
+                np.add(sg, state, out=state)
+                target = state
+            elif name == "e":
+                state += gamma_t * nodes.sg_prev[rows]
+                state -= g
+                target = state + gamma_t * sg
+            else:  # "sg_prev": cache this round's sample gradient
+                state[...] = sg
 
+        if rule.message == "write":
+            resid = target - g
+            mask = keep_mask(comp, resid, picks)
+            np.copyto(g, target, where=mask)
+            _add_rows(acc, resid, mask)
+        elif rule.message == "absolute":
+            unscaled = (target - g) / gamma_t
+            mask = keep_mask(comp, unscaled, picks)
+            scaled = gamma_t * unscaled
+            np.add(g, scaled, out=g, where=mask)
+            _add_rows(acc, scaled, mask)
+        elif rule.message == "ef14":
+            mask = keep_mask(comp, target, picks)
+            g[...] = np.where(mask, target, 0.0)
+            _add_rows(acc, g)
+        else:  # ideal: exact gradient plus the compressed noise, sent dense
+            full = problem.full_grads(rows, x_new)
+            noise = sg - full
+            if rule.scale_noise:
+                noise = eta_t * noise
+            mask = keep_mask(comp, noise, picks)
+            _add_rows(acc, full + np.where(mask, noise, 0.0))
+        coords += problem.dim * len(g) if rule.message == "ideal" else int(np.count_nonzero(mask))
+
+    server.g = server.g + acc / n if rule.message in ("write", "absolute") else acc / n
     ensure_finite(server.g, "aggregated state", t)
+    if nodes.x_prev is not None:
+        nodes.x_prev = x_new
     server.x = x_new
     server.t = t + 1
-    return log
+    evals = 2 * hp.batch if kind == EF21_STORM else hp.batch
+    return RoundLog(coords_sent=coords, grad_evals=evals)
 
 
 def _inf_if_zero_div(num: float, den: float) -> float:

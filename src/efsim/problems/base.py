@@ -40,7 +40,14 @@ class SmoothnessInfo:
 
 
 class Problem:
-    """Oracle bundle; subclasses fill in the node oracles."""
+    """Oracle bundle; subclasses fill in the node oracles.
+
+    A stochastic gradient splits into a per-node random draw (``draw``,
+    which consumes the node's stream exactly as one oracle call does) and a
+    deterministic evaluation over a block of node rows given those draws
+    (``stoch_grads``), so a caller can reset each node's stream in turn and
+    then evaluate the whole block at once.
+    """
 
     dim: int
     n_nodes: int
@@ -50,8 +57,23 @@ class Problem:
     def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def stoch_grad(self, i: int, x: np.ndarray, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
+    def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
+        """One row grad f_i(x) per node i of the block ``rows``
+        (consecutive nodes, ``rows.start`` to ``rows.stop``)."""
         raise NotImplementedError
+
+    def draw(self, i: int, rng: np.random.Generator, batch: int = 1):
+        """The sample of one size-``batch`` stochastic gradient at node i,
+        drawn from ``rng`` (None when the oracle draws nothing)."""
+        raise NotImplementedError
+
+    def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
+        """One row per node of the block ``rows``: its stochastic gradient at
+        x under its draw, ``draws[i - rows.start]``."""
+        raise NotImplementedError
+
+    def stoch_grad(self, i: int, x: np.ndarray, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
+        return self.stoch_grads(slice(i, i + 1), x, [self.draw(i, rng, batch)])[0]
 
     def stoch_grad_pair(
         self, i: int, x_new: np.ndarray, x_old: np.ndarray, rng: np.random.Generator, batch: int = 1
@@ -61,7 +83,8 @@ class Problem:
         Required by recursive variance-reduced estimators, which difference
         gradients at consecutive iterates under the same sample.
         """
-        raise NotImplementedError
+        rows, draws = slice(i, i + 1), [self.draw(i, rng, batch)]
+        return self.stoch_grads(rows, x_new, draws)[0], self.stoch_grads(rows, x_old, draws)[0]
 
     def value(self, x: np.ndarray) -> float:
         """Global objective f(x) = (1/n) sum_i f_i(x)."""
@@ -80,6 +103,11 @@ class Problem:
         for i in range(1, self.n_nodes):
             g += self.full_grad(i, x)
         return g / self.n_nodes
+
+    def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``value(x)`` and ``mean_full_grad(x)``, the two oracle calls of a
+        metric row."""
+        return self.value(x), self.mean_full_grad(x)
 
 
 def power_iteration_norm(

@@ -49,21 +49,21 @@ class CounterexampleProblem(Problem):
     def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.l_smooth * x
 
-    def _noise(self, rng: np.random.Generator, batch: int) -> np.ndarray:
+    def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
+        return np.tile(self.l_smooth * x, (rows.stop - rows.start, 1))
+
+    def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray | None:
+        """The noise atom, averaged over the batch."""
+        if self.sigma == 0.0:
+            return None
         if batch == 1:  # same draw as the batched path, minus the reduction
             return self.atoms[rng.integers(0, 3)]
         return self.atoms[rng.integers(0, 3, size=batch)].mean(axis=0)
 
-    def stoch_grad(self, i, x, rng, batch: int = 1) -> np.ndarray:
+    def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
         if self.sigma == 0.0:
-            return self.full_grad(i, x)
-        return self.full_grad(i, x) + self._noise(rng, batch)
-
-    def stoch_grad_pair(self, i, x_new, x_old, rng, batch: int = 1):
-        if self.sigma == 0.0:
-            return self.full_grad(i, x_new), self.full_grad(i, x_old)
-        noise = self._noise(rng, batch)
-        return self.full_grad(i, x_new) + noise, self.full_grad(i, x_old) + noise
+            return self.full_grads(rows, x)
+        return self.l_smooth * x + np.array(draws)
 
     def value(self, x: np.ndarray) -> float:
         return 0.5 * self.l_smooth * float(x @ x)

@@ -71,8 +71,8 @@ class LogRegProblem(Problem):
         out[:, : self.n_features] = self.reg * 2.0 * w / (1.0 + w**2) ** 2
         return out.ravel()
 
-    def value_and_grad(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None = None):
-        """Cross-entropy (plus regularizer) and its gradient on a batch.
+    def _probs(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None):
+        """Examples, labels and softmax probabilities of node i on a batch.
 
         ``batch_idx`` selects example rows of node i; None means the full
         local dataset.  Softmax is stabilized by max subtraction.
@@ -84,32 +84,54 @@ class LogRegProblem(Problem):
                 raise ValueError("empty batch")
             a = a[batch_idx]
             y = y[batch_idx]
-        m = a.shape[0]
         logits = a @ self._weights(x).T  # (m, c)
         logits -= logits.max(axis=1, keepdims=True)
         expz = np.exp(logits)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        loss = -float(np.mean(np.log(probs[np.arange(m), y] + 1e-300)))
-        resid = probs
+        return a, y, expz / expz.sum(axis=1, keepdims=True)
+
+    def _grad_from(self, x: np.ndarray, a: np.ndarray, y: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        m = a.shape[0]
+        resid = probs  # overwritten in place
         resid[np.arange(m), y] -= 1.0
         grad = (resid.T @ a) / m  # (c, l+1)
-        return loss + self._reg_value(x), grad.ravel() + self._reg_grad(x)
+        return grad.ravel() + self._reg_grad(x)
+
+    def grad(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None = None) -> np.ndarray:
+        """The gradient of ``value_and_grad`` alone, without the loss."""
+        return self._grad_from(x, *self._probs(i, x, batch_idx))
+
+    def value_and_grad(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None = None):
+        """Cross-entropy (plus regularizer) and its gradient on a batch
+        (``batch_idx`` as in ``_probs``)."""
+        a, y, probs = self._probs(i, x, batch_idx)
+        loss = -float(np.mean(np.log(probs[np.arange(a.shape[0]), y] + 1e-300)))
+        return loss + self._reg_value(x), self._grad_from(x, a, y, probs)
 
     # -- Problem interface -------------------------------------------------
 
     def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(i, x)[1]
+        return self.grad(i, x)
 
-    def stoch_grad(self, i, x, rng, batch: int = 1) -> np.ndarray:
-        idx = rng.integers(0, self.m_i[i], size=batch)
-        return self.value_and_grad(i, x, idx)[1]
+    def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
+        return np.array([self.grad(i, x) for i in range(rows.start, rows.stop)])
 
-    def stoch_grad_pair(self, i, x_new, x_old, rng, batch: int = 1):
-        idx = rng.integers(0, self.m_i[i], size=batch)
-        return self.value_and_grad(i, x_new, idx)[1], self.value_and_grad(i, x_old, idx)[1]
+    def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
+        """Example indices, sampled with replacement."""
+        return rng.integers(0, self.m_i[i], size=batch)
+
+    def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
+        return np.array([self.grad(i, x, idx) for i, idx in zip(range(rows.start, rows.stop), draws)])
 
     def value(self, x: np.ndarray) -> float:
         return float(np.mean([self.value_and_grad(i, x)[0] for i in range(self.n_nodes)]))
+
+    def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """One full-data pass per node serves both quantities."""
+        values, grads = zip(*(self.value_and_grad(i, x) for i in range(self.n_nodes)))
+        g = grads[0].copy()
+        for gi in grads[1:]:
+            g += gi
+        return float(np.mean(values)), g / self.n_nodes
 
     def smoothness(self) -> SmoothnessInfo:
         """Analytic upper bounds: softmax curvature dominated by

@@ -93,24 +93,27 @@ class QuadraticProblem(Problem):
     def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.matvec(i, x) - self.b[i]
 
-    def _noise(self, rng: np.random.Generator, batch: int) -> np.ndarray:
+    def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
+        if self.dense is not None:  # one matvec per row, as full_grad makes it
+            return np.array([q @ x for q in self.dense[rows]]) - self.b[rows]
+        g = self.tri_scale[rows, None] * _tridiag_matvec(x)
+        g += self.shift * x
+        g -= self.b[rows]
+        return g
+
+    def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray | None:
+        """Unscaled Gaussian noise, averaged over the batch."""
+        if self.sigma == 0.0:
+            return None
         if batch == 1:  # same draws as the batched path, minus the reduction
-            return self._noise_scale * rng.standard_normal(self.dim)
-        return self._noise_scale * rng.standard_normal((batch, self.dim)).mean(axis=0)
+            return rng.standard_normal(self.dim)
+        return rng.standard_normal((batch, self.dim)).mean(axis=0)
 
-    def stoch_grad(self, i: int, x: np.ndarray, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
-        g = self.full_grad(i, x)
-        if self.sigma == 0.0:
-            return g
-        return g + self._noise(rng, batch)
-
-    def stoch_grad_pair(self, i, x_new, x_old, rng, batch: int = 1):
-        g_new = self.full_grad(i, x_new)
-        g_old = self.full_grad(i, x_old)
-        if self.sigma == 0.0:
-            return g_new, g_old
-        noise = self._noise(rng, batch)
-        return g_new + noise, g_old + noise
+    def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
+        g = self.full_grads(rows, x)
+        if self.sigma != 0.0:
+            g += self._noise_scale * np.array(draws)
+        return g
 
     def node_value(self, i: int, x: np.ndarray) -> float:
         return 0.5 * float(x @ self.matvec(i, x)) - float(self.b[i] @ x)

@@ -206,10 +206,10 @@ def test_04_reduction_identities():
     server, nodes, _ = optim.init("ef14_sgd", prob, hp14, comp, streams)
     worst = 0.0
     for _ in range(rounds):
-        cached = np.mean([n.sg_prev for n in nodes], axis=0)
-        xtil = server.x - np.mean([n.e for n in nodes], axis=0)
+        cached = nodes.sg_prev.mean(axis=0)
+        xtil = server.x - nodes.e.mean(axis=0)
         optim.run_round("ef14_sgd", server, nodes, prob, hp14, comp, streams)
-        xtil_new = server.x - np.mean([n.e for n in nodes], axis=0)
+        xtil_new = server.x - nodes.e.mean(axis=0)
         rel = np.linalg.norm(xtil_new - (xtil - hp14.gamma * cached)) / (1.0 + np.linalg.norm(xtil_new))
         worst = max(worst, rel)
     checks.append(report("virtual-iterate identity", worst <= 1e-10, f"worst relative error {worst:.2e}"))

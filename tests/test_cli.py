@@ -150,6 +150,29 @@ def test_run_bad_schema_exit_code(tmp_path):
     assert main(["run", path]) == 1
 
 
+def test_fractional_k_is_rejected_naming_the_key(tmp_path, capsys):
+    exp = minimal_experiment()
+    exp["compressor"]["k"] = 1.9  # used to run silently as Top1
+    out = tmp_path / "out"
+    assert main(["run", write_exp(tmp_path, exp), "--out", str(out), "--workers", "1"]) == 1
+    assert "experiment.compressor.k" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boolean_seed_is_rejected_naming_the_key(tmp_path, capsys):
+    out = tmp_path / "out"  # used to write mini__ef21_sgdm__seedTrue.csv
+    assert main(["run", write_exp(tmp_path, minimal_experiment(seeds=[True])), "--out", str(out), "--workers", "1"]) == 1
+    assert "experiment.seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_zero_nodes_is_usage_error(tmp_path, capsys):
+    # used to die inside optim.init with an UnboundLocalError traceback
+    rc = main(["reproduce", "fig1", "--override", "problem.n=0", "--out", str(tmp_path / "rep"), "--workers", "1"])
+    assert rc == 1
+    assert "experiment.problem.n" in capsys.readouterr().err
+
+
 def test_all_seeds_diverging_exit_code(tmp_path):
     exp = minimal_experiment()
     exp["hyper"]["gamma"] = 1e9

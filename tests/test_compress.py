@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from efsim.compress import (
     CompressedVector,
@@ -13,8 +14,10 @@ from efsim.compress import (
     coordinates_sent,
     coordinates_to_bits,
     densify,
+    draw_picks,
     hard_threshold,
     identity,
+    keep_mask,
     rand_k,
     top_k,
     verify_contractive,
@@ -176,3 +179,71 @@ def test_densify_respects_dim():
     out = densify(c)
     assert out.shape == (6,)
     assert out[1] == 2.0 and out[4] == -3.0 and out.sum() == -1.0
+
+
+# -- row-wise selection against the per-vector reference ---------------------------
+
+
+def _reference_topk(x, k):
+    """The per-vector TopK selection: the first k of a stable argsort of
+    -|x| (+-inf first, NaN last, ties to the lowest index), and numpy's
+    argmax of |x| for k = 1 (the first maximum, or the first NaN)."""
+    if k == 1:
+        return np.array([np.argmax(np.abs(x))])
+    return np.sort(np.argsort(-np.abs(x), kind="stable")[:k])
+
+
+# few distinct values, so rows are full of ties, signed zeros and non-finites
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda d: st.tuples(
+            st.integers(1, d),
+            arrays(np.float64, st.tuples(st.integers(1, 5), st.just(d)), elements=_ENTRIES),
+        )
+    )
+)
+def test_rowwise_topk_equals_per_vector_reference(args):
+    k, rows = args
+    spec = top_k(k, rows.shape[1])
+    mask = keep_mask(spec, rows)
+    for row, kept in zip(rows, mask):
+        want = _reference_topk(row, k)
+        assert np.array_equal(np.flatnonzero(kept), want)
+        c = compress(spec, row)
+        assert np.array_equal(c.indices, want)
+        assert np.array_equal(c.values, row[want], equal_nan=True)
+
+
+def test_rowwise_topk_ties_across_rows():
+    rows = np.array([[1.0, -1.0, 1.0, 1.0], [0.0, -0.0, 0.0, 0.0], [np.nan, 2.0, np.nan, -np.inf], [3.0, 1.0, 1.0, 1.0]])
+    mask = keep_mask(top_k(2, 4), rows)
+    assert [np.flatnonzero(m).tolist() for m in mask] == [[0, 1], [0, 1], [1, 3], [0, 1]]
+
+
+def test_randk_block_draws_match_per_node_compress():
+    # the round engine resets each node's stream, draws the oracle sample,
+    # then the RandK picks; per-node compress at the same stream position
+    # must keep the same coordinates
+    spec = rand_k(4, 30)
+    rows = derive_stream(3, 0, 0).standard_normal((6, 30))
+    picks, expected = [], []
+    for i in range(6):
+        rng = derive_stream(4, i, 1)
+        rng.standard_normal(30)  # the oracle sample
+        picks.append(draw_picks(spec, rng))
+        rng = derive_stream(4, i, 1)
+        rng.standard_normal(30)
+        expected.append(np.sort(rng.choice(30, size=4, replace=False)))
+    mask = keep_mask(spec, rows, picks)
+    for i in range(6):
+        rng = derive_stream(4, i, 1)
+        rng.standard_normal(30)
+        c = compress(spec, rows[i], rng)
+        assert np.array_equal(np.flatnonzero(mask[i]), expected[i])
+        assert np.array_equal(c.indices, expected[i])
+        assert np.array_equal(c.values, rows[i][expected[i]])
+    assert draw_picks(top_k(2, 30), None) is None

@@ -137,7 +137,7 @@ def test_every_config_is_pinned():
     assert sorted(_golden()) == sorted(CONFIGS)
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(CONFIGS), ids=lambda name: name.replace("/", "-"))
 def test_trace_matches_golden_hash(name, tmp_path):
     cfg, seed = CONFIGS[name]
     assert trace_hash(cfg, seed, str(tmp_path / "trace.csv")) == _golden()[name]

@@ -19,7 +19,7 @@ from efsim.harness import (
     write_quantiles_csv,
     write_trace_csv,
 )
-from efsim.optim import HyperParams, NodeState, ServerState
+from efsim.optim import HyperParams, NodeArrays, ServerState
 from efsim.problems import CounterexampleProblem, QuadraticProblem, generate_quadratic
 
 
@@ -112,7 +112,7 @@ def test_lyapunov_hand_computed_value():
     # 0.5 + 0 + 0.25 + 0.25 = 1.0
     prob = QuadraticProblem.from_matrices(np.ones((1, 1, 1)), np.zeros((1, 1)), x0=np.zeros(1))
     server = ServerState(x=np.array([1.0]), g=np.array([0.5]), t=0)
-    nodes = [NodeState(g=np.array([0.5]), v=np.array([0.5]))]
+    nodes = NodeArrays(g=np.array([[0.5]]), v=np.array([[0.5]]))
     val = lyapunov(prob, server, nodes, gamma=1.0, eta=1.0, alpha=1.0)
     assert val == pytest.approx(1.0, rel=1e-12)
 
@@ -150,7 +150,7 @@ def test_lyapunov_requires_momentum_state():
             lyapunov=True,
         )
     server = ServerState(x=prob.x0.copy(), g=np.zeros(10), t=0)
-    nodes = [NodeState(g=np.zeros(10)) for _ in range(2)]
+    nodes = NodeArrays(g=np.zeros((2, 10)))
     with pytest.raises(ValueError):
         lyapunov(prob, server, nodes, 0.01, 0.5, 0.2)
 

@@ -7,7 +7,7 @@ import pytest
 from efsim import optim
 from efsim.compress import contraction_alpha, hard_threshold, identity, top_k
 from efsim.core import NumericFailure, StreamFactory
-from efsim.optim import HyperParams, schedule_at, state_fields, theoretical_params, validate_pairing
+from efsim.optim import HyperParams, schedule_at, theoretical_params, validate_pairing
 from efsim.problems import CounterexampleProblem, generate_quadratic
 
 
@@ -74,10 +74,11 @@ def test_init_noiseless_equals_full_gradient():
     prob = make_problem(sigma=0.0)
     streams = StreamFactory(0)
     server, nodes, log = optim.init("ef21_sgdm", prob, HyperParams(gamma=0.1, rounds=1, b_init=1), top_k(2, 20), streams)
-    for i, node in enumerate(nodes):
+    assert len(nodes) == prob.n_nodes
+    for i in range(prob.n_nodes):
         full = prob.full_grad(i, prob.x0)
-        assert np.array_equal(node.g, full)
-        assert np.array_equal(node.v, full)
+        assert np.array_equal(nodes.g[i], full)
+        assert np.array_equal(nodes.v[i], full)
     mean = np.mean([prob.full_grad(i, prob.x0) for i in range(prob.n_nodes)], axis=0)
     assert np.allclose(server.g, mean, rtol=1e-12)
     assert log.grad_evals == 1
@@ -86,24 +87,36 @@ def test_init_noiseless_equals_full_gradient():
 def test_init_state_fields_per_kind():
     prob = make_problem()
     hp = HyperParams(gamma=0.1, rounds=1)
+    want = {
+        "sgd": {"g"},
+        "sgdm": {"g", "v"},
+        "ef14_sgd": {"g", "e", "sg_prev"},
+        "ef21_sgd": {"g"},
+        "ef21_sgdm": {"g", "v"},
+        "ef21_sgd2m": {"g", "v", "u"},
+        "ef21_sgdm_abs": {"g", "v"},
+        "ef21_storm": {"g", "w", "x_prev"},
+        "ef21_sgd_ideal": {"g"},
+        "ef21_sgdm_ideal": {"g"},
+    }
+    assert set(want) == set(optim.ALGORITHMS)
     for kind in optim.ALGORITHMS:
         comp = hard_threshold(0.1, 20) if kind == "ef21_sgdm_abs" else (
             identity(20) if kind in ("sgd", "sgdm") else top_k(2, 20)
         )
         _, nodes, _ = optim.init(kind, prob, hp, comp, StreamFactory(0))
-        want = set(state_fields(kind))
-        for node in nodes:
-            have = {f for f in ("g", "v", "u", "w", "e", "x_prev", "sg_prev") if getattr(node, f) is not None}
-            assert have == want, kind
+        have = {f for f in ("g", "v", "u", "w", "e", "sg_prev", "x_prev") if getattr(nodes, f) is not None}
+        assert have == want[kind], kind
+        for f in have - {"x_prev"}:
+            assert getattr(nodes, f).shape == (prob.n_nodes, prob.dim), (kind, f)
 
 
 def test_init_error_feedback_starts_from_zero():
     prob = make_problem()
     _, nodes, log = optim.init("ef14_sgd", prob, HyperParams(gamma=0.1, rounds=1, batch=3), top_k(2, 20), StreamFactory(0))
-    for node in nodes:
-        assert np.all(node.e == 0.0)
-        assert np.all(node.g == 0.0)
-        assert node.sg_prev is not None
+    assert np.all(nodes.e == 0.0)
+    assert np.all(nodes.g == 0.0)
+    assert nodes.sg_prev is not None
     assert log.grad_evals == 3
 
 
@@ -178,8 +191,8 @@ def test_storm_noiseless_state_is_exact_gradient():
     hp = HyperParams(gamma=0.05, eta=0.4, rounds=10)
 
     def check(server, nodes, log):
-        for i, node in enumerate(nodes):
-            assert np.array_equal(node.w, prob.full_grad(i, server.x))
+        for i in range(prob.n_nodes):
+            assert np.array_equal(nodes.w[i], prob.full_grad(i, server.x))
 
     roll("ef21_storm", prob, comp, hp, seed=6, rounds=10, collect=check)
 
@@ -193,7 +206,7 @@ def test_server_state_tracks_node_average():
     hp = HyperParams(gamma=0.05, eta=0.5, rounds=200)
 
     def check(server, nodes, log):
-        mean_g = np.mean([n.g for n in nodes], axis=0)
+        mean_g = nodes.g.mean(axis=0)
         drift = np.linalg.norm(server.g - mean_g)
         assert drift <= 1e-12 * (1.0 + np.linalg.norm(server.g))
 
@@ -207,10 +220,10 @@ def test_error_feedback_virtual_iterate_identity():
     streams = StreamFactory(8)
     server, nodes, _ = optim.init("ef14_sgd", prob, hp, comp, streams)
     for _ in range(150):
-        cached = np.mean([n.sg_prev for n in nodes], axis=0)
-        xtil = server.x - np.mean([n.e for n in nodes], axis=0)
+        cached = nodes.sg_prev.mean(axis=0)
+        xtil = server.x - nodes.e.mean(axis=0)
         optim.run_round("ef14_sgd", server, nodes, prob, hp, comp, streams)
-        xtil_new = server.x - np.mean([n.e for n in nodes], axis=0)
+        xtil_new = server.x - nodes.e.mean(axis=0)
         expect = xtil - hp.gamma * cached
         rel = np.linalg.norm(xtil_new - expect) / (1.0 + np.linalg.norm(expect))
         assert rel <= 1e-10
@@ -271,7 +284,7 @@ def test_absolute_variant_state_error_bound():
     delta = math.sqrt(20) * 0.5
 
     def check(server, nodes, log):
-        err = np.mean([np.linalg.norm(n.g - n.v) ** 2 for n in nodes])
+        err = np.mean([np.linalg.norm(g - v) ** 2 for g, v in zip(nodes.g, nodes.v)])
         assert err <= (hp.gamma * delta) ** 2 + 1e-12
 
     roll("ef21_sgdm_abs", prob, comp, hp, seed=12, rounds=50, collect=check)

@@ -362,3 +362,46 @@ def test_blobs_generator_balanced_and_loadable(tmp_path):
     assert len(open(path).readlines()) == 200
     prob = load_libsvm_problem(path, classes=2, n_features=10, n_nodes=4)
     assert prob.n_nodes == 4 and prob.dim == 22
+
+
+# -- block oracles ------------------------------------------------------------------
+
+
+def _block_oracle_problems():
+    mats = np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(3)])
+    return [
+        CounterexampleProblem(sigma=1.0, n_nodes=3),
+        generate_quadratic(5, 12, 0.1, 1.0, seed=2, sigma=0.3),
+        generate_quadratic(5, 12, 0.1, 1.0, seed=2, sigma=0.0),
+        QuadraticProblem.from_matrices(mats, np.ones((3, 4)), x0=np.zeros(4), sigma=0.2),
+        _tiny_logreg(nodes=3),
+    ]
+
+
+@pytest.mark.parametrize("prob", _block_oracle_problems(), ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("batch", [1, 3])
+def test_block_oracles_equal_per_node_oracles_bitwise(prob, batch):
+    x = derive_stream(9, 0, 0).standard_normal(prob.dim)
+    x_old = derive_stream(9, 0, 1).standard_normal(prob.dim)
+    rows = slice(1, prob.n_nodes)
+    draws = [prob.draw(i, derive_stream(10, i, 1), batch) for i in range(1, prob.n_nodes)]
+    full = prob.full_grads(rows, x)
+    sg = prob.stoch_grads(rows, x, draws)
+    sg_old = prob.stoch_grads(rows, x_old, draws)
+    assert full.shape == sg.shape == (prob.n_nodes - 1, prob.dim)
+    for r, i in enumerate(range(1, prob.n_nodes)):
+        assert np.array_equal(full[r], prob.full_grad(i, x))
+        assert np.array_equal(sg[r], prob.stoch_grad(i, x, derive_stream(10, i, 1), batch))
+        pair = prob.stoch_grad_pair(i, x, x_old, derive_stream(10, i, 1), batch)
+        assert np.array_equal(sg[r], pair[0]) and np.array_equal(sg_old[r], pair[1])
+
+
+def test_logreg_gradient_alone_equals_value_and_grad():
+    prob = _tiny_logreg()
+    x = derive_stream(11, 0, 0).standard_normal(prob.dim)
+    idx = np.array([0, 3, 3, 7])
+    assert np.array_equal(prob.grad(1, x, idx), prob.value_and_grad(1, x, idx)[1])
+    assert np.array_equal(prob.grad(0, x), prob.value_and_grad(0, x)[1])
+    value, mean_grad = prob.value_and_mean_grad(x)
+    assert value == prob.value(x)
+    assert np.array_equal(mean_grad, prob.mean_full_grad(x))
