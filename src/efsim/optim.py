@@ -25,17 +25,16 @@ Node update rules (per node i, fresh sample at the new iterate x'):
   stored states by exact gradients, g_i <- grad f_i(x') + C(eta * noise);
   they transmit a dense vector every round.
 
-``RULES`` holds these as data, and one engine runs every kind.  Node
-states are (n, d) arrays (``NodeArrays``) walked in blocks of rows whose
-temporaries stay under ``BLOCK_BYTES``.  In a block each node in turn resets
-its own (seed, node, round) stream and draws its oracle sample, then its
-RandK coordinates; the gradients, recursions and compression of the block
-follow as array operations with the operand order of the formulas above,
-and the messages are added to the aggregate row by row in ascending node
-order, so traces are bitwise those of a loop over single nodes.
-Compressed-state updates write the kept coordinates of the target directly
-into g_i (mathematically identical to adding the transmitted residual, and
-it makes the eta = 1 and identity-compressor reductions exact bitwise).
+``RULES`` holds these rules as data and one engine runs them all.  Node
+states are (n, d) arrays (``NodeArrays``) walked in blocks of rows, each
+temporary under ``BLOCK_BYTES``.  Per block, every node resets its own
+(seed, node, round) stream and draws its oracle sample, then its RandK
+picks; the rest is array operations in the operand order of the formulas
+above, and messages are added row by row in ascending node order, so traces
+match a loop over single nodes bit for bit.  Compressed-state updates write
+the kept coordinates of the target directly into g_i (mathematically
+identical to adding the transmitted residual, and it makes the eta = 1 and
+identity-compressor reductions exact bitwise).
 """
 
 from __future__ import annotations
@@ -235,18 +234,19 @@ def init(
     validate_pairing(kind, comp)
     if comp.dim != problem.dim:
         raise ValueError("compressor dimension does not match the problem")
+    rule = RULES[kind]
     n, d = problem.n_nodes, problem.dim
     x0 = problem.x0.copy()
-    batch = hp.batch if kind == EF14_SGD else hp.b_init
+    batch = hp.batch if rule.message == "ef14" else hp.b_init
     g0 = np.empty((n, d))
     for rows in _blocks(n, d):
         draws, _ = _draw(problem, None, streams, rows, 0, batch)
         g0[rows] = problem.stoch_grads(rows, x0, draws)
-    if kind == EF14_SGD:
+    if rule.message == "ef14":
         nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)), sg_prev=g0)
     else:
-        nodes = NodeArrays(g=g0, **{f: g0.copy() for f in RULES[kind].estimators})
-        if kind == EF21_STORM:
+        nodes = NodeArrays(g=g0, **{f: g0.copy() for f in rule.estimators})
+        if "w" in rule.estimators:
             nodes.x_prev = x0.copy()
     gsum = np.zeros(d)
     _add_rows(gsum, nodes.g)
@@ -273,7 +273,7 @@ def _run_round_unchecked(kind, server, nodes, problem, hp, comp, streams) -> Rou
     t = server.t
     gamma_t, eta_t = schedule_at(hp, t)
     n = problem.n_nodes
-    x_new = server.x - (server.g if kind == EF14_SGD else gamma_t * server.g)
+    x_new = server.x - (server.g if rule.message == "ef14" else gamma_t * server.g)
     ensure_finite(x_new, "iterate", t)
 
     acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
@@ -332,7 +332,7 @@ def _run_round_unchecked(kind, server, nodes, problem, hp, comp, streams) -> Rou
         nodes.x_prev = x_new
     server.x = x_new
     server.t = t + 1
-    evals = 2 * hp.batch if kind == EF21_STORM else hp.batch
+    evals = 2 * hp.batch if "w" in rule.estimators else hp.batch
     return RoundLog(coords_sent=coords, grad_evals=evals)
 
 

@@ -91,10 +91,10 @@ class QuadraticProblem(Problem):
     # -- oracles ---------------------------------------------------------
 
     def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.matvec(i, x) - self.b[i]
+        return self.full_grads(slice(i, i + 1), x)[0]
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
-        if self.dense is not None:  # one matvec per row, as full_grad makes it
+        if self.dense is not None:  # one matvec per row
             return np.array([q @ x for q in self.dense[rows]]) - self.b[rows]
         g = self.tri_scale[rows, None] * _tridiag_matvec(x)
         g += self.shift * x
