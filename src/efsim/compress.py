@@ -139,7 +139,7 @@ def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
         return mask
     size = np.abs(rows)
     np.fmax(size, -1.0, out=size)  # NaN -> -1: ranked after every number
-    kth = np.partition(size, spec.dim - spec.k, axis=1)[:, spec.dim - spec.k :][:, :1]
+    kth = np.partition(size, spec.dim - spec.k, axis=1)[:, spec.dim - spec.k, None]  # k-th largest
     mask = size > kth
     tied = size == kth
     # each row has at most k-1 entries above its k-th largest and at least k
