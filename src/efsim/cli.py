@@ -29,10 +29,12 @@ from .experiments import (
     build_problem,
     load_experiment_file,
     run_experiment,
+    task_runner,
     validate_experiment,
+    worker_pool,
     _build_config,
 )
-from .harness import power_grid, sweep as sweep_gammas
+from .harness import SweepDiverged, power_grid, sweep as sweep_gammas
 from .presets import PRESET_NAMES, preset_experiments, preset_note
 from .problems import generate_quadratic, make_blobs, save_quadratic_task, write_libsvm
 
@@ -90,6 +92,9 @@ def cmd_run(args) -> int:
     except ValueError as exc:  # e.g. incompatible algorithm/compressor pair
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SweepDiverged as exc:
+        print(exc)
+        return 2
     print(f"wrote {summary['_manifest']}")
     _print_summary(exp["name"], summary)
     return 2 if summary["_all_diverged"] else 0
@@ -128,6 +133,9 @@ def cmd_reproduce(args) -> int:
         except ValueError as exc:  # e.g. a problem size its generator rejects
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        except SweepDiverged as exc:  # counts as an experiment whose every run diverged
+            print(exc)
+            continue
         _print_summary(exp["name"], summary)
         all_diverged = all_diverged and summary["_all_diverged"]
         if args.figure == "speedup":
@@ -180,22 +188,28 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     grid = power_grid(args.k_lo, args.k_hi)
-    problem = build_problem(exp["problem"])
     rc = 0
-    for algorithm in exp["algorithms"]:
-        cfg = _build_config(exp, algorithm, problem)
-        if args.seed is not None:
-            cfg = replace(cfg, seeds=(args.seed,))
-        try:
-            result = sweep_gammas(cfg, grid, args.criterion)
-        except RuntimeError as exc:
-            print(f"{algorithm}: {exc}")
-            rc = 2
-            continue
-        print(f"{algorithm}: best gamma = {result.best_gamma:.6g} ({args.criterion} = {result.best_score:.6g})")
-        for row in result.table:
-            mark = "diverged" if row["diverged"] else f"{row['score']:.6g}"
-            print(f"    gamma=2^{int(round(math.log2(row['gamma']))):>4d} -> {mark}")
+    try:
+        problem = build_problem(exp["problem"])
+        with worker_pool(args.workers) as pool:
+            for algorithm in exp["algorithms"]:
+                cfg = _build_config(exp, algorithm, problem)
+                if args.seed is not None:
+                    cfg = replace(cfg, seeds=(args.seed,))
+                runner = task_runner(pool, exp, algorithm) if pool else None
+                try:
+                    result = sweep_gammas(cfg, grid, args.criterion, runner)
+                except SweepDiverged as exc:
+                    print(exc)
+                    rc = 2
+                    continue
+                print(f"{algorithm}: best gamma = {result.best_gamma:.6g} ({args.criterion} = {result.best_score:.6g})")
+                for row in result.table:
+                    mark = "diverged" if row["diverged"] else f"{row['score']:.6g}"
+                    print(f"    gamma=2^{int(round(math.log2(row['gamma']))):>4d} -> {mark}")
+    except ValueError as exc:  # e.g. a problem size its generator rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return rc
 
 
@@ -207,7 +221,9 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="replace the seed list with this single seed")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="parallel worker processes")
+    common.add_argument(
+        "--workers", type=int, default=os.cpu_count() or 1, help="parallel worker processes (tuning, sweeps and runs)"
+    )
     common.add_argument("--metric-every", type=int, default=None, help="metric logging cadence override")
     common.add_argument(
         "--override",

@@ -10,6 +10,7 @@ bitwise.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -294,61 +295,85 @@ def _build_config(exp: dict, algorithm: str, problem: Problem | None = None) -> 
     )
 
 
-def _tune_gamma(exp: dict, algorithm: str, problem: Problem) -> float:
-    tune = exp["tune"]
+def _tune_config(exp: dict, algorithm: str, problem: Problem) -> RunConfig:
+    """The configuration the tuning sweep runs: the tune section's seeds,
+    if it names any, and then no Lyapunov diagnostic."""
     cfg = _build_config(exp, algorithm, problem)
-    if tune["seeds"]:
-        cfg = replace(cfg, seeds=tuple(tune["seeds"]), lyapunov=False)
-    result = sweep(cfg, power_grid(tune["k_lo"], tune["k_hi"]), tune["criterion"])
-    return result.best_gamma
+    if exp["tune"]["seeds"]:
+        cfg = replace(cfg, seeds=tuple(exp["tune"]["seeds"]), lyapunov=False)
+    return cfg
 
 
-def _run_task(exp: dict, algorithm: str, seed: int, gamma: float | None) -> RunTrace:
+def _run_task(exp: dict, algorithm: str, seed: int, gamma: float, tuning: bool = False) -> RunTrace:
     """Worker entry: rebuild everything from the declarative spec."""
     problem = build_problem(exp["problem"])
-    cfg = _build_config(exp, algorithm, problem)
-    if gamma is not None:
-        cfg = replace(cfg, hyper=replace(cfg.hyper, gamma=gamma))
-    return run(cfg, seed)
+    cfg = (_tune_config if tuning else _build_config)(exp, algorithm, problem)
+    return run(replace(cfg, hyper=replace(cfg.hyper, gamma=gamma)), seed)
+
+
+def worker_pool(workers: int):
+    """A process pool of ``workers`` workers, or a null context yielding
+    None when ``workers`` is 1 or less."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+
+
+def task_runner(pool, exp: dict, algorithm: str, tuning: bool = False):
+    """A runner in the sense of ``harness.sweep``: it maps (gamma, seed)
+    pairs of one algorithm to their traces, in the order given, through
+    ``_run_task`` (``tuning`` selects the tune section's configuration).
+    With a pool every pair is submitted at once; without one they run one
+    after another in this process."""
+
+    def runner(pairs):
+        if pool is None:
+            return (_run_task(exp, algorithm, seed, gamma, tuning) for gamma, seed in pairs)
+        futures = [pool.submit(_run_task, exp, algorithm, seed, gamma, tuning) for gamma, seed in pairs]
+        return (fut.result() for fut in futures)
+
+    return runner
 
 
 def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> dict:
     """Execute every (algorithm, seed) pair, write traces, quantiles, and a
-    manifest; return a summary keyed by algorithm."""
+    manifest; return a summary keyed by algorithm.
+
+    With ``workers > 1`` one process pool serves every run of the call, the
+    tuning sweeps' and the final ones; each run is rebuilt from the spec
+    alone, so the outputs do not depend on ``workers``.  If every tuning
+    step size of an algorithm diverges, ``SweepDiverged`` is raised.
+    """
     exp = validate_experiment(exp)
     os.makedirs(out_dir, exist_ok=True)
     problem = build_problem(exp["problem"])
+    algorithms, seeds, tune = exp["algorithms"], exp["seeds"], exp["tune"]
+    grid = power_grid(tune["k_lo"], tune["k_hi"]) if tune is not None else []
+    pooled = tune is not None or len(algorithms) * len(seeds) > 1
 
-    tuned: dict[str, float | None] = {}
     resolved_hyper: dict[str, dict] = {}
-    for algorithm in exp["algorithms"]:
-        tuned[algorithm] = _tune_gamma(exp, algorithm, problem) if exp["tune"] is not None else None
-        cfg = _build_config(exp, algorithm, problem)
-        gamma = tuned[algorithm] if tuned[algorithm] is not None else cfg.hyper.gamma
-        resolved_hyper[algorithm] = {
-            "gamma": gamma,
-            "eta": cfg.hyper.eta,
-            "batch": cfg.hyper.batch,
-            "b_init": cfg.hyper.b_init,
-            "rounds": cfg.hyper.rounds,
-            "schedule": cfg.hyper.schedule,
-        }
-
-    tasks = [(algorithm, seed) for algorithm in exp["algorithms"] for seed in exp["seeds"]]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {(a, s): pool.submit(_run_task, exp, a, s, tuned[a]) for a, s in tasks}
-            traces = {key: fut.result() for key, fut in futures.items()}
-    else:
-        traces = {}
-        for algorithm, seed in tasks:
-            traces[(algorithm, seed)] = _run_task(exp, algorithm, seed, tuned[algorithm])
+    with worker_pool(workers if pooled else 1) as pool:
+        for algorithm in algorithms:
+            cfg = _build_config(exp, algorithm, problem)
+            gamma = cfg.hyper.gamma
+            if tune is not None:
+                runner = task_runner(pool, exp, algorithm, tuning=True) if pool else None
+                gamma = sweep(_tune_config(exp, algorithm, problem), grid, tune["criterion"], runner).best_gamma
+            resolved_hyper[algorithm] = {
+                "gamma": gamma,
+                "eta": cfg.hyper.eta,
+                "batch": cfg.hyper.batch,
+                "b_init": cfg.hyper.b_init,
+                "rounds": cfg.hyper.rounds,
+                "schedule": cfg.hyper.schedule,
+            }
+        # every final run is submitted before any is collected
+        runs = {a: task_runner(pool, exp, a)([(resolved_hyper[a]["gamma"], s) for s in seeds]) for a in algorithms}
+        traces = {a: list(runs[a]) for a in algorithms}
 
     outputs = []
     summary = {}
     name = exp["name"]
     for algorithm in exp["algorithms"]:
-        algo_traces = [traces[(algorithm, s)] for s in exp["seeds"]]
+        algo_traces = traces[algorithm]
         for tr in algo_traces:
             fname = f"{name}__{algorithm}__seed{tr.seed}.csv"
             write_trace_csv(os.path.join(out_dir, fname), tr)

@@ -37,6 +37,7 @@ __all__ = [
     "MomentumFloor",
     "momentum_floor",
     "SweepResult",
+    "SweepDiverged",
     "sweep",
     "power_grid",
     "trace_diverged",
@@ -382,12 +383,25 @@ class SweepResult:
     table: list[dict]  # one row per grid point: gamma, score, diverged
 
 
-def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss") -> SweepResult:
+class SweepDiverged(RuntimeError):
+    """Every point of a step-size grid diverged."""
+
+
+def _with_gamma(cfg: RunConfig, gamma: float) -> RunConfig:
+    return replace(cfg, hyper=replace(cfg.hyper, gamma=gamma))
+
+
+def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss", runner=None) -> SweepResult:
     """Evaluate each step size on fixed seeds and pick the best survivor.
 
     ``criterion`` is 'final_loss' (mean final objective gap over seeds) or
     'final_grad_norm'.  Grid points where every seed diverges are dropped;
-    if nothing survives a RuntimeError is raised.
+    if nothing survives ``SweepDiverged`` (a RuntimeError) is raised.
+
+    ``runner`` maps the grid's (gamma, seed) pairs, in grid order, to an
+    iterable of their traces in the same order; it must run each pair as
+    ``run`` would with cfg_template at that gamma.  The default runs them
+    one after another in this process.
     """
     if criterion not in ("final_loss", "final_grad_norm"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -395,23 +409,29 @@ def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss") -> Swe
     if not gammas:
         raise ValueError("empty step-size grid")
     col = "obj_gap" if criterion == "final_loss" else "grad_norm"
+    pairs = [(gamma, s) for gamma in gammas for s in cfg_template.seeds]
+    if runner is None:
+        traces = (run(_with_gamma(cfg_template, gamma), s) for gamma, s in pairs)
+    else:
+        traces = iter(runner(pairs))
     table = []
     best = None
     for gamma in gammas:
-        cfg = replace(cfg_template, hyper=replace(cfg_template.hyper, gamma=gamma))
         finals = []
-        for s in cfg.seeds:
-            tr = run(cfg, s)
+        for _ in cfg_template.seeds:
+            tr = next(traces)
             if not trace_diverged(tr):
                 finals.append(getattr(tr.final, col))
         diverged = len(finals) == 0
         score = float(np.mean(finals)) if finals else math.inf
         table.append({"gamma": gamma, "score": score, "diverged": diverged})
         if not diverged and (best is None or score < best[1]):
-            best = (gamma, score, cfg)
+            best = (gamma, score)
     if best is None:
-        raise RuntimeError("all grid points diverged")
-    return SweepResult(best_gamma=best[0], best_score=best[1], best_config=best[2], table=table)
+        raise SweepDiverged(f"{cfg_template.algorithm}: all grid points diverged")
+    return SweepResult(
+        best_gamma=best[0], best_score=best[1], best_config=_with_gamma(cfg_template, best[0]), table=table
+    )
 
 
 # -- CSV I/O ------------------------------------------------------------------

@@ -98,10 +98,14 @@ class Problem:
         return self.smoothness().f_star
 
     def mean_full_grad(self, x: np.ndarray) -> np.ndarray:
-        """(1/n) sum_i grad f_i(x), summed in ascending node order."""
-        g = self.full_grad(0, x).copy()
-        for i in range(1, self.n_nodes):
-            g += self.full_grad(i, x)
+        """(1/n) sum_i grad f_i(x), summed in ascending node order; the
+        gradients are evaluated over the engine's blocks of node rows."""
+        from ..optim import _blocks  # optim imports this module
+
+        grads = (gi for rows in _blocks(self.n_nodes, self.dim) for gi in self.full_grads(rows, x))
+        g = next(grads).copy()
+        for gi in grads:
+            g += gi
         return g / self.n_nodes
 
     def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:

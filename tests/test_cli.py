@@ -194,6 +194,48 @@ def test_parallel_workers_match_serial(tmp_path):
             assert open(os.path.join(out1, name), "rb").read() == open(os.path.join(out2, name), "rb").read()
 
 
+@pytest.mark.parametrize("tune_seeds", [[5, 6], None], ids=["own_seeds", "run_seeds"])
+def test_parallel_workers_match_serial_under_tuning(tmp_path, tune_seeds):
+    # tune seeds of their own switch the Lyapunov column off while tuning;
+    # without them tuning runs the experiment's seeds with it on
+    exp = minimal_experiment(seeds=[0, 1, 2], lyapunov=True, algorithms=["ef21_sgdm", "ef21_sgd2m"])
+    exp["hyper"] = {"eta": 0.1, "rounds": 60}
+    exp["tune"] = {"k_lo": -8, "k_hi": 4, "seeds": tune_seeds}
+    path = write_exp(tmp_path, exp)
+    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "par")
+    assert main(["run", path, "--out", out1, "--workers", "1"]) == 0
+    assert main(["run", path, "--out", out2, "--workers", "2"]) == 0
+    names = sorted(os.listdir(out1))
+    assert names == sorted(os.listdir(out2)) and "mini__manifest.json" in names
+    for name in names:
+        assert open(os.path.join(out1, name), "rb").read() == open(os.path.join(out2, name), "rb").read()
+    resolved = json.load(open(os.path.join(out2, "mini__manifest.json")))["resolved_hyper"]
+    assert all(resolved[a]["gamma"] in [2.0**k for k in range(-8, 5)] for a in exp["algorithms"])
+
+
+def _diverging_tune_experiment():
+    exp = minimal_experiment()
+    exp["problem"] = {"kind": "quadratic", "n": 2, "d": 10, "lam": 0.1, "s": 1.0, "sigma": 0.0}
+    exp["compressor"] = {"kind": "topk", "k": 2}
+    exp["hyper"] = {"eta": 1.0, "rounds": 50}
+    exp["tune"] = {"k_lo": 20, "k_hi": 22}
+    return exp
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_every_tuning_point_diverging_exits_2(tmp_path, capsys, workers):
+    path = write_exp(tmp_path, _diverging_tune_experiment())
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--workers", workers]) == 2
+    assert "ef21_sgdm: all grid points diverged" in capsys.readouterr().out
+
+
+def test_reproduce_every_tuning_point_diverging_exits_2(tmp_path, capsys):
+    tune = ["--override", 'tune={"k_lo": 20, "k_hi": 22}', "--seed", "0"]
+    rc = main(["reproduce", "fig1", "--rounds", "20", *tune, "--out", str(tmp_path / "rep"), "--workers", "1"])
+    assert rc == 2
+    assert "ef21_sgd: all grid points diverged" in capsys.readouterr().out
+
+
 # -- theoretical hyper resolution ---------------------------------------------------
 
 
@@ -280,6 +322,29 @@ def test_cmd_sweep(tmp_path, capsys):
     path = write_exp(tmp_path, exp)
     assert main(["sweep", path, "--k-lo", "-6", "--k-hi", "0", "--seed", "0"]) == 0
     assert "best gamma" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "problem, compressor, message",
+    [
+        ({"kind": "quadratic", "n": 2, "d": 1, "lam": 0.1, "s": 1.0}, {"kind": "identity"}, "need n >= 1 and d >= 2"),
+        ({"kind": "quadratic", "n": 2, "d": 10, "lam": 0.1, "s": 1.0}, {"kind": "topk", "k": 11}, "1 <= k <= d"),
+    ],
+    ids=["d_is_1", "k_above_d"],
+)
+def test_cmd_sweep_builder_error_is_usage_error(tmp_path, capsys, problem, compressor, message):
+    path = write_exp(tmp_path, minimal_experiment(problem=problem, compressor=compressor))
+    assert main(["sweep", path, "--k-lo", "-2", "--k-hi", "0", "--workers", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cmd_sweep_workers_match_serial(tmp_path, capsys):
+    path = write_exp(tmp_path, _diverging_tune_experiment())
+    outs = []
+    for workers in ("1", "2"):
+        assert main(["sweep", path, "--k-lo", "-8", "--k-hi", "4", "--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "diverged" in outs[0]
 
 
 def test_reproduce_writes_experiment_files(tmp_path):

@@ -287,6 +287,37 @@ def test_sweep_all_diverged_raises():
         sweep(cfg, [1e9, 1e12])
 
 
+def _reverse_runner(cfg):
+    """Runs the pairs last first, then hands the traces back in grid order."""
+
+    def runner(pairs):
+        done = {}
+        for k in reversed(range(len(pairs))):
+            gamma, seed = pairs[k]
+            done[k] = run(replace(cfg, hyper=replace(cfg.hyper, gamma=gamma)), seed)
+        return [done[k] for k in range(len(pairs))]
+
+    return runner
+
+
+@pytest.mark.parametrize(
+    "cfg, grid",
+    [
+        (quad_config(rounds=40, metric_every=40, seeds=(0, 1)), [1e-3, 0.05, 0.05, 0.3, 1e9]),
+        (quad_config(rounds=0, seeds=(0, 1)), [0.5, 0.25, 1.0]),  # every score ties
+    ],
+    ids=["mixed", "all_tied"],
+)
+def test_sweep_runner_out_of_order_matches_serial(cfg, grid):
+    serial = sweep(cfg, grid)
+    pooled = sweep(cfg, grid, runner=_reverse_runner(cfg))
+    assert pooled.best_gamma == serial.best_gamma and pooled.best_score == serial.best_score
+    assert pooled.table == serial.table
+    assert pooled.best_config.hyper == serial.best_config.hyper
+    scores = [row["score"] for row in serial.table]
+    assert serial.best_gamma == grid[scores.index(min(scores))]  # the first of tied minima
+
+
 def test_sweep_rejects_bad_inputs():
     cfg = quad_config(rounds=10)
     with pytest.raises(ValueError):

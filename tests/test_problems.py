@@ -396,6 +396,30 @@ def test_block_oracles_equal_per_node_oracles_bitwise(prob, batch):
         assert np.array_equal(sg[r], pair[0]) and np.array_equal(sg_old[r], pair[1])
 
 
+@pytest.mark.parametrize(
+    "prob",
+    [
+        generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01),
+        QuadraticProblem.from_matrices(
+            np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(5)]), np.ones((5, 4)), x0=np.zeros(4)
+        ),
+        CounterexampleProblem(sigma=1.0, n_nodes=7),
+    ],
+    ids=["structured", "from_matrices", "counterexample"],
+)
+@pytest.mark.parametrize("block_bytes", [1, 200, None], ids=["one_row", "small", "default"])
+def test_mean_full_grad_equals_per_node_sum_bitwise(prob, block_bytes, monkeypatch):
+    from efsim import optim
+
+    if block_bytes is not None:
+        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+    x = derive_stream(12, 0, 0).standard_normal(prob.dim)
+    g = prob.full_grad(0, x).copy()
+    for i in range(1, prob.n_nodes):
+        g += prob.full_grad(i, x)
+    assert np.array_equal(prob.mean_full_grad(x), g / prob.n_nodes)
+
+
 def test_logreg_gradient_alone_equals_value_and_grad():
     prob = _tiny_logreg()
     x = derive_stream(11, 0, 0).standard_normal(prob.dim)
