@@ -4,6 +4,8 @@ Each suite exercises one family of structural guarantees (compressor
 definitions, algorithm reduction identities, the divergence lower bound,
 Lyapunov descent, estimator unbiasedness) and returns per-check results
 with the measured statistics, so failures are diagnosable from the output.
+These are the only implementation of each check: the acceptance tests run
+the same suites through ``run_suite``.
 """
 
 from __future__ import annotations
@@ -14,11 +16,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optim
-from .compress import compress, contraction_alpha, densify, hard_threshold, identity, rand_k, top_k, verify_contractive
+from .compress import (
+    absolute_delta,
+    compress,
+    contraction_alpha,
+    densify,
+    hard_threshold,
+    identity,
+    rand_k,
+    top_k,
+    verify_contractive,
+)
 from .core import StreamFactory, derive_stream, norm_sq
-from .harness import RunConfig, lyapunov, run, theorem1_check
+from .harness import RunConfig, run, theorem1_check
 from .optim import HyperParams, theoretical_params
-from .problems import CounterexampleProblem, generate_quadratic
+from .problems import generate_quadratic
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -56,27 +68,26 @@ def check_compressors(seed: int = 0) -> list[CheckResult]:
         )
     )
     spec = hard_threshold(0.1, 100)
-    delta_sq = (0.1**2) * 100
+    delta_sq = absolute_delta(spec) ** 2
     worst = 0.0
     for _ in range(10_000):
-        x = rng.standard_normal(100) * 0.1
-        err = x - densify(compress(spec, x, rng))
-        worst = max(worst, norm_sq(err))
+        x = rng.standard_normal(100) * rng.uniform(0.01, 0.3)
+        worst = max(worst, norm_sq(x - densify(compress(spec, x))))
     out.append(
         _result(
-            "hard_threshold error <= Delta^2",
-            worst <= delta_sq + 1e-12,
+            "hard_threshold error <= Delta^2 (1e4 inputs, scale U(0.01, 0.3))",
+            worst <= delta_sq,
             f"worst={worst:.6f} Delta^2={delta_sq:.6f}",
         )
     )
     return out
 
 
-def _trajectory(kind: str, problem, comp, hp: HyperParams, seed: int, rounds: int) -> np.ndarray:
+def _trajectory(kind: str, problem, comp, hp: HyperParams, seed: int) -> np.ndarray:
     streams = StreamFactory(seed)
     server, nodes, _ = optim.init(kind, problem, hp, comp, streams)
     xs = [server.x.copy()]
-    for _ in range(rounds):
+    for _ in range(hp.rounds):
         optim.run_round(kind, server, nodes, problem, hp, comp, streams)
         xs.append(server.x.copy())
     return np.array(xs)
@@ -84,10 +95,9 @@ def _trajectory(kind: str, problem, comp, hp: HyperParams, seed: int, rounds: in
 
 def check_reductions(seed: int = 0) -> list[CheckResult]:
     out = []
-    rounds = 100
     problem = generate_quadratic(4, 20, 0.1, 1.0, seed=3, sigma=0.1)
     comp = top_k(3, 20)
-    hp = HyperParams(gamma=0.05, eta=1.0, batch=2, b_init=2, rounds=rounds)
+    hp = HyperParams(gamma=0.05, eta=1.0, batch=2, b_init=2, rounds=100)
 
     pairs = [
         ("ef21_sgdm(eta=1) == ef21_sgd", optim.EF21_SGDM, optim.EF21_SGD, comp),
@@ -96,17 +106,17 @@ def check_reductions(seed: int = 0) -> list[CheckResult]:
         ("sgdm(eta=1) == sgd", optim.SGDM, optim.SGD, identity(20)),
     ]
     for name, a, b, c in pairs:
-        xa = _trajectory(a, problem, c, hp, seed, rounds)
-        xb = _trajectory(b, problem, c, hp, seed, rounds)
+        xa = _trajectory(a, problem, c, hp, seed)
+        xb = _trajectory(b, problem, c, hp, seed)
         same = np.array_equal(xa, xb)
         out.append(_result(name, same, "bitwise" if same else f"max diff {np.abs(xa - xb).max():.3e}"))
 
     # noiseless identity-compressor collapse to one gradient-descent path
     problem0 = generate_quadratic(4, 20, 0.1, 1.0, seed=3, sigma=0.0)
     ident = identity(20)
-    hp0 = HyperParams(gamma=0.05, eta=1.0, batch=1, b_init=1, rounds=rounds)
+    hp0 = HyperParams(gamma=0.05, eta=1.0, batch=1, b_init=1, rounds=100)
     trajs = {
-        kind: _trajectory(kind, problem0, ident, replace(hp0, eta=1.0 if kind != optim.EF21_STORM else 0.7), seed, rounds)
+        kind: _trajectory(kind, problem0, ident, replace(hp0, eta=1.0 if kind != optim.EF21_STORM else 0.7), seed)
         for kind in (optim.EF21_SGDM, optim.EF21_SGD, optim.EF21_STORM, optim.SGD)
     }
     ref = trajs[optim.SGD]
@@ -114,34 +124,32 @@ def check_reductions(seed: int = 0) -> list[CheckResult]:
     out.append(_result("sigma=0 + identity collapses to one trajectory", same, "bitwise" if same else "mismatch"))
     x = problem0.x0.copy()
     gd = [x.copy()]
-    for _ in range(rounds):
+    for _ in range(hp0.rounds):
         x = x - hp0.gamma * problem0.mean_full_grad(x)
         gd.append(x.copy())
     gd = np.array(gd)
-    rel = np.abs(gd - ref).max() / (1.0 + np.abs(gd).max())
-    out.append(_result("collapsed trajectory is gradient descent", rel <= 1e-12, f"rel diff {rel:.3e}"))
+    out.append(
+        _result(
+            "collapsed trajectory is gradient descent (rtol 1e-12, atol 1e-14)",
+            np.allclose(gd, ref, rtol=1e-12, atol=1e-14),
+            f"max abs diff {np.abs(gd - ref).max():.3e}",
+        )
+    )
 
     # error-feedback virtual iterate: xtil' = xtil - gamma * mean cached sample gradient
-    out.append(_check_ef14_virtual(seed))
-    return out
-
-
-def _check_ef14_virtual(seed: int = 0, rounds: int = 100) -> CheckResult:
-    problem = generate_quadratic(4, 20, 0.1, 1.0, seed=5, sigma=0.1)
-    comp = top_k(3, 20)
-    hp = HyperParams(gamma=0.05, batch=1, rounds=rounds)
+    hp14 = HyperParams(gamma=0.05, rounds=150)
     streams = StreamFactory(seed)
-    server, nodes, _ = optim.init(optim.EF14_SGD, problem, hp, comp, streams)
+    server, nodes, _ = optim.init(optim.EF14_SGD, problem, hp14, comp, streams)
     worst = 0.0
-    for _ in range(rounds):
+    for _ in range(hp14.rounds):
         cached = nodes.sg_prev.mean(axis=0)
         xtil = server.x - nodes.e.mean(axis=0)
-        optim.run_round(optim.EF14_SGD, server, nodes, problem, hp, comp, streams)
-        xtil_new = server.x - nodes.e.mean(axis=0)
-        expect = xtil - hp.gamma * cached
-        rel = math.sqrt(norm_sq(xtil_new - expect)) / (1.0 + math.sqrt(norm_sq(expect)))
+        optim.run_round(optim.EF14_SGD, server, nodes, problem, hp14, comp, streams)
+        expect = xtil - hp14.gamma * cached
+        rel = math.sqrt(norm_sq(server.x - nodes.e.mean(axis=0) - expect)) / (1.0 + math.sqrt(norm_sq(expect)))
         worst = max(worst, rel)
-    return _result("ef14 virtual-iterate identity <= 1e-10", worst <= 1e-10, f"worst rel err {worst:.3e}")
+    out.append(_result("ef14 virtual-iterate identity <= 1e-10", worst <= 1e-10, f"worst rel err {worst:.3e}"))
+    return out
 
 
 def check_theorem1(seed: int = 0) -> list[CheckResult]:
@@ -160,32 +168,35 @@ def check_theorem1(seed: int = 0) -> list[CheckResult]:
 
 
 def check_lyapunov(seed: int = 0) -> list[CheckResult]:
-    problem = generate_quadratic(20, 100, 0.01, 1.0, seed=0, sigma=0.0)
+    """Descent of the Lyapunov diagnostic of EF21-SGDM over 1000 rounds at
+    its theoretical step sizes: never upward without noise, and at most 5%
+    upward steps of the 20-seed average at sigma = 0.01; both end below
+    their start."""
     comp = top_k(5, 100)
-    smooth = problem.smoothness()
-    delta0 = problem.value(problem.x0) - smooth.f_star
-    hp = theoretical_params(optim.EF21_SGDM, smooth, contraction_alpha(comp), 0.0, 20, 400, delta0)
-    cfg = RunConfig(
-        algorithm=optim.EF21_SGDM,
-        problem=problem,
-        compressor=comp,
-        hyper=hp,
-        seeds=(seed,),
-        metric_every=10,
-        lyapunov=True,
-        lyapunov_every=10,
-    )
-    tr = run(cfg, seed)
-    lam = tr.column("lyapunov")
-    lam = lam[~np.isnan(lam)]
-    increases = int(np.sum(np.diff(lam) > 0))
-    return [
-        _result(
-            "noiseless descent diagnostic nonincreasing",
-            increases == 0 and tr.failure_round is None,
-            f"{increases} increases over {len(lam)} logged values",
+    out = []
+    for sigma, seeds, max_up in ((0.0, (seed,), 0.0), (0.01, tuple(range(seed, seed + 20)), 0.05)):
+        name = f"descent diagnostic, sigma={sigma}, mean of {len(seeds)} seed(s): <= {max_up:.0%} upward, end < start"
+        problem = generate_quadratic(20, 100, 0.01, 1.0, seed=0, sigma=sigma)
+        smooth = problem.smoothness()
+        delta0 = problem.value(problem.x0) - smooth.f_star
+        hp = theoretical_params(optim.EF21_SGDM, smooth, contraction_alpha(comp), sigma, 20, 1000, delta0)
+        cfg = RunConfig(optim.EF21_SGDM, problem, comp, hp, seeds, metric_every=10, lyapunov=True, lyapunov_every=10)
+        traces = [run(cfg, s) for s in seeds]
+        failed = [tr.seed for tr in traces if tr.failure_round is not None]
+        if failed:
+            out.append(_result(name, False, f"non-finite at seeds {failed}"))
+            continue
+        lam = np.mean([tr.column("lyapunov") for tr in traces], axis=0)
+        lam = lam[~np.isnan(lam)]
+        up = float(np.mean(np.diff(lam) > 0))
+        out.append(
+            _result(
+                name,
+                up <= max_up and lam[-1] < lam[0],
+                f"{up:.1%} upward over {len(lam)} logged values, start {lam[0]:.4g} -> end {lam[-1]:.4g}",
+            )
         )
-    ]
+    return out
 
 
 def check_storm(seed: int = 0) -> list[CheckResult]:

@@ -23,7 +23,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .experiments import (
     SchemaError,
     build_problem,
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="run a fixed-seed property suite")
-    p.add_argument("suite", choices=("compressors", "reductions", "theorem1", "lyapunov", "storm"))
+    p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

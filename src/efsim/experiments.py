@@ -131,15 +131,20 @@ _HYPER_SCHEMA = {
 
 _TUNE_SCHEMA = {"k_lo": ..., "k_hi": ..., "criterion": "final_loss", "seeds": None}
 
-# integer keys of each section and the least value each may take (None: no
-# bound); a key set to None is left to the checks that follow
-_INT_KEYS = {
-    "experiment": {"metric_every": 1, "lyapunov_every": 1},
-    "experiment.problem": {"n": 1, "d": 1, "variance_batch": 1, "classes": 1, "features": 1, "examples": 1,
-                           "seed": 0, "split_seed": 0},
-    "experiment.compressor": {"k": 1},
-    "experiment.hyper": {"batch": 1, "b_init": 1, "rounds": 0},
-    "experiment.tune": {"k_lo": None, "k_hi": None},
+# typed keys of each section: key -> (type, least value or None for no
+# bound); int and float keys take JSON numbers (a float key also takes an
+# integer, never a bool), bool keys take true or false.  None is accepted only
+# where the key's default is None, and is left to the checks that follow
+_KEY_TYPES = {
+    "experiment": {"metric_every": (int, 1), "lyapunov_every": (int, 1), "lyapunov": (bool, None)},
+    "experiment.problem": {"n": (int, 1), "d": (int, 1), "variance_batch": (int, 1), "classes": (int, 1),
+                           "features": (int, 1), "examples": (int, 1), "seed": (int, 0), "split_seed": (int, 0),
+                           "l_smooth": (float, None), "sigma": (float, 0.0), "lam": (float, 0.0), "s": (float, 0.0),
+                           "reg": (float, 0.0)},
+    "experiment.compressor": {"k": (int, 1), "tau": (float, None)},
+    "experiment.hyper": {"batch": (int, 1), "b_init": (int, 1), "rounds": (int, 0), "gamma": (float, None),
+                         "eta": (float, None), "theoretical": (bool, None)},
+    "experiment.tune": {"k_lo": (int, None), "k_hi": (int, None)},
 }
 
 _EXPERIMENT_SCHEMA = {
@@ -157,28 +162,45 @@ _EXPERIMENT_SCHEMA = {
 }
 
 
-def _check_int(value, where: str, least: int | None) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _check_value(value, where: str, kind: type, least) -> None:
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+        ok = ok and (isinstance(value, int) or math.isfinite(value))
+    if not ok:
+        raise SchemaError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
     if least is not None and value < least:
         raise SchemaError(f"{where}: must be >= {least}, got {value}")
 
 
-def _check_ints(exp: dict) -> None:
+def _check_types(exp: dict) -> None:
     sections = {"experiment": exp, **{f"experiment.{k}": exp[k] or {} for k in ("problem", "compressor", "hyper", "tune")}}
-    for where, keys in _INT_KEYS.items():
-        for key, least in keys.items():
-            if sections[where].get(key) is not None:
-                _check_int(sections[where][key], f"{where}.{key}", least)
+    defaults = {
+        "experiment": _EXPERIMENT_SCHEMA,
+        "experiment.problem": _PROBLEM_SCHEMAS[exp["problem"]["kind"]],
+        "experiment.compressor": _COMPRESSOR_SCHEMA,
+        "experiment.hyper": _HYPER_SCHEMA,
+        "experiment.tune": _TUNE_SCHEMA,
+    }
+    for where, keys in _KEY_TYPES.items():
+        section = sections[where]
+        for key, (kind, least) in keys.items():
+            if key in section and (section[key] is not None or defaults[where][key] is not None):
+                _check_value(section[key], f"{where}.{key}", kind, least)
     tune_seeds = sections["experiment.tune"].get("seeds")
     for where, seeds in (("experiment.seeds", exp["seeds"]), ("experiment.tune.seeds", tune_seeds)):
         if seeds is not None and not isinstance(seeds, list):
             raise SchemaError(f"{where}: expected a list of integers, got {seeds!r}")
         for seed in seeds or ():
-            _check_int(seed, where, 0)
+            _check_value(seed, where, int, 0)
     comp = exp["compressor"]
-    if comp["kind"] in ("topk", "randk") and comp["k"] is None:
-        raise SchemaError(f"experiment.compressor.k: required by {comp['kind']}")
+    need = {"topk": "k", "randk": "k", "hard_threshold": "tau"}.get(comp["kind"])
+    if need is not None and comp[need] is None:
+        raise SchemaError(f"experiment.compressor.{need}: required by {comp['kind']}")
 
 
 def validate_experiment(doc: dict) -> dict:
@@ -207,7 +229,7 @@ def validate_experiment(doc: dict) -> dict:
             raise SchemaError(f"experiment.algorithms: unknown algorithm {a!r}")
     if not isinstance(exp["seeds"], list) or not exp["seeds"]:
         raise SchemaError("experiment.seeds: need a nonempty list")
-    _check_ints(exp)
+    _check_types(exp)
     return exp
 
 
@@ -239,13 +261,13 @@ def build_problem(spec: dict) -> Problem:
 def build_compressor(spec: dict, dim: int) -> Compressor:
     kind = spec["kind"]
     if kind == "topk":
-        return top_k(int(spec["k"]), dim)
+        return top_k(spec["k"], dim)
     if kind == "randk":
-        return rand_k(int(spec["k"]), dim)
+        return rand_k(spec["k"], dim)
     if kind == "identity":
         return identity(dim)
     if kind == "hard_threshold":
-        return hard_threshold(float(spec["tau"]), dim)
+        return hard_threshold(spec["tau"], dim)
     raise SchemaError(f"unknown compressor kind {kind!r}")
 
 
@@ -296,12 +318,11 @@ def _build_config(exp: dict, algorithm: str, problem: Problem | None = None) -> 
 
 
 def _tune_config(exp: dict, algorithm: str, problem: Problem) -> RunConfig:
-    """The configuration the tuning sweep runs: the tune section's seeds,
-    if it names any, and then no Lyapunov diagnostic."""
+    """The configuration the tuning sweep runs: the tune section's seeds, if
+    it names any, and never the Lyapunov diagnostic, which no criterion
+    reads."""
     cfg = _build_config(exp, algorithm, problem)
-    if exp["tune"]["seeds"]:
-        cfg = replace(cfg, seeds=tuple(exp["tune"]["seeds"]), lyapunov=False)
-    return cfg
+    return replace(cfg, seeds=tuple(exp["tune"]["seeds"] or cfg.seeds), lyapunov=False)
 
 
 def _run_task(exp: dict, algorithm: str, seed: int, gamma: float, tuning: bool = False) -> RunTrace:

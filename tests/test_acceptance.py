@@ -1,10 +1,12 @@
 """Acceptance suite: one test per shipped guarantee, each printing a
 [PASS]/[FAIL] line with the measured statistics.
 
-The floor checks (2, 3, 7) judge seed means against the closed-form
-expected final error of the uncompressed counterpart (``momentum_floor``)
-within 3 standard errors, and print the closed form, the measured mean, its
-standard error and the z-score.
+Checks 4, 5, 6 and 9 run the ``efsim verify`` suites ``reductions``,
+``compressors``, ``lyapunov`` and ``storm`` of ``efsim.checks``, the only
+implementation of those checks.  The floor checks (2, 3, 7) judge seed
+means against the closed-form expected final error of the uncompressed
+counterpart (``momentum_floor``) within 3 standard errors, and print the
+closed form, the measured mean, its standard error and the z-score.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The divergence study
 (checks 2 and 3) takes about 1.5 minutes and the step-size-tuned quadratic
@@ -20,12 +22,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from efsim import optim
-from efsim.compress import compress, densify, hard_threshold, identity, rand_k, top_k, verify_contractive
-from efsim.core import StreamFactory, derive_stream, norm_sq
+from efsim.checks import run_suite
+from efsim.compress import identity, top_k
 from efsim.experiments import run_experiment
 from efsim.harness import RunConfig, momentum_floor, power_grid, run, sweep, theorem1_check
-from efsim.optim import HyperParams, theoretical_params
+from efsim.optim import HyperParams
 from efsim.problems import CounterexampleProblem, generate_quadratic
 
 
@@ -163,123 +164,28 @@ def test_03_node_scaling(divergence_finals):
 
 
 # ---------------------------------------------------------------------------
-# 4. reduction identities (bitwise) and the error-feedback virtual iterate
+# 4.-6. the reduction identities, the compressor definitions and the descent
+#       diagnostic: the ``efsim verify`` suites of the same names
 # ---------------------------------------------------------------------------
 
 
-def _trajectory(kind, problem, comp, hp, seed, rounds):
-    streams = StreamFactory(seed)
-    server, nodes, _ = optim.init(kind, problem, hp, comp, streams)
-    xs = [server.x.copy()]
-    for _ in range(rounds):
-        optim.run_round(kind, server, nodes, problem, hp, comp, streams)
-        xs.append(server.x.copy())
-    return np.array(xs)
+def check_suite(suite, seed):
+    """Run one ``efsim verify`` suite, print a line per check, and assert
+    that every check passed."""
+    failed = [f"{r.name}: {r.detail}" for r in run_suite(suite, seed) if not report(r.name, r.passed, r.detail)]
+    assert not failed, "; ".join(failed)
 
 
 def test_04_reduction_identities():
-    rounds = 100
-    prob = generate_quadratic(4, 20, 0.1, 1.0, seed=3, sigma=0.1)
-    comp = top_k(3, 20)
-    hp = HyperParams(gamma=0.05, eta=1.0, batch=2, b_init=2, rounds=rounds)
-    checks = []
-    for name, a, b, c in [
-        ("momentum=1 equals no-momentum", "ef21_sgdm", "ef21_sgd", comp),
-        ("double momentum=1 equals no-momentum", "ef21_sgd2m", "ef21_sgd", comp),
-        ("uncompressed momentum=1 equals sgd", "sgdm", "sgd", identity(20)),
-    ]:
-        same = np.array_equal(_trajectory(a, prob, c, hp, 1, rounds), _trajectory(b, prob, c, hp, 1, rounds))
-        checks.append(report(name, same, "bitwise over 100 rounds"))
-
-    prob0 = generate_quadratic(4, 20, 0.1, 1.0, seed=3, sigma=0.0)
-    hp0 = HyperParams(gamma=0.05, eta=1.0, batch=1, b_init=1, rounds=rounds)
-    ref = _trajectory("sgd", prob0, identity(20), hp0, 1, rounds)
-    collapse = all(
-        np.array_equal(ref, _trajectory(kind, prob0, identity(20), replace(hp0, eta=eta), 1, rounds))
-        for kind, eta in (("ef21_sgdm", 1.0), ("ef21_sgd", 1.0), ("ef21_storm", 0.5))
-    )
-    checks.append(report("noiseless identity collapse to one trajectory", collapse, "4 methods bitwise"))
-
-    # plain error feedback: virtual iterate follows the uncompressed recursion
-    streams = StreamFactory(8)
-    hp14 = HyperParams(gamma=0.05, rounds=rounds)
-    server, nodes, _ = optim.init("ef14_sgd", prob, hp14, comp, streams)
-    worst = 0.0
-    for _ in range(rounds):
-        cached = nodes.sg_prev.mean(axis=0)
-        xtil = server.x - nodes.e.mean(axis=0)
-        optim.run_round("ef14_sgd", server, nodes, prob, hp14, comp, streams)
-        xtil_new = server.x - nodes.e.mean(axis=0)
-        rel = np.linalg.norm(xtil_new - (xtil - hp14.gamma * cached)) / (1.0 + np.linalg.norm(xtil_new))
-        worst = max(worst, rel)
-    checks.append(report("virtual-iterate identity", worst <= 1e-10, f"worst relative error {worst:.2e}"))
-    assert all(checks)
-
-
-# ---------------------------------------------------------------------------
-# 5. compression operator guarantees
-# ---------------------------------------------------------------------------
+    check_suite("reductions", seed=1)
 
 
 def test_05_compressor_definitions():
-    rng = derive_stream(0, 0, 0)
-    rep = verify_contractive(top_k(10, 100), trials=10_000, rng=rng)
-    ok_top = rep.max_ratio <= 0.9
-    report("topk worst-case ratio", ok_top, f"max over 1e4 draws = {rep.max_ratio:.4f} <= 0.9, zero violations")
-
-    rep_rand = verify_contractive(rand_k(10, 100), trials=1000, rng=rng)
-    ok_rand = abs(rep_rand.mean_ratio - 0.9) <= 0.01
-    report("randk mean ratio", ok_rand, f"mean = {rep_rand.mean_ratio:.4f} in 0.9 +- 0.01")
-
-    spec = hard_threshold(0.1, 100)
-    delta_sq = 100 * 0.1**2
-    worst = 0.0
-    for _ in range(10_000):
-        x = rng.standard_normal(100) * rng.uniform(0.02, 0.2)
-        worst = max(worst, norm_sq(x - densify(compress(spec, x))))
-    ok_abs = worst <= delta_sq
-    report("hard-threshold error bound", ok_abs, f"worst error {worst:.4f} <= Delta^2 = {delta_sq}")
-    assert ok_top and ok_rand and ok_abs
-
-
-# ---------------------------------------------------------------------------
-# 6. descent diagnostic on generated quadratics
-# ---------------------------------------------------------------------------
+    check_suite("compressors", seed=0)
 
 
 def test_06_descent_diagnostic():
-    comp = top_k(5, 100)
-    alpha = 0.05
-    rounds = 1000
-
-    prob0 = generate_quadratic(20, 100, 0.01, 1.0, seed=0, sigma=0.0)
-    sm0 = prob0.smoothness()
-    delta0 = prob0.value(prob0.x0) - sm0.f_star
-    hp0 = theoretical_params("ef21_sgdm", sm0, alpha, 0.0, 20, rounds, delta0)
-    cfg0 = RunConfig("ef21_sgdm", prob0, comp, hp0, seeds=(0,), metric_every=10, lyapunov=True, lyapunov_every=10)
-    lam = run(cfg0, 0).column("lyapunov")
-    lam = lam[~np.isnan(lam)]
-    increases = int(np.sum(np.diff(lam) > 0))
-    ok_det = increases == 0
-    report("noiseless descent", ok_det, f"{increases} increases over {len(lam)} logged values")
-
-    probs = generate_quadratic(20, 100, 0.01, 1.0, seed=0, sigma=0.01)
-    sms = probs.smoothness()
-    hps = theoretical_params("ef21_sgdm", sms, alpha, 0.01, 20, rounds, prob0.value(prob0.x0) - sms.f_star)
-    cfgs = RunConfig(
-        "ef21_sgdm", probs, comp, hps, seeds=tuple(range(20)), metric_every=10, lyapunov=True, lyapunov_every=10
-    )
-    lams = np.stack([run(cfgs, s).column("lyapunov") for s in cfgs.seeds])
-    avg = np.nanmean(lams, axis=0)
-    avg = avg[~np.isnan(avg)]
-    frac_up = float(np.mean(np.diff(avg) > 0))
-    ok_st = frac_up <= 0.05 and avg[-1] < avg[0]
-    report(
-        "stochastic descent (20-seed average)",
-        ok_st,
-        f"{100 * frac_up:.1f}% upward pairs (<= 5%), start {avg[0]:.4f} -> end {avg[-1]:.4f}",
-    )
-    assert ok_det and ok_st
+    check_suite("lyapunov", seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +268,13 @@ def test_08_time_varying_momentum_bound():
 
 
 # ---------------------------------------------------------------------------
-# 9. one-step conditional mean of the variance-reduced estimator
+# 9. one-step conditional mean of the variance-reduced estimator: the
+#    ``efsim verify storm`` suite
 # ---------------------------------------------------------------------------
 
 
 def test_09_estimator_conditional_mean():
-    prob = generate_quadratic(1, 5, 0.1, 0.0, seed=2, sigma=0.5)
-    rng = derive_stream(0, 0, 99)
-    x_old = rng.standard_normal(5)
-    x_new = x_old - 0.1 * rng.standard_normal(5)
-    w_old = prob.full_grad(0, x_old) + 0.3 * rng.standard_normal(5)
-    eta = 0.3
-    draws = 10_000
-    samples = np.empty((draws, 5))
-    for j in range(draws):
-        sg_new, sg_old = prob.stoch_grad_pair(0, x_new, x_old, derive_stream(1, 0, j))
-        samples[j] = sg_new + (1.0 - eta) * (w_old - sg_old)
-    expected = prob.full_grad(0, x_new) + (1.0 - eta) * (w_old - prob.full_grad(0, x_old))
-    se = samples.std(axis=0, ddof=1) / math.sqrt(draws)
-    dev_over_se = float(np.max(np.abs(samples.mean(axis=0) - expected) / se))
-    ok = dev_over_se <= 4.0
-    assert report("estimator conditional mean", ok, f"max per-coordinate deviation {dev_over_se:.2f} SE (<= 4)")
+    check_suite("storm", seed=0)
 
 
 # ---------------------------------------------------------------------------

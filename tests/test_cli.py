@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from efsim.cli import main
-from efsim.experiments import SchemaError, load_experiment_file, run_experiment, validate_experiment
+from efsim.experiments import (
+    SchemaError,
+    _run_task,
+    _tune_config,
+    build_problem,
+    load_experiment_file,
+    run_experiment,
+    validate_experiment,
+)
 from efsim.harness import read_trace_csv
 
 
@@ -173,6 +181,25 @@ def test_reproduce_zero_nodes_is_usage_error(tmp_path, capsys):
     assert "experiment.problem.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ('hyper.gamma="0.1"', "experiment.hyper.gamma"),  # used to die with a TypeError traceback
+        ('problem.lam="a"', "experiment.problem.lam"),  # likewise
+        ("hyper.eta=null", "experiment.hyper.eta"),  # likewise
+        ('hyper.theoretical="no"', "experiment.hyper.theoretical"),  # used to run the theoretical step sizes
+        ('lyapunov="yes"', "experiment.lyapunov"),  # used to turn the diagnostic on
+    ],
+    ids=["string_gamma", "string_lam", "null_eta", "string_theoretical", "string_lyapunov"],
+)
+def test_mistyped_real_and_bool_keys_are_rejected_naming_the_key(tmp_path, capsys, override, key):
+    exp = minimal_experiment(problem={"kind": "quadratic", "n": 2, "d": 10, "lam": 0.1, "s": 1.0})
+    out = tmp_path / "out"
+    assert main(["run", write_exp(tmp_path, exp), "--override", override, "--out", str(out), "--workers", "1"]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_all_seeds_diverging_exit_code(tmp_path):
     exp = minimal_experiment()
     exp["hyper"]["gamma"] = 1e9
@@ -196,8 +223,8 @@ def test_parallel_workers_match_serial(tmp_path):
 
 @pytest.mark.parametrize("tune_seeds", [[5, 6], None], ids=["own_seeds", "run_seeds"])
 def test_parallel_workers_match_serial_under_tuning(tmp_path, tune_seeds):
-    # tune seeds of their own switch the Lyapunov column off while tuning;
-    # without them tuning runs the experiment's seeds with it on
+    # tuning runs the tune seeds, or else the experiment's seeds, never with
+    # the Lyapunov column; the final runs keep it
     exp = minimal_experiment(seeds=[0, 1, 2], lyapunov=True, algorithms=["ef21_sgdm", "ef21_sgd2m"])
     exp["hyper"] = {"eta": 0.1, "rounds": 60}
     exp["tune"] = {"k_lo": -8, "k_hi": 4, "seeds": tune_seeds}
@@ -211,6 +238,18 @@ def test_parallel_workers_match_serial_under_tuning(tmp_path, tune_seeds):
         assert open(os.path.join(out1, name), "rb").read() == open(os.path.join(out2, name), "rb").read()
     resolved = json.load(open(os.path.join(out2, "mini__manifest.json")))["resolved_hyper"]
     assert all(resolved[a]["gamma"] in [2.0**k for k in range(-8, 5)] for a in exp["algorithms"])
+
+
+@pytest.mark.parametrize("tune_seeds, seeds", [([5, 6], (5, 6)), (None, (0, 1, 2))], ids=["own_seeds", "run_seeds"])
+def test_tuning_never_computes_lyapunov(tune_seeds, seeds):
+    exp = minimal_experiment(seeds=[0, 1, 2], lyapunov=True, lyapunov_every=5)
+    exp["hyper"] = {"eta": 0.1, "rounds": 20}
+    exp["tune"] = {"k_lo": -2, "k_hi": 0, "seeds": tune_seeds}
+    exp = validate_experiment(exp)
+    cfg = _tune_config(exp, "ef21_sgdm", build_problem(exp["problem"]))
+    assert cfg.seeds == seeds and not cfg.lyapunov
+    assert all(rec.lyapunov is None for rec in _run_task(exp, "ef21_sgdm", seeds[0], 0.25, tuning=True).records)
+    assert _run_task(exp, "ef21_sgdm", seeds[0], 0.25).final.lyapunov is not None
 
 
 def _diverging_tune_experiment():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from efsim.compress import identity, top_k
+from efsim.core import derive_stream, norm_sq
 from efsim.harness import (
     RunConfig,
     lyapunov,
@@ -163,6 +164,53 @@ def test_lyapunov_logged_at_own_cadence():
             assert rec.lyapunov is not None
         else:
             assert rec.lyapunov is None
+
+
+def _lyapunov_per_node(prob, x, nodes, gamma, eta, alpha):
+    """The descent diagnostic with one full_grad call per node, summed in
+    ascending node order."""
+    n = prob.n_nodes
+    comp_err = mom_err = 0.0
+    mean_dev = np.zeros(prob.dim)
+    for i in range(n):
+        dev = nodes.v[i] - prob.full_grad(i, x)
+        comp_err += norm_sq(nodes.g[i] - nodes.v[i])
+        mom_err += norm_sq(dev)
+        mean_dev += dev
+    mean_dev /= n
+    gap = prob.value(x) - (prob.f_star if prob.f_star is not None else 0.0)
+    return (
+        gap
+        + gamma / (alpha * n) * comp_err
+        + gamma * eta / (alpha**2 * n) * mom_err
+        + gamma / eta * norm_sq(mean_dev)
+    )
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01),
+        QuadraticProblem.from_matrices(
+            np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(5)]), np.ones((5, 4)), x0=np.zeros(4)
+        ),
+        CounterexampleProblem(sigma=1.0, n_nodes=7),
+    ],
+    ids=["structured", "from_matrices", "counterexample"],
+)
+@pytest.mark.parametrize("block_bytes", [1, 200, None], ids=["one_row", "small", "default"])
+def test_lyapunov_blocks_equal_per_node_reference_bitwise(prob, block_bytes, monkeypatch):
+    from efsim import optim
+
+    if block_bytes is not None:
+        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+    rng = derive_stream(13, 0, 0)
+    shape = (prob.n_nodes, prob.dim)
+    server = ServerState(x=rng.standard_normal(prob.dim), g=np.zeros(prob.dim), t=0)
+    nodes = NodeArrays(g=rng.standard_normal(shape), v=rng.standard_normal(shape))
+    # weights that let the error sums, not the gap, set the last bits
+    want = _lyapunov_per_node(prob, server.x, nodes, 1.0, 0.5, 0.01)
+    assert lyapunov(prob, server, nodes, 1.0, 0.5, 0.01) == want
 
 
 # -- lower-bound check ------------------------------------------------------------

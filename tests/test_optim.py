@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from efsim import optim
-from efsim.compress import contraction_alpha, hard_threshold, identity, top_k
+from efsim.compress import hard_threshold, identity, top_k
 from efsim.core import NumericFailure, StreamFactory
 from efsim.optim import HyperParams, schedule_at, theoretical_params, validate_pairing
 from efsim.problems import CounterexampleProblem, generate_quadratic
@@ -126,63 +126,7 @@ def test_init_rejects_mismatched_compressor():
         optim.init("ef21_sgd", prob, HyperParams(gamma=0.1, rounds=1), top_k(2, 19), StreamFactory(0))
 
 
-# -- reduction identities --------------------------------------------------------
-
-
-def test_momentum_one_reduces_to_no_momentum():
-    prob = make_problem(sigma=0.1)
-    comp = top_k(3, 20)
-    hp = HyperParams(gamma=0.05, eta=1.0, batch=2, b_init=2, rounds=100)
-    xa, _, _ = roll("ef21_sgdm", prob, comp, hp, seed=1, rounds=100)
-    xb, _, _ = roll("ef21_sgd", prob, comp, hp, seed=1, rounds=100)
-    assert np.array_equal(xa, xb)
-
-
-def test_double_momentum_one_reduces_to_no_momentum():
-    prob = make_problem(sigma=0.1)
-    comp = top_k(3, 20)
-    hp = HyperParams(gamma=0.05, eta=1.0, batch=1, b_init=1, rounds=100)
-    xa, _, _ = roll("ef21_sgd2m", prob, comp, hp, seed=2, rounds=100)
-    xb, _, _ = roll("ef21_sgd", prob, comp, hp, seed=2, rounds=100)
-    assert np.array_equal(xa, xb)
-
-
-def test_plain_momentum_one_reduces_to_sgd():
-    prob = make_problem(sigma=0.1)
-    comp = identity(20)
-    hp = HyperParams(gamma=0.02, eta=1.0, rounds=100)
-    xa, _, _ = roll("sgdm", prob, comp, hp, seed=3, rounds=100)
-    xb, _, _ = roll("sgd", prob, comp, hp, seed=3, rounds=100)
-    assert np.array_equal(xa, xb)
-
-
-def test_ideal_variants_reduce_at_momentum_one():
-    prob = make_problem(sigma=0.1)
-    comp = top_k(3, 20)
-    hp = HyperParams(gamma=0.05, eta=1.0, rounds=60)
-    xa, _, _ = roll("ef21_sgdm_ideal", prob, comp, hp, seed=4, rounds=60)
-    xb, _, _ = roll("ef21_sgd_ideal", prob, comp, hp, seed=4, rounds=60)
-    assert np.array_equal(xa, xb)
-
-
-def test_noiseless_identity_collapse_to_gradient_descent():
-    prob = make_problem(sigma=0.0)
-    comp = identity(20)
-    hp = HyperParams(gamma=0.05, eta=1.0, rounds=80)
-    paths = {}
-    for kind in ("ef21_sgdm", "ef21_sgd", "sgd"):
-        paths[kind], _, _ = roll(kind, prob, comp, hp, seed=5, rounds=80)
-    paths["ef21_storm"], _, _ = roll("ef21_storm", prob, comp, replace(hp, eta=0.3), seed=5, rounds=80)
-    ref = paths["sgd"]
-    for kind, xs in paths.items():
-        assert np.array_equal(xs, ref), kind
-    # independent plain gradient descent oracle
-    x = prob.x0.copy()
-    gd = [x.copy()]
-    for _ in range(80):
-        x = x - hp.gamma * prob.mean_full_grad(x)
-        gd.append(x.copy())
-    assert np.allclose(np.array(gd), ref, rtol=1e-12, atol=1e-14)
+# -- structural invariants (the reduction identities: checks.check_reductions) ---
 
 
 def test_storm_noiseless_state_is_exact_gradient():
@@ -197,9 +141,6 @@ def test_storm_noiseless_state_is_exact_gradient():
     roll("ef21_storm", prob, comp, hp, seed=6, rounds=10, collect=check)
 
 
-# -- structural invariants -------------------------------------------------------
-
-
 def test_server_state_tracks_node_average():
     prob = make_problem(sigma=0.2)
     comp = top_k(2, 20)
@@ -211,22 +152,6 @@ def test_server_state_tracks_node_average():
         assert drift <= 1e-12 * (1.0 + np.linalg.norm(server.g))
 
     roll("ef21_sgdm", prob, comp, hp, seed=7, rounds=200, collect=check)
-
-
-def test_error_feedback_virtual_iterate_identity():
-    prob = make_problem(sigma=0.2)
-    comp = top_k(2, 20)
-    hp = HyperParams(gamma=0.05, rounds=150)
-    streams = StreamFactory(8)
-    server, nodes, _ = optim.init("ef14_sgd", prob, hp, comp, streams)
-    for _ in range(150):
-        cached = nodes.sg_prev.mean(axis=0)
-        xtil = server.x - nodes.e.mean(axis=0)
-        optim.run_round("ef14_sgd", server, nodes, prob, hp, comp, streams)
-        xtil_new = server.x - nodes.e.mean(axis=0)
-        expect = xtil - hp.gamma * cached
-        rel = np.linalg.norm(xtil_new - expect) / (1.0 + np.linalg.norm(expect))
-        assert rel <= 1e-10
 
 
 def test_error_feedback_server_step_has_no_stepsize():
@@ -367,23 +292,3 @@ def test_theoretical_params_unsupported_kind():
         theoretical_params("ef21_sgd", prob.smoothness(), 0.5, 0.1, 1, 100, 1.0)
 
 
-# -- one-step conditional mean of the variance-reduced estimator -------------------
-
-
-def test_storm_one_step_conditional_mean():
-    prob = generate_quadratic(1, 5, 0.1, 0.0, seed=2, sigma=0.5)
-    rng = np.random.Generator(np.random.Philox(key=77))
-    x_old = rng.standard_normal(5)
-    x_new = x_old - 0.1 * rng.standard_normal(5)
-    w_old = prob.full_grad(0, x_old) + 0.3 * rng.standard_normal(5)
-    eta = 0.3
-    draws = 10_000
-    from efsim.core import derive_stream
-
-    samples = np.empty((draws, 5))
-    for j in range(draws):
-        sg_new, sg_old = prob.stoch_grad_pair(0, x_new, x_old, derive_stream(78, 0, j))
-        samples[j] = sg_new + (1 - eta) * (w_old - sg_old)
-    expected = prob.full_grad(0, x_new) + (1 - eta) * (w_old - prob.full_grad(0, x_old))
-    se = samples.std(axis=0, ddof=1) / math.sqrt(draws)
-    assert np.all(np.abs(samples.mean(axis=0) - expected) <= 4 * se)
