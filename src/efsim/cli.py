@@ -20,13 +20,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .checks import SUITES, run_suite
 from .experiments import (
     SchemaError,
     build_problem,
+    check_flag,
+    check_grid,
     load_experiment_file,
     run_experiment,
     task_runner,
@@ -83,13 +84,8 @@ def cmd_run(args) -> int:
         if args.metric_every is not None:
             doc["metric_every"] = args.metric_every
         exp = validate_experiment(doc)
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = args.out or exp.get("out") or "results"
-    try:
-        summary = run_experiment(exp, out_dir, workers=args.workers)
-    except ValueError as exc:  # e.g. incompatible algorithm/compressor pair
+        summary = run_experiment(exp, args.out or exp["out"] or "results", workers=args.workers)
+    except (OSError, ValueError) as exc:  # a bad file or document, or e.g. an incompatible algorithm/compressor pair
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SweepDiverged as exc:
@@ -120,17 +116,12 @@ def cmd_reproduce(args) -> int:
         try:
             _apply_overrides(exp, args.override or [])
             validate_experiment(exp)
-        except SchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        path = os.path.join(out_dir, f"{exp['name']}__experiment.json")
-        os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(exp, fh, indent=1)
-            fh.write("\n")
-        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, f"{exp['name']}__experiment.json"), "w") as fh:
+                json.dump(exp, fh, indent=1)
+                fh.write("\n")
             summary = run_experiment(exp, out_dir, workers=args.workers)
-        except ValueError as exc:  # e.g. a problem size its generator rejects
+        except (OSError, ValueError) as exc:  # a bad override, or e.g. a problem size its generator rejects
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except SweepDiverged as exc:  # counts as an experiment whose every run diverged
@@ -152,7 +143,8 @@ def cmd_reproduce(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        results = run_suite(args.suite, seed=args.seed if args.seed is not None else 0)
+        check_flag(args.seed, "--seed", "experiment", "seeds")
+        results = run_suite(args.suite, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -183,19 +175,16 @@ def cmd_sweep(args) -> int:
     try:
         doc = load_experiment_file(args.experiment)
         _apply_overrides(doc, args.override or [])
+        if args.seed is not None:
+            doc["seeds"] = [args.seed]
         exp = validate_experiment(doc)
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    grid = power_grid(args.k_lo, args.k_hi)
-    rc = 0
-    try:
+        check_grid(args.k_lo, args.k_hi, "--k-lo", "--k-hi")
+        grid = power_grid(args.k_lo, args.k_hi)
+        rc = 0
         problem = build_problem(exp["problem"])
         with worker_pool(args.workers) as pool:
             for algorithm in exp["algorithms"]:
                 cfg = _build_config(exp, algorithm, problem)
-                if args.seed is not None:
-                    cfg = replace(cfg, seeds=(args.seed,))
                 runner = task_runner(pool, exp, algorithm) if pool else None
                 try:
                     result = sweep_gammas(cfg, grid, args.criterion, runner)
@@ -207,7 +196,7 @@ def cmd_sweep(args) -> int:
                 for row in result.table:
                     mark = "diverged" if row["diverged"] else f"{row['score']:.6g}"
                     print(f"    gamma=2^{int(round(math.log2(row['gamma']))):>4d} -> {mark}")
-    except ValueError as exc:  # e.g. a problem size its generator rejects
+    except (OSError, ValueError) as exc:  # a bad file, document or grid, or e.g. a problem size its generator rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return rc
@@ -244,7 +233,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run a fixed-seed property suite")
     p.add_argument("suite", choices=tuple(SUITES))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a task file or synthetic dataset")
@@ -274,6 +263,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        print(f"error: --workers: must be >= 1, got {args.workers}", file=sys.stderr)
+        return 1
     return args.func(args)
 
 

@@ -14,8 +14,7 @@ import numpy as np
 
 __all__ = [
     "NumericFailure",
-    "as_vector",
-    "dot",
+    "SEED_MAX",
     "norm_sq",
     "ensure_finite",
     "derive_stream",
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 _MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
+SEED_MAX = (1 << 64) - 1  # seeds are the first 64-bit word of the Philox key
 
 
 class NumericFailure(RuntimeError):
@@ -32,20 +31,6 @@ class NumericFailure(RuntimeError):
     def __init__(self, message: str, round_index: int | None = None):
         super().__init__(message)
         self.round_index = round_index
-
-
-def as_vector(values) -> np.ndarray:
-    """Coerce input to a 1-d float64 array (copying only when needed)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
-    return arr
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(a @ b)
 
 
 def norm_sq(a: np.ndarray) -> float:
@@ -59,12 +44,14 @@ def ensure_finite(a: np.ndarray, context: str = "", round_index: int | None = No
 
 
 def _philox_key(seed: int, node: int, round_index: int, out: np.ndarray | None = None) -> np.ndarray:
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must lie in [0, 2^64 - 1], got {seed}")
     if node < 0 or round_index < 0:
         raise ValueError("node and round must be nonnegative")
     if node > _MASK32 or round_index > _MASK32:
         raise ValueError("node/round exceed 32-bit stream id space")
     key = np.empty(2, dtype=np.uint64) if out is None else out
-    key[0] = seed & _MASK64
+    key[0] = seed
     key[1] = (node << 32) | round_index
     return key
 

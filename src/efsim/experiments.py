@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, optim
 from .compress import Compressor, absolute_delta, contraction_alpha, hard_threshold, identity, rand_k, top_k
+from .core import SEED_MAX
 from .harness import (
     RunConfig,
     RunTrace,
@@ -46,7 +47,10 @@ from .problems import (
 
 __all__ = [
     "SchemaError",
+    "SCHEMA",
     "validate_experiment",
+    "check_flag",
+    "check_grid",
     "build_problem",
     "build_compressor",
     "resolve_hyper",
@@ -61,175 +65,152 @@ class SchemaError(ValueError):
     pass
 
 
-def _check_keys(doc: dict, allowed: dict, where: str) -> dict:
-    """Return doc merged over defaults; unknown or missing keys are errors.
+_FILE_NAME = "file name"  # a string usable as one path component
+_KIND = (..., str)
+_COUNT = (..., int, 1)
+_SEED = (0, int, 0, SEED_MAX)
+_EXPONENT = (..., int, -1074, 1023)  # 2^k is a positive finite double exactly for these k
+_SPLIT = ("by_label", ("by_label", "uniform"))
+_REG = (1e-3, float, 0.0)
+_UNUSED = (None, None)
 
-    ``allowed`` maps key -> default, with the sentinel ``...`` marking a
-    required key.
-    """
+# section -> key -> (default, type, least, most); least and most may be left
+# off (no bound), and a default of ``...`` marks a required key.  Null is
+# accepted only where the default is null.  Types: int and float take JSON
+# numbers (a float key also takes an integer, never a bool), bool takes true
+# or false; a tuple lists the allowed strings; ``[t]`` is a nonempty list of
+# t, each element within the bounds; dict is a nested section; None marks a
+# key that the section's kind does not use.  ``problem`` and ``compressor``
+# are looked up by their kind.  The key order is the resolved document's.
+SCHEMA = {
+    "experiment": {
+        "name": (..., _FILE_NAME), "problem": (..., dict), "algorithms": (..., [optim.ALGORITHMS]),
+        "compressor": (..., dict), "hyper": (..., dict), "seeds": (..., [int], 0, SEED_MAX),
+        "metric_every": (1, int, 1), "lyapunov": (False, bool), "lyapunov_every": (10, int, 1), "tune": (None, dict),
+        "out": (None, str),
+    },
+    "problem.counterexample": {
+        "kind": _KIND, "l_smooth": (1.0, float), "sigma": (1.0, float, 0.0), "variance_batch": (1, int, 1),
+        "n": (1, int, 1), "x0": ([0.0, -0.01], [float]),
+    },
+    "problem.quadratic": {
+        "kind": _KIND, "n": _COUNT, "d": _COUNT, "lam": (..., float, 0.0), "s": (..., float, 0.0), "seed": _SEED,
+        "sigma": (0.0, float, 0.0),
+    },
+    "problem.quadratic_file": {"kind": _KIND, "path": (..., str), "sigma": (None, float, 0.0)},
+    "problem.logreg_file": {
+        "kind": _KIND, "path": (..., str), "classes": _COUNT, "features": _COUNT, "n": _COUNT, "split": _SPLIT,
+        "split_seed": _SEED, "reg": _REG,
+    },
+    "problem.blobs": {
+        "kind": _KIND, "classes": _COUNT, "features": _COUNT, "examples": _COUNT, "n": _COUNT, "seed": _SEED,
+        "split": _SPLIT, "split_seed": _SEED, "reg": _REG,
+    },
+    "compressor.topk": {"kind": _KIND, "k": _COUNT, "tau": _UNUSED},
+    "compressor.randk": {"kind": _KIND, "k": _COUNT, "tau": _UNUSED},
+    "compressor.identity": {"kind": _KIND, "k": _UNUSED, "tau": _UNUSED},
+    "compressor.hard_threshold": {"kind": _KIND, "k": _UNUSED, "tau": (..., float)},
+    "hyper": {
+        "gamma": (None, float), "eta": (1.0, float), "batch": (1, int, 1), "b_init": (1, int, 1),
+        "rounds": (..., int, 0), "schedule": ("constant", ("constant", "inv_sqrt_t", "inv_sqrt_T")),
+        "theoretical": (False, bool),
+    },
+    "tune": {
+        "k_lo": _EXPONENT, "k_hi": _EXPONENT, "criterion": ("final_loss", ("final_loss", "final_grad_norm")),
+        "seeds": (None, [int], 0, SEED_MAX),
+    },
+}
+
+_EXPECTED = {
+    int: "an integer",
+    float: "a finite number",
+    bool: "true or false",
+    str: "a string",
+    _FILE_NAME: "a file name (not empty, '.' or '..', and no path separator or NUL)",
+}
+
+
+def _check_value(value, where: str, kind, least=None, most=None) -> None:
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise SchemaError(f"{where}: expected a nonempty list, got {value!r}")
+        for item in value:
+            _check_value(item, where, kind[0], least, most)
+        return
+    expected = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _EXPECTED[kind]
+    if isinstance(kind, tuple):
+        ok = value in kind
+    elif kind in (int, float):
+        ok = isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+        ok = ok and (isinstance(value, int) or math.isfinite(value))
+    elif kind is _FILE_NAME:
+        ok = isinstance(value, str) and value not in ("", ".", "..") and os.path.basename(value) == value
+        ok = ok and "\0" not in value
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise SchemaError(f"{where}: expected {expected}, got {value!r}")
+    if least is not None and value < least:
+        raise SchemaError(f"{where}: must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise SchemaError(f"{where}: must be <= {most}, got {value}")
+
+
+def _check_section(doc, where: str, name: str) -> dict:
+    """``doc`` checked against the table's section ``name``, with its
+    defaults filled in and its nested sections checked in turn."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a mapping, got {type(doc).__name__}")
+    if name not in SCHEMA:  # problem or compressor: one section per kind
+        kinds = tuple(section.split(".")[1] for section in SCHEMA if section.startswith(f"{name}."))
+        _check_value(doc.get("kind"), f"{where}.kind", kinds)
+        name = f"{name}.{doc['kind']}"
+    schema = SCHEMA[name]
     for key in doc:
-        if key not in allowed:
+        if key not in schema:
             raise SchemaError(f"{where}: unknown key {key!r}")
     out = {}
-    for key, default in allowed.items():
-        if key in doc:
-            out[key] = doc[key]
-        elif default is ...:
+    for key, (default, kind, *bounds) in schema.items():
+        value = doc.get(key, default)
+        if value is ...:
             raise SchemaError(f"{where}: missing required key {key!r}")
+        if value is None and default is None:
+            pass
+        elif kind is None:
+            raise SchemaError(f"{where}.{key}: not used by {doc['kind']}")
+        elif kind is dict:
+            value = _check_section(value, f"{where}.{key}", key)
         else:
-            out[key] = default
+            _check_value(value, f"{where}.{key}", kind, *bounds)
+        out[key] = value
     return out
 
 
-_PROBLEM_SCHEMAS = {
-    "counterexample": {
-        "kind": ...,
-        "l_smooth": 1.0,
-        "sigma": 1.0,
-        "variance_batch": 1,
-        "n": 1,
-        "x0": [0.0, -0.01],
-    },
-    "quadratic": {"kind": ..., "n": ..., "d": ..., "lam": ..., "s": ..., "seed": 0, "sigma": 0.0},
-    "quadratic_file": {"kind": ..., "path": ..., "sigma": None},
-    "logreg_file": {
-        "kind": ...,
-        "path": ...,
-        "classes": ...,
-        "features": ...,
-        "n": ...,
-        "split": "by_label",
-        "split_seed": 0,
-        "reg": 1e-3,
-    },
-    "blobs": {
-        "kind": ...,
-        "classes": ...,
-        "features": ...,
-        "examples": ...,
-        "n": ...,
-        "seed": 0,
-        "split": "by_label",
-        "split_seed": 0,
-        "reg": 1e-3,
-    },
-}
-
-_COMPRESSOR_SCHEMA = {"kind": ..., "k": None, "tau": None}
-
-_HYPER_SCHEMA = {
-    "gamma": None,
-    "eta": 1.0,
-    "batch": 1,
-    "b_init": 1,
-    "rounds": ...,
-    "schedule": "constant",
-    "theoretical": False,
-}
-
-_TUNE_SCHEMA = {"k_lo": ..., "k_hi": ..., "criterion": "final_loss", "seeds": None}
-
-# typed keys of each section: key -> (type, least value or None for no
-# bound); int and float keys take JSON numbers (a float key also takes an
-# integer, never a bool), bool keys take true or false.  None is accepted only
-# where the key's default is None, and is left to the checks that follow
-_KEY_TYPES = {
-    "experiment": {"metric_every": (int, 1), "lyapunov_every": (int, 1), "lyapunov": (bool, None)},
-    "experiment.problem": {"n": (int, 1), "d": (int, 1), "variance_batch": (int, 1), "classes": (int, 1),
-                           "features": (int, 1), "examples": (int, 1), "seed": (int, 0), "split_seed": (int, 0),
-                           "l_smooth": (float, None), "sigma": (float, 0.0), "lam": (float, 0.0), "s": (float, 0.0),
-                           "reg": (float, 0.0)},
-    "experiment.compressor": {"k": (int, 1), "tau": (float, None)},
-    "experiment.hyper": {"batch": (int, 1), "b_init": (int, 1), "rounds": (int, 0), "gamma": (float, None),
-                         "eta": (float, None), "theoretical": (bool, None)},
-    "experiment.tune": {"k_lo": (int, None), "k_hi": (int, None)},
-}
-
-_EXPERIMENT_SCHEMA = {
-    "name": ...,
-    "problem": ...,
-    "algorithms": ...,
-    "compressor": ...,
-    "hyper": ...,
-    "seeds": ...,
-    "metric_every": 1,
-    "lyapunov": False,
-    "lyapunov_every": 10,
-    "tune": None,
-    "out": None,
-}
+def check_flag(value, where: str, section: str, key: str) -> None:
+    """Check a single value against the table entry of ``section.key`` (an
+    element of it, for a list key), naming it ``where`` in the error."""
+    _, kind, *bounds = SCHEMA[section][key]
+    _check_value(value, where, kind[0] if isinstance(kind, list) else kind, *bounds)
 
 
-_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false"}
-
-
-def _check_value(value, where: str, kind: type, least) -> None:
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
-        ok = ok and (isinstance(value, int) or math.isfinite(value))
-    if not ok:
-        raise SchemaError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
-    if least is not None and value < least:
-        raise SchemaError(f"{where}: must be >= {least}, got {value}")
-
-
-def _check_types(exp: dict) -> None:
-    sections = {"experiment": exp, **{f"experiment.{k}": exp[k] or {} for k in ("problem", "compressor", "hyper", "tune")}}
-    defaults = {
-        "experiment": _EXPERIMENT_SCHEMA,
-        "experiment.problem": _PROBLEM_SCHEMAS[exp["problem"]["kind"]],
-        "experiment.compressor": _COMPRESSOR_SCHEMA,
-        "experiment.hyper": _HYPER_SCHEMA,
-        "experiment.tune": _TUNE_SCHEMA,
-    }
-    for where, keys in _KEY_TYPES.items():
-        section = sections[where]
-        for key, (kind, least) in keys.items():
-            if key in section and (section[key] is not None or defaults[where][key] is not None):
-                _check_value(section[key], f"{where}.{key}", kind, least)
-    tune_seeds = sections["experiment.tune"].get("seeds")
-    for where, seeds in (("experiment.seeds", exp["seeds"]), ("experiment.tune.seeds", tune_seeds)):
-        if seeds is not None and not isinstance(seeds, list):
-            raise SchemaError(f"{where}: expected a list of integers, got {seeds!r}")
-        for seed in seeds or ():
-            _check_value(seed, where, int, 0)
-    comp = exp["compressor"]
-    need = {"topk": "k", "randk": "k", "hard_threshold": "tau"}.get(comp["kind"])
-    if need is not None and comp[need] is None:
-        raise SchemaError(f"experiment.compressor.{need}: required by {comp['kind']}")
+def check_grid(k_lo, k_hi, lo: str = "experiment.tune.k_lo", hi: str = "experiment.tune.k_hi") -> None:
+    """Check the exponents of a tuning grid {2^k : k_lo <= k <= k_hi}."""
+    check_flag(k_lo, lo, "tune", "k_lo")
+    check_flag(k_hi, hi, "tune", "k_hi")
+    if k_lo > k_hi:
+        raise SchemaError(f"{hi}: must be >= {lo} ({k_lo}), got {k_hi}")
 
 
 def validate_experiment(doc: dict) -> dict:
     """Validate and normalize an experiment document (defaults filled)."""
-    exp = _check_keys(doc, _EXPERIMENT_SCHEMA, "experiment")
-    prob = exp["problem"]
-    if not isinstance(prob, dict) or "kind" not in prob:
-        raise SchemaError("experiment.problem: needs a 'kind' key")
-    kind = prob["kind"]
-    if kind not in _PROBLEM_SCHEMAS:
-        raise SchemaError(f"experiment.problem: unknown kind {kind!r}")
-    exp["problem"] = _check_keys(prob, _PROBLEM_SCHEMAS[kind], f"experiment.problem({kind})")
-    exp["compressor"] = _check_keys(exp["compressor"], _COMPRESSOR_SCHEMA, "experiment.compressor")
-    exp["hyper"] = _check_keys(exp["hyper"], _HYPER_SCHEMA, "experiment.hyper")
-    if exp["tune"] is not None:
-        exp["tune"] = _check_keys(exp["tune"], _TUNE_SCHEMA, "experiment.tune")
-        if exp["hyper"]["theoretical"]:
+    exp = _check_section(doc, "experiment", "experiment")
+    hyper, tune = exp["hyper"], exp["tune"]
+    if tune is not None:
+        check_grid(tune["k_lo"], tune["k_hi"])
+        if hyper["theoretical"]:
             raise SchemaError("experiment: 'tune' and hyper.theoretical are mutually exclusive")
-    if exp["hyper"]["gamma"] is None and not exp["hyper"]["theoretical"] and exp["tune"] is None:
+    if hyper["gamma"] is None and not hyper["theoretical"] and tune is None:
         raise SchemaError("experiment.hyper: gamma is required unless theoretical or tune is set")
-    algos = exp["algorithms"]
-    if not isinstance(algos, list) or not algos:
-        raise SchemaError("experiment.algorithms: need a nonempty list")
-    for a in algos:
-        if a not in optim.ALGORITHMS:
-            raise SchemaError(f"experiment.algorithms: unknown algorithm {a!r}")
-    if not isinstance(exp["seeds"], list) or not exp["seeds"]:
-        raise SchemaError("experiment.seeds: need a nonempty list")
-    _check_types(exp)
     return exp
 
 
@@ -364,8 +345,8 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> dict:
     step size of an algorithm diverges, ``SweepDiverged`` is raised.
     """
     exp = validate_experiment(exp)
-    os.makedirs(out_dir, exist_ok=True)
     problem = build_problem(exp["problem"])
+    os.makedirs(out_dir, exist_ok=True)
     algorithms, seeds, tune = exp["algorithms"], exp["seeds"], exp["tune"]
     grid = power_grid(tune["k_lo"], tune["k_hi"]) if tune is not None else []
     pooled = tune is not None or len(algorithms) * len(seeds) > 1

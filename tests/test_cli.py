@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -64,11 +65,11 @@ def test_missing_required_key():
 
 
 def test_unknown_algorithm_and_problem_kind():
-    with pytest.raises(SchemaError, match="unknown algorithm"):
+    with pytest.raises(SchemaError, match="experiment.algorithms: expected one of .*, got 'adamw'"):
         validate_experiment(minimal_experiment(algorithms=["adamw"]))
     exp = minimal_experiment()
     exp["problem"] = {"kind": "resnet"}
-    with pytest.raises(SchemaError, match="unknown kind"):
+    with pytest.raises(SchemaError, match="experiment.problem.kind: expected one of .*, got 'resnet'"):
         validate_experiment(exp)
 
 
@@ -181,6 +182,9 @@ def test_reproduce_zero_nodes_is_usage_error(tmp_path, capsys):
     assert "experiment.problem.n" in capsys.readouterr().err
 
 
+BIG = 2**64  # one past the largest seed
+
+
 @pytest.mark.parametrize(
     "override, key",
     [
@@ -189,15 +193,138 @@ def test_reproduce_zero_nodes_is_usage_error(tmp_path, capsys):
         ("hyper.eta=null", "experiment.hyper.eta"),  # likewise
         ('hyper.theoretical="no"', "experiment.hyper.theoretical"),  # used to run the theoretical step sizes
         ('lyapunov="yes"', "experiment.lyapunov"),  # used to turn the diagnostic on
+        # compressor keys go by kind; null stays accepted
+        ('compressor={"kind": "identity", "k": 3}', "experiment.compressor.k: not used by identity"),
+        ("compressor.tau=0.1", "experiment.compressor.tau: not used by topk"),
+        ('compressor={"kind": "hard_threshold", "k": 2, "tau": 0.1}', "experiment.compressor.k"),
+        ('compressor={"kind": "hard_threshold"}', "experiment.compressor: missing required key 'tau'"),
+        ('compressor={"kind": "zip"}', "experiment.compressor.kind"),
+        # seeds lie in [0, 2^64 - 1]; these used to alias seed 0
+        (f"seeds=[{BIG}]", "experiment.seeds"),
+        (f"problem.seed={BIG}", "experiment.problem.seed"),
+        (f'tune={{"k_lo": -2, "k_hi": 0, "seeds": [{BIG}]}}', "experiment.tune.seeds"),
+        ('tune={"k_lo": -2, "k_hi": 0, "seeds": []}', "experiment.tune.seeds"),
+        # 2^k must be a positive finite double, and the grid nonempty
+        ('tune={"k_lo": 1020, "k_hi": 1030}', "experiment.tune.k_hi"),
+        ('tune={"k_lo": -1075, "k_hi": 0}', "experiment.tune.k_lo"),
+        ('tune={"k_lo": 2, "k_hi": 1}', "experiment.tune.k_hi"),
+        ('tune={"k_lo": -2, "k_hi": 0, "criterion": "best"}', "experiment.tune.criterion"),
+        # string keys are typed
+        ("name=a/b", "experiment.name"),  # used to run every run, then die writing the CSVs
+        ("name=7", "experiment.name"),  # used to be turned into "7"
+        ('name=""', "experiment.name"),
+        ("name=..", "experiment.name"),
+        ('name="a\\u0000b"', "experiment.name"),  # used to run every run, then fail to open the CSV
+        ("out=5", "experiment.out"),  # used to die with a TypeError traceback
+        ("hyper.schedule=linear", "experiment.hyper.schedule"),
+        ('problem={"kind": "counterexample", "x0": [0.0, "a"]}', "experiment.problem.x0"),
+        ('problem={"kind": "quadratic_file", "path": 5}', "experiment.problem.path"),  # used to read descriptor 5
+        ('problem={"kind": "blobs", "classes": 2, "features": 3, "examples": 20, "n": 2, "split": "random"}',
+         "experiment.problem.split"),
+        (f'problem={{"kind": "blobs", "classes": 2, "features": 3, "examples": 20, "n": 2, "split_seed": {BIG}}}',
+         "experiment.problem.split_seed"),
     ],
-    ids=["string_gamma", "string_lam", "null_eta", "string_theoretical", "string_lyapunov"],
+    ids=["string_gamma", "string_lam", "null_eta", "string_theoretical", "string_lyapunov",
+         "identity_k", "topk_tau", "hard_threshold_k", "hard_threshold_no_tau", "unknown_compressor",
+         "seed_2_64", "problem_seed_2_64", "tune_seed_2_64", "tune_seeds_empty",
+         "k_hi_1030", "k_lo_-1075", "k_lo_above_k_hi", "criterion", "name_path", "name_int", "name_empty",
+         "name_dotdot", "name_nul", "out_int", "schedule", "x0_string", "path_int", "split",
+         "split_seed_2_64"],
 )
 def test_mistyped_real_and_bool_keys_are_rejected_naming_the_key(tmp_path, capsys, override, key):
+    # every key of the schema table, not only the real and boolean ones
     exp = minimal_experiment(problem={"kind": "quadratic", "n": 2, "d": 10, "lam": 0.1, "s": 1.0})
     out = tmp_path / "out"
     assert main(["run", write_exp(tmp_path, exp), "--override", override, "--out", str(out), "--workers", "1"]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "storm", "--seed", "-1"], "--seed"),  # used to run with the key masked to 2^64 - 1
+        (["verify", "storm", "--seed", str(BIG)], "--seed"),
+        (["sweep", "EXP", "--k-lo", "0", "--k-hi", "1024"], "--k-hi"),  # used to die with an OverflowError
+        (["sweep", "EXP", "--k-lo", "-1075"], "--k-lo"),
+        (["sweep", "EXP", "--k-lo", "3", "--k-hi", "2"], "--k-hi"),  # used to say "empty step-size grid"
+        (["sweep", "EXP", "--seed", "-1"], "experiment.seeds"),
+        (["run", "EXP", "--seed", str(BIG)], "experiment.seeds"),
+        (["run", "EXP", "--workers", "0"], "--workers"),  # used to run serially
+        (["sweep", "EXP", "--workers", "-3"], "--workers"),
+        (["reproduce", "fig1", "--workers", "0"], "--workers"),
+        (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "0.1", "--s", "1", "--seed", "-1"], "seed"),
+    ],
+    ids=["verify_seed_negative", "verify_seed_2_64", "sweep_k_hi_1024", "sweep_k_lo_-1075", "sweep_k_lo_above_k_hi",
+         "sweep_seed_negative", "run_seed_2_64", "run_workers_0", "sweep_workers_-3", "reproduce_workers_0",
+         "gen_seed_negative"],
+)
+def test_bad_flag_is_rejected_naming_it(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else write_exp(tmp_path, minimal_experiment()) if a == "EXP" else a for a in argv]
+    if argv[0] in ("run", "sweep", "reproduce"):
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_task_file_is_usage_error(tmp_path, capsys):
+    # used to end in a FileNotFoundError traceback
+    missing = str(tmp_path / "missing.json")
+    exp = minimal_experiment(problem={"kind": "quadratic_file", "path": missing})
+    out = tmp_path / "out"
+    for cmd in ("run", "sweep"):
+        assert main([cmd, write_exp(tmp_path, exp), "--out", str(out), "--workers", "1"]) == 1
+        assert missing in capsys.readouterr().err
+        assert not out.exists()
+
+
+# a manifest as the previous schema resolved it ("tau": null on topk): it
+# must keep replaying to the same trace bytes
+PARENT_MANIFEST = {
+    "format": "efsim-manifest",
+    "version": 1,
+    "package": {"name": "efsim", "version": "0.1.0"},
+    "experiment": {
+        "name": "mini",
+        "problem": {"kind": "counterexample", "l_smooth": 1.0, "sigma": 1.0, "variance_batch": 1, "n": 1,
+                    "x0": [0.0, -0.01]},
+        "algorithms": ["ef21_sgdm"],
+        "compressor": {"kind": "topk", "k": 1, "tau": None},
+        "hyper": {"gamma": 0.001, "eta": 0.001, "batch": 1, "b_init": 1, "rounds": 100, "schedule": "constant",
+                  "theoretical": False},
+        "seeds": [0, 1],
+        "metric_every": 20,
+        "lyapunov": False,
+        "lyapunov_every": 10,
+        "tune": None,
+        "out": None,
+    },
+    "resolved_hyper": {
+        "ef21_sgdm": {"gamma": 0.001, "eta": 0.001, "batch": 1, "b_init": 1, "rounds": 100, "schedule": "constant"}
+    },
+    "outputs": ["mini__ef21_sgdm__seed0.csv", "mini__ef21_sgdm__seed1.csv", "mini__ef21_sgdm__quantiles.csv"],
+}
+PARENT_SHA256 = {
+    "mini__ef21_sgdm__seed0.csv": "e6dd66b62a08bdb4cd27b40622846f6a25e2da9243dd09f4a2a2e1c352522624",
+    "mini__ef21_sgdm__seed1.csv": "111869f5f6ce63862576b6712b51fbe833e000a9498a9586f748fdb6ea62d45d",
+    "mini__ef21_sgdm__quantiles.csv": "29c9708a3cb0954f77884b8c57db0cbd0e350ed0ede28ea77fe46da7ce4ebacd",
+}
+
+
+def test_previously_written_manifest_replays(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", write_exp(tmp_path, PARENT_MANIFEST), "--out", str(out), "--workers", "1"]) == 0
+    for name, digest in PARENT_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert json.loads((out / "mini__manifest.json").read_text()) == PARENT_MANIFEST
+
+
+def test_null_unused_compressor_keys_are_accepted():
+    for kind, used in (("identity", {}), ("topk", {"k": 1}), ("hard_threshold", {"tau": 0.1})):
+        comp = {"kind": kind, "k": None, "tau": None, **used}
+        assert validate_experiment(minimal_experiment(compressor=comp))["compressor"] == comp
 
 
 def test_all_seeds_diverging_exit_code(tmp_path):
