@@ -204,14 +204,17 @@ def check_storm(seed: int = 0) -> list[CheckResult]:
     rng = derive_stream(seed, 0, 1)
     x_old = rng.standard_normal(5)
     x_new = x_old - 0.1 * rng.standard_normal(5)
-    w_old = problem.full_grad(0, x_old) + 0.3 * rng.standard_normal(5)
+    node = slice(0, 1)
+    full_new, full_old = (problem.full_grads(node, x)[0] for x in (x_new, x_old))
+    w_old = full_old + 0.3 * rng.standard_normal(5)
     eta = 0.3
     draws = 10_000
     samples = np.empty((draws, 5))
     for j in range(draws):
-        sg_new, sg_old = problem.stoch_grad_pair(0, x_new, x_old, derive_stream(seed, 1, j), batch=1)
+        sample = [problem.draw(0, derive_stream(seed, 1, j))]  # one draw, evaluated at both iterates
+        sg_new, sg_old = (problem.stoch_grads(node, x, sample)[0] for x in (x_new, x_old))
         samples[j] = sg_new + (1.0 - eta) * (w_old - sg_old)
-    expected = problem.full_grad(0, x_new) + (1.0 - eta) * (w_old - problem.full_grad(0, x_old))
+    expected = full_new + (1.0 - eta) * (w_old - full_old)
     se = samples.std(axis=0, ddof=1) / math.sqrt(draws)
     dev = np.abs(samples.mean(axis=0) - expected)
     ok = bool(np.all(dev <= 4.0 * se))

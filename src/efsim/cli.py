@@ -40,6 +40,15 @@ from .presets import PRESET_NAMES, preset_experiments, preset_note
 from .problems import generate_quadratic, make_blobs, save_quadratic_task, write_libsvm
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, as a bad document does (argparse's own 2
+    would read as "every run diverged")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parse_override(text: str):
     if "=" not in text:
         raise argparse.ArgumentTypeError(f"override must look like key=value, got {text!r}")
@@ -51,8 +60,11 @@ def _parse_override(text: str):
     return key, value
 
 
-def _apply_overrides(doc: dict, overrides) -> dict:
-    for key, value in overrides:
+def _prepare(doc: dict, args) -> dict:
+    """``doc`` with ``--override``, then ``--seed`` and ``--metric-every``
+    applied in place (so a flag wins over an override of the same key),
+    validated with its defaults filled in."""
+    for key, value in args.override or []:
         parts = key.split(".")
         target = doc
         for part in parts[:-1]:
@@ -60,7 +72,11 @@ def _apply_overrides(doc: dict, overrides) -> dict:
                 raise SchemaError(f"override path {key!r}: no section {part!r}")
             target = target[part]
         target[parts[-1]] = value
-    return doc
+    if args.seed is not None:
+        doc["seeds"] = [args.seed]
+    if args.metric_every is not None:
+        doc["metric_every"] = args.metric_every
+    return validate_experiment(doc)
 
 
 def _print_summary(name: str, summary: dict) -> None:
@@ -77,13 +93,7 @@ def _print_summary(name: str, summary: dict) -> None:
 
 def cmd_run(args) -> int:
     try:
-        doc = load_experiment_file(args.experiment)
-        _apply_overrides(doc, args.override or [])
-        if args.seed is not None:
-            doc["seeds"] = [args.seed]
-        if args.metric_every is not None:
-            doc["metric_every"] = args.metric_every
-        exp = validate_experiment(doc)
+        exp = _prepare(load_experiment_file(args.experiment), args)
         summary = run_experiment(exp, args.out or exp["out"] or "results", workers=args.workers)
     except (OSError, ValueError) as exc:  # a bad file or document, or e.g. an incompatible algorithm/compressor pair
         print(f"error: {exc}", file=sys.stderr)
@@ -109,13 +119,8 @@ def cmd_reproduce(args) -> int:
     all_diverged = True
     speedup_rows = []
     for exp in exps:
-        if args.seed is not None:
-            exp["seeds"] = [args.seed]
-        if args.metric_every is not None:
-            exp["metric_every"] = args.metric_every
         try:
-            _apply_overrides(exp, args.override or [])
-            validate_experiment(exp)
+            _prepare(exp, args)
             os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, f"{exp['name']}__experiment.json"), "w") as fh:
                 json.dump(exp, fh, indent=1)
@@ -173,11 +178,8 @@ def cmd_gen(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        doc = load_experiment_file(args.experiment)
-        _apply_overrides(doc, args.override or [])
-        if args.seed is not None:
-            doc["seeds"] = [args.seed]
-        exp = validate_experiment(doc)
+        # no criterion reads the Lyapunov column, so the sweep never computes it
+        exp = {**_prepare(load_experiment_file(args.experiment), args), "lyapunov": False}
         check_grid(args.k_lo, args.k_hi, "--k-lo", "--k-hi")
         grid = power_grid(args.k_lo, args.k_hi)
         rc = 0
@@ -203,13 +205,12 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="efsim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="efsim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"efsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="replace the seed list with this single seed")
-    common.add_argument("--out", default=None, help="output directory")
     common.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1, help="parallel worker processes (tuning, sweeps and runs)"
     )
@@ -223,10 +224,12 @@ def main(argv=None) -> int:
     )
 
     p = sub.add_parser("run", parents=[common], help="run a declarative experiment file")
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("experiment", help="experiment JSON file (a manifest is accepted too)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a named preset")
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("figure", choices=PRESET_NAMES)
     p.add_argument("--rounds", type=int, default=None, help="override the preset horizon")
     p.set_defaults(func=cmd_reproduce)

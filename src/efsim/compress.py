@@ -11,9 +11,7 @@ Two operator families are covered:
 
 RandK is deliberately left unscaled: the scaled variant is unbiased but no
 longer contractive, and none of the implemented algorithms needs
-unbiasedness.  Communication is accounted in coordinates sent; a secondary
-bit estimate (32-bit index + 64-bit value per coordinate) is provided as an
-explicitly labeled modeling choice.
+unbiasedness.  Communication is accounted in coordinates sent.
 """
 
 from __future__ import annotations
@@ -35,14 +33,9 @@ __all__ = [
     "densify",
     "contraction_alpha",
     "absolute_delta",
-    "coordinates_sent",
-    "coordinates_to_bits",
     "ContractionReport",
     "verify_contractive",
 ]
-
-BITS_PER_COORDINATE = 32 + 64  # index width + value width, modeling choice
-
 
 @dataclass(frozen=True)
 class Compressor:
@@ -185,15 +178,6 @@ def absolute_delta(spec: Compressor) -> float | None:
     if spec.kind == "hard_threshold":
         return float(np.sqrt(spec.dim) * spec.tau)
     return None
-
-
-def coordinates_sent(c: CompressedVector) -> int:
-    return int(len(c.indices))
-
-
-def coordinates_to_bits(n_coordinates: int) -> int:
-    """Secondary cost column: coordinates priced at 32+64 bits each."""
-    return int(n_coordinates) * BITS_PER_COORDINATE
 
 
 @dataclass

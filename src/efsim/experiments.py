@@ -79,9 +79,11 @@ _UNUSED = (None, None)
 # accepted only where the default is null.  Types: int and float take JSON
 # numbers (a float key also takes an integer, never a bool), bool takes true
 # or false; a tuple lists the allowed strings; ``[t]`` is a nonempty list of
-# t, each element within the bounds; dict is a nested section; None marks a
-# key that the section's kind does not use.  ``problem`` and ``compressor``
-# are looked up by their kind.  The key order is the resolved document's.
+# t, each element within the bounds and, unless t is float, distinct (a
+# repeated seed or algorithm would name two runs alike); dict is a nested
+# section; None marks a key that the section's kind does not use.
+# ``problem`` and ``compressor`` are looked up by their kind.  The key order
+# is the resolved document's.
 SCHEMA = {
     "experiment": {
         "name": (..., _FILE_NAME), "problem": (..., dict), "algorithms": (..., [optim.ALGORITHMS]),
@@ -136,6 +138,8 @@ def _check_value(value, where: str, kind, least=None, most=None) -> None:
             raise SchemaError(f"{where}: expected a nonempty list, got {value!r}")
         for item in value:
             _check_value(item, where, kind[0], least, most)
+        if kind[0] is not float and len(set(value)) < len(value):
+            raise SchemaError(f"{where}: entries must be distinct, got {value!r}")
         return
     expected = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _EXPECTED[kind]
     if isinstance(kind, tuple):

@@ -1,4 +1,4 @@
-from .base import Problem, SmoothnessInfo, power_iteration_norm
+from .base import Problem, SmoothnessInfo
 from .counterexample import CounterexampleProblem
 from .logreg import (
     LogRegProblem,
@@ -13,7 +13,6 @@ from .quadratic import QuadraticProblem, generate_quadratic, load_quadratic_task
 __all__ = [
     "Problem",
     "SmoothnessInfo",
-    "power_iteration_norm",
     "CounterexampleProblem",
     "LogRegProblem",
     "load_libsvm_problem",

@@ -40,22 +40,21 @@ class SmoothnessInfo:
 
 
 class Problem:
-    """Oracle bundle; subclasses fill in the node oracles.
+    """Oracle bundle; subclasses fill in the oracles.
 
-    A stochastic gradient splits into a per-node random draw (``draw``,
-    which consumes the node's stream exactly as one oracle call does) and a
-    deterministic evaluation over a block of node rows given those draws
-    (``stoch_grads``), so a caller can reset each node's stream in turn and
-    then evaluate the whole block at once.
+    Gradients are evaluated over blocks of consecutive node rows.  A
+    stochastic gradient splits into a per-node random draw (``draw``, which
+    consumes the node's stream) and a deterministic evaluation of the block
+    given those draws (``stoch_grads``), so a caller can reset each node's
+    stream in turn and then evaluate the whole block at once, or evaluate
+    the same draws at two iterates as recursive variance-reduced estimators
+    do.
     """
 
     dim: int
     n_nodes: int
     x0: np.ndarray
     sigma: float
-
-    def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         """One row grad f_i(x) per node i of the block ``rows``
@@ -71,20 +70,6 @@ class Problem:
         """One row per node of the block ``rows``: its stochastic gradient at
         x under its draw, ``draws[i - rows.start]``."""
         raise NotImplementedError
-
-    def stoch_grad(self, i: int, x: np.ndarray, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
-        return self.stoch_grads(slice(i, i + 1), x, [self.draw(i, rng, batch)])[0]
-
-    def stoch_grad_pair(
-        self, i: int, x_new: np.ndarray, x_old: np.ndarray, rng: np.random.Generator, batch: int = 1
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Two stochastic gradients sharing one noise realization.
-
-        Required by recursive variance-reduced estimators, which difference
-        gradients at consecutive iterates under the same sample.
-        """
-        rows, draws = slice(i, i + 1), [self.draw(i, rng, batch)]
-        return self.stoch_grads(rows, x_new, draws)[0], self.stoch_grads(rows, x_old, draws)[0]
 
     def value(self, x: np.ndarray) -> float:
         """Global objective f(x) = (1/n) sum_i f_i(x)."""

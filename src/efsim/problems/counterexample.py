@@ -33,6 +33,8 @@ class CounterexampleProblem(Problem):
         n_nodes: int = 1,
         x0=(0.0, -0.01),
     ):
+        if not l_smooth > 0:
+            raise ValueError(f"l_smooth must be > 0, got {l_smooth}")
         if variance_batch < 1:
             raise ValueError("variance_batch must be >= 1")
         self.dim = 2
@@ -45,9 +47,6 @@ class CounterexampleProblem(Problem):
             raise ValueError("x0 must be 2-dimensional")
         scale = np.sqrt(3.0 * self.sigma**2 / (10.0 * self.variance_batch))
         self.atoms = scale * np.array([[2.0, 0.0], [0.0, 1.0], [-2.0, -1.0]])
-
-    def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.l_smooth * x
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         return np.tile(self.l_smooth * x, (rows.stop - rows.start, 1))

@@ -109,9 +109,6 @@ class LogRegProblem(Problem):
 
     # -- Problem interface -------------------------------------------------
 
-    def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.grad(i, x)
-
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         return np.array([self.grad(i, x) for i in range(rows.start, rows.stop)])
 

@@ -90,9 +90,6 @@ class QuadraticProblem(Problem):
 
     # -- oracles ---------------------------------------------------------
 
-    def full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.full_grads(slice(i, i + 1), x)[0]
-
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         if self.dense is not None:  # one matvec per row
             return np.array([q @ x for q in self.dense[rows]]) - self.b[rows]
@@ -114,9 +111,6 @@ class QuadraticProblem(Problem):
         if self.sigma != 0.0:
             g += self._noise_scale * np.array(draws)
         return g
-
-    def node_value(self, i: int, x: np.ndarray) -> float:
-        return 0.5 * float(x @ self.matvec(i, x)) - float(self.b[i] @ x)
 
     def value(self, x: np.ndarray) -> float:
         bbar = self.b.mean(axis=0)

@@ -223,13 +223,17 @@ BIG = 2**64  # one past the largest seed
          "experiment.problem.split"),
         (f'problem={{"kind": "blobs", "classes": 2, "features": 3, "examples": 20, "n": 2, "split_seed": {BIG}}}',
          "experiment.problem.split_seed"),
+        # a run is named by its algorithm and seed, so the lists hold distinct entries
+        ("seeds=[0,0]", "experiment.seeds"),  # used to write one CSV twice over and list it twice
+        ('algorithms=["ef21_sgdm","ef21_sgdm"]', "experiment.algorithms"),  # used to run all, then die in min()
+        ('tune={"k_lo": -2, "k_hi": 0, "seeds": [3, 3]}', "experiment.tune.seeds"),
     ],
     ids=["string_gamma", "string_lam", "null_eta", "string_theoretical", "string_lyapunov",
          "identity_k", "topk_tau", "hard_threshold_k", "hard_threshold_no_tau", "unknown_compressor",
          "seed_2_64", "problem_seed_2_64", "tune_seed_2_64", "tune_seeds_empty",
          "k_hi_1030", "k_lo_-1075", "k_lo_above_k_hi", "criterion", "name_path", "name_int", "name_empty",
          "name_dotdot", "name_nul", "out_int", "schedule", "x0_string", "path_int", "split",
-         "split_seed_2_64"],
+         "split_seed_2_64", "seeds_repeated", "algorithms_repeated", "tune_seeds_repeated"],
 )
 def test_mistyped_real_and_bool_keys_are_rejected_naming_the_key(tmp_path, capsys, override, key):
     # every key of the schema table, not only the real and boolean ones
@@ -254,19 +258,28 @@ def test_mistyped_real_and_bool_keys_are_rejected_naming_the_key(tmp_path, capsy
         (["sweep", "EXP", "--workers", "-3"], "--workers"),
         (["reproduce", "fig1", "--workers", "0"], "--workers"),
         (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "0.1", "--s", "1", "--seed", "-1"], "seed"),
+        (["sweep", "EXP", "--metric-every", "0"], "experiment.metric_every"),  # used to be ignored
     ],
     ids=["verify_seed_negative", "verify_seed_2_64", "sweep_k_hi_1024", "sweep_k_lo_-1075", "sweep_k_lo_above_k_hi",
          "sweep_seed_negative", "run_seed_2_64", "run_workers_0", "sweep_workers_-3", "reproduce_workers_0",
-         "gen_seed_negative"],
+         "gen_seed_negative", "sweep_metric_every_0"],
 )
 def test_bad_flag_is_rejected_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     argv = [str(out) if a == "OUT" else write_exp(tmp_path, minimal_experiment()) if a == "EXP" else a for a in argv]
-    if argv[0] in ("run", "sweep", "reproduce"):
+    if argv[0] in ("run", "reproduce"):
         argv += ["--out", str(out)]
     assert main(argv) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_has_no_out_flag(tmp_path, capsys):
+    # sweep writes no file; a usage error exits 1 like a bad document (2 means every run diverged)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", write_exp(tmp_path, minimal_experiment()), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_missing_task_file_is_usage_error(tmp_path, capsys):
@@ -274,10 +287,28 @@ def test_missing_task_file_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     exp = minimal_experiment(problem={"kind": "quadratic_file", "path": missing})
     out = tmp_path / "out"
-    for cmd in ("run", "sweep"):
-        assert main([cmd, write_exp(tmp_path, exp), "--out", str(out), "--workers", "1"]) == 1
+    for argv in (["run", "--out", str(out)], ["sweep"]):
+        assert main([*argv, write_exp(tmp_path, exp), "--workers", "1"]) == 1
         assert missing in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("theoretical", [False, True], ids=["fixed_gamma", "theoretical"])
+@pytest.mark.parametrize("l_smooth", [-1, 0])
+def test_nonpositive_l_smooth_is_rejected_naming_it(tmp_path, capsys, l_smooth, theoretical):
+    # -1 used to run to a negative obj_gap, 0 with theoretical step sizes to a ZeroDivisionError
+    out = tmp_path / "out"
+    argv = ["run", write_exp(tmp_path, minimal_experiment()), "--override", f"problem.l_smooth={l_smooth}"]
+    argv += ["--override", f"hyper.theoretical={json.dumps(theoretical)}", "--out", str(out), "--workers", "1"]
+    assert main(argv) == 1
+    assert "l_smooth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_x0_values_are_accepted():
+    # x0 is a point, not a list of names
+    exp = minimal_experiment(problem={"kind": "counterexample", "x0": [0.5, 0.5]})
+    assert validate_experiment(exp)["problem"]["x0"] == [0.5, 0.5]
 
 
 # a manifest as the previous schema resolved it ("tau": null on topk): it
@@ -504,6 +535,21 @@ def test_cmd_sweep_builder_error_is_usage_error(tmp_path, capsys, problem, compr
     assert message in capsys.readouterr().err
 
 
+def test_cmd_sweep_never_computes_lyapunov(tmp_path, capsys, monkeypatch):
+    # no criterion reads the column; the printed table does not depend on it
+    from efsim import harness
+
+    calls = []
+    real = harness.lyapunov
+    monkeypatch.setattr(harness, "lyapunov", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    outs = []
+    for lyapunov in (False, True):
+        path = write_exp(tmp_path, minimal_experiment(seeds=[0, 1], lyapunov=lyapunov, lyapunov_every=5))
+        assert main(["sweep", path, "--k-lo", "-12", "--k-hi", "-9", "--workers", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert calls == [] and outs[0] == outs[1] and "best gamma" in outs[0]
+
+
 def test_cmd_sweep_workers_match_serial(tmp_path, capsys):
     path = write_exp(tmp_path, _diverging_tune_experiment())
     outs = []
@@ -528,6 +574,17 @@ def test_reproduce_writes_experiment_files(tmp_path):
     # the emitted experiment file is itself runnable
     exp = load_experiment_file(os.path.join(out, "fig1_n1__experiment.json"))
     validate_experiment(exp)
+
+
+def test_reproduce_flags_win_over_overrides(tmp_path):
+    # one order for run, sweep and reproduce: overrides, then flags
+    out = tmp_path / "rep"
+    argv = ["reproduce", "fig1", "--rounds", "20", "--override", "seeds=[1,2]", "--seed", "3", "--metric-every", "4"]
+    assert main([*argv, "--override", "metric_every=5", "--out", str(out), "--workers", "1"]) == 0
+    exp = load_experiment_file(str(out / "fig1_n1__experiment.json"))
+    assert exp["seeds"] == [3] and exp["metric_every"] == 4
+    traces = sorted(f for f in os.listdir(out) if f.startswith("fig1_n1__ef21_sgdm__seed"))
+    assert traces == ["fig1_n1__ef21_sgdm__seed3.csv"]
 
 
 def test_unknown_preset_rejected_by_parser():

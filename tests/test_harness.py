@@ -167,13 +167,13 @@ def test_lyapunov_logged_at_own_cadence():
 
 
 def _lyapunov_per_node(prob, x, nodes, gamma, eta, alpha):
-    """The descent diagnostic with one full_grad call per node, summed in
-    ascending node order."""
+    """The descent diagnostic with each node's gradient taken from its own
+    one-row block, summed in ascending node order."""
     n = prob.n_nodes
     comp_err = mom_err = 0.0
     mean_dev = np.zeros(prob.dim)
     for i in range(n):
-        dev = nodes.v[i] - prob.full_grad(i, x)
+        dev = nodes.v[i] - prob.full_grads(slice(i, i + 1), x)[0]
         comp_err += norm_sq(nodes.g[i] - nodes.v[i])
         mom_err += norm_sq(dev)
         mean_dev += dev

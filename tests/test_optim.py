@@ -76,10 +76,10 @@ def test_init_noiseless_equals_full_gradient():
     server, nodes, log = optim.init("ef21_sgdm", prob, HyperParams(gamma=0.1, rounds=1, b_init=1), top_k(2, 20), streams)
     assert len(nodes) == prob.n_nodes
     for i in range(prob.n_nodes):
-        full = prob.full_grad(i, prob.x0)
+        full = prob.full_grads(slice(i, i + 1), prob.x0)[0]
         assert np.array_equal(nodes.g[i], full)
         assert np.array_equal(nodes.v[i], full)
-    mean = np.mean([prob.full_grad(i, prob.x0) for i in range(prob.n_nodes)], axis=0)
+    mean = np.mean(prob.full_grads(slice(0, prob.n_nodes), prob.x0), axis=0)
     assert np.allclose(server.g, mean, rtol=1e-12)
     assert log.grad_evals == 1
 
@@ -136,7 +136,7 @@ def test_storm_noiseless_state_is_exact_gradient():
 
     def check(server, nodes, log):
         for i in range(prob.n_nodes):
-            assert np.array_equal(nodes.w[i], prob.full_grad(i, server.x))
+            assert np.array_equal(nodes.w[i], prob.full_grads(slice(i, i + 1), server.x)[0])
 
     roll("ef21_storm", prob, comp, hp, seed=6, rounds=10, collect=check)
 

@@ -20,6 +20,16 @@ from efsim.problems import (
 )
 
 
+def node_grad(prob, i, x):
+    """grad f_i(x): the block oracle on the one-row block of node i."""
+    return prob.full_grads(slice(i, i + 1), x)[0]
+
+
+def node_stoch_grad(prob, i, x, rng, batch=1):
+    """One size-``batch`` stochastic gradient at node i, drawn from ``rng``."""
+    return prob.stoch_grads(slice(i, i + 1), x, [prob.draw(i, rng, batch)])[0]
+
+
 def central_diff_grad(f, x, h=1e-5):
     g = np.zeros_like(x)
     for j in range(len(x)):
@@ -73,9 +83,9 @@ def test_generator_large_dimension_eigenvalue_oracle():
 def test_quadratic_full_grad_hand_case():
     q = np.array([[[2.0, -1.0], [-1.0, 2.0]]]) / 4.0
     prob = QuadraticProblem.from_matrices(q, np.zeros((1, 2)), x0=np.zeros(2))
-    g = prob.full_grad(0, np.array([1.0, 1.0]))
+    g = node_grad(prob, 0, np.array([1.0, 1.0]))
     assert np.allclose(g, [0.25, 0.25])
-    assert np.allclose(prob.full_grad(0, np.zeros(2)), -prob.b[0])
+    assert np.allclose(node_grad(prob, 0, np.zeros(2)), -prob.b[0])
 
 
 def test_quadratic_grad_matches_finite_differences():
@@ -83,8 +93,8 @@ def test_quadratic_grad_matches_finite_differences():
     rng = derive_stream(3, 0, 0)
     for i in range(3):
         x = rng.standard_normal(8)
-        fd = central_diff_grad(lambda y, i=i: prob.node_value(i, y), x)
-        g = prob.full_grad(i, x)
+        fd = central_diff_grad(lambda y, i=i: 0.5 * y @ prob.matvec(i, y) - prob.b[i] @ y, x)
+        g = node_grad(prob, i, x)
         assert np.allclose(g, fd, rtol=1e-4, atol=1e-6)
 
 
@@ -94,14 +104,14 @@ def test_quadratic_stochastic_gradient_noise_model():
     # sigma=0 path is bitwise the full gradient
     quiet = generate_quadratic(2, 10, 0.1, 1.0, seed=4, sigma=0.0)
     x = point_rng.standard_normal(10)
-    assert np.array_equal(quiet.stoch_grad(0, x, derive_stream(5, 0, 1)), quiet.full_grad(0, x))
+    assert np.array_equal(node_stoch_grad(quiet, 0, x, derive_stream(5, 0, 1)), node_grad(quiet, 0, x))
 
     # unbiased at 5 random points, and second moment of the noise is sigma^2
     n_draws = 4000
     for p in range(5):
         x = point_rng.standard_normal(10)
-        draws = np.stack([prob.stoch_grad(0, x, derive_stream(6, p, t)) for t in range(n_draws)])
-        full = prob.full_grad(0, x)
+        draws = np.stack([node_stoch_grad(prob, 0, x, derive_stream(6, p, t)) for t in range(n_draws)])
+        full = node_grad(prob, 0, x)
         noise = draws - full
         se = noise.std(axis=0, ddof=1) / math.sqrt(n_draws)
         assert np.all(np.abs(draws.mean(axis=0) - full) <= 4 * se)
@@ -112,8 +122,8 @@ def test_quadratic_stochastic_gradient_noise_model():
 def test_quadratic_batch_reduces_variance():
     prob = generate_quadratic(1, 6, 0.1, 0.0, seed=1, sigma=1.0)
     x = prob.x0
-    draws = np.stack([prob.stoch_grad(0, x, derive_stream(7, 0, t), batch=16) for t in range(4000)])
-    sq = ((draws - prob.full_grad(0, x)) ** 2).sum(axis=1)
+    draws = np.stack([node_stoch_grad(prob, 0, x, derive_stream(7, 0, t), batch=16) for t in range(4000)])
+    sq = ((draws - node_grad(prob, 0, x)) ** 2).sum(axis=1)
     assert sq.mean() == pytest.approx(1.0 / 16, rel=0.15)
 
 
@@ -196,12 +206,12 @@ def test_counterexample_compressed_noise_bias():
 
 def test_counterexample_oracles():
     prob = CounterexampleProblem(l_smooth=1.0, sigma=1.0, n_nodes=3, x0=(0.0, -0.01))
-    assert np.array_equal(prob.full_grad(1, prob.x0), prob.x0)
+    assert np.array_equal(node_grad(prob, 1, prob.x0), prob.x0)
     assert prob.value(np.zeros(2)) == 0.0
     sm = prob.smoothness()
     assert sm.L == 1.0 and sm.f_star == 0.0 and np.all(sm.L_i == 1.0)
-    g = prob.stoch_grad(0, prob.x0, derive_stream(1, 0, 1))
-    diff = g - prob.full_grad(0, prob.x0)
+    g = node_stoch_grad(prob, 0, prob.x0, derive_stream(1, 0, 1))
+    diff = g - node_grad(prob, 0, prob.x0)
     norms = np.round((prob.atoms**2).sum(axis=1), 12)
     assert round(norm_sq(diff), 12) in set(norms.tolist())
 
@@ -211,6 +221,9 @@ def test_counterexample_validation():
         CounterexampleProblem(variance_batch=0)
     with pytest.raises(ValueError):
         CounterexampleProblem(x0=(1.0, 2.0, 3.0))
+    for l_smooth in (0.0, -1.0):  # f = (L/2)||x||^2 needs L > 0 for f* = 0
+        with pytest.raises(ValueError, match="l_smooth"):
+            CounterexampleProblem(l_smooth=l_smooth)
 
 
 # -- logistic regression ------------------------------------------------------
@@ -264,8 +277,8 @@ def test_regularizer_gradient_hand_value():
 def test_logreg_minibatch_unbiased():
     prob = _tiny_logreg(classes=2, features=3, per_node=6, nodes=1, seed=21)
     x = 0.3 * derive_stream(22, 0, 0).standard_normal(prob.dim)
-    full = prob.full_grad(0, x)
-    draws = np.stack([prob.stoch_grad(0, x, derive_stream(23, 0, t), batch=2) for t in range(8000)])
+    full = node_grad(prob, 0, x)
+    draws = np.stack([node_stoch_grad(prob, 0, x, derive_stream(23, 0, t), batch=2) for t in range(8000)])
     se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0) - full) <= 4 * se + 1e-12)
 
@@ -390,10 +403,11 @@ def test_block_oracles_equal_per_node_oracles_bitwise(prob, batch):
     sg_old = prob.stoch_grads(rows, x_old, draws)
     assert full.shape == sg.shape == (prob.n_nodes - 1, prob.dim)
     for r, i in enumerate(range(1, prob.n_nodes)):
-        assert np.array_equal(full[r], prob.full_grad(i, x))
-        assert np.array_equal(sg[r], prob.stoch_grad(i, x, derive_stream(10, i, 1), batch))
-        pair = prob.stoch_grad_pair(i, x, x_old, derive_stream(10, i, 1), batch)
-        assert np.array_equal(sg[r], pair[0]) and np.array_equal(sg_old[r], pair[1])
+        # the one-row block of node i, with its own fresh draw from the same stream
+        row, draw = slice(i, i + 1), [prob.draw(i, derive_stream(10, i, 1), batch)]
+        assert np.array_equal(full[r], prob.full_grads(row, x)[0])
+        assert np.array_equal(sg[r], prob.stoch_grads(row, x, draw)[0])
+        assert np.array_equal(sg_old[r], prob.stoch_grads(row, x_old, draw)[0])
 
 
 @pytest.mark.parametrize(
@@ -414,9 +428,9 @@ def test_mean_full_grad_equals_per_node_sum_bitwise(prob, block_bytes, monkeypat
     if block_bytes is not None:
         monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
     x = derive_stream(12, 0, 0).standard_normal(prob.dim)
-    g = prob.full_grad(0, x).copy()
+    g = node_grad(prob, 0, x).copy()
     for i in range(1, prob.n_nodes):
-        g += prob.full_grad(i, x)
+        g += node_grad(prob, i, x)
     assert np.array_equal(prob.mean_full_grad(x), g / prob.n_nodes)
 
 
