@@ -30,12 +30,11 @@ from .experiments import (
     check_grid,
     load_experiment_file,
     run_experiment,
-    task_runner,
+    tune_gamma,
     validate_experiment,
     worker_pool,
-    _build_config,
 )
-from .harness import SweepDiverged, power_grid, sweep as sweep_gammas
+from .harness import SweepDiverged
 from .presets import PRESET_NAMES, preset_experiments, preset_note
 from .problems import generate_quadratic, make_blobs, save_quadratic_task, write_libsvm
 
@@ -79,31 +78,30 @@ def _prepare(doc: dict, args) -> dict:
     return validate_experiment(doc)
 
 
-def _print_summary(name: str, summary: dict) -> None:
+def _print_summary(exp: dict, summary: dict) -> bool:
+    """Print a line per algorithm; return whether every run diverged."""
     for algo, stats in summary.items():
-        if algo.startswith("_"):
-            continue
         print(
-            f"  {name} {algo}: gamma={stats['gamma']:.6g} "
+            f"  {exp['name']} {algo}: gamma={stats['gamma']:.6g} "
             f"median final |grad|={stats['final_grad_norm_median']:.6g} "
             f"median final gap={stats['final_obj_gap_median']:.6g} "
             f"diverged {stats['diverged_seeds']} seed(s)"
         )
+    return all(stats["diverged_seeds"] == len(exp["seeds"]) for stats in summary.values())
 
 
 def cmd_run(args) -> int:
     try:
         exp = _prepare(load_experiment_file(args.experiment), args)
-        summary = run_experiment(exp, args.out or exp["out"] or "results", workers=args.workers)
+        manifest, summary = run_experiment(exp, args.out or exp["out"] or "results", workers=args.workers)
     except (OSError, ValueError) as exc:  # a bad file or document, or e.g. an incompatible algorithm/compressor pair
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SweepDiverged as exc:
         print(exc)
         return 2
-    print(f"wrote {summary['_manifest']}")
-    _print_summary(exp["name"], summary)
-    return 2 if summary["_all_diverged"] else 0
+    print(f"wrote {manifest}")
+    return 2 if _print_summary(exp, summary) else 0
 
 
 def cmd_reproduce(args) -> int:
@@ -125,20 +123,17 @@ def cmd_reproduce(args) -> int:
             with open(os.path.join(out_dir, f"{exp['name']}__experiment.json"), "w") as fh:
                 json.dump(exp, fh, indent=1)
                 fh.write("\n")
-            summary = run_experiment(exp, out_dir, workers=args.workers)
+            _, summary = run_experiment(exp, out_dir, workers=args.workers)
         except (OSError, ValueError) as exc:  # a bad override, or e.g. a problem size its generator rejects
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except SweepDiverged as exc:  # counts as an experiment whose every run diverged
             print(exc)
             continue
-        _print_summary(exp["name"], summary)
-        all_diverged = all_diverged and summary["_all_diverged"]
+        all_diverged = _print_summary(exp, summary) and all_diverged
         if args.figure == "speedup":
             n = exp["problem"]["n"]
-            for algo, stats in summary.items():
-                if not algo.startswith("_"):
-                    speedup_rows.append((algo, n, stats["final_grad_norm_median"]))
+            speedup_rows += [(algo, n, stats["final_grad_norm_median"]) for algo, stats in summary.items()]
     if speedup_rows:
         print("median final gradient norm by node count:")
         for algo, n, val in sorted(speedup_rows):
@@ -178,18 +173,15 @@ def cmd_gen(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        # no criterion reads the Lyapunov column, so the sweep never computes it
-        exp = {**_prepare(load_experiment_file(args.experiment), args), "lyapunov": False}
+        exp = _prepare(load_experiment_file(args.experiment), args)
         check_grid(args.k_lo, args.k_hi, "--k-lo", "--k-hi")
-        grid = power_grid(args.k_lo, args.k_hi)
+        tune = {"k_lo": args.k_lo, "k_hi": args.k_hi, "criterion": args.criterion, "seeds": None}
         rc = 0
         problem = build_problem(exp["problem"])
         with worker_pool(args.workers) as pool:
             for algorithm in exp["algorithms"]:
-                cfg = _build_config(exp, algorithm, problem)
-                runner = task_runner(pool, exp, algorithm) if pool else None
                 try:
-                    result = sweep_gammas(cfg, grid, args.criterion, runner)
+                    result = tune_gamma(exp, algorithm, problem, tune, pool)
                 except SweepDiverged as exc:
                     print(exc)
                     rc = 2

@@ -15,16 +15,17 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, optim
-from .compress import Compressor, absolute_delta, contraction_alpha, hard_threshold, identity, rand_k, top_k
+from .compress import Compressor, absolute_delta, contraction_alpha
 from .core import SEED_MAX
 from .harness import (
     RunConfig,
     RunTrace,
+    SweepResult,
+    _with_gamma,
     power_grid,
     run,
     run_quantiles,
@@ -54,11 +55,14 @@ __all__ = [
     "build_problem",
     "build_compressor",
     "resolve_hyper",
+    "tune_gamma",
     "run_experiment",
     "load_experiment_file",
 ]
 
 MANIFEST_FORMAT = "efsim-manifest"
+# the manifest's resolved_hyper keys, in its order
+_RESOLVED_KEYS = ("gamma", "eta", "batch", "b_init", "rounds", "schedule")
 
 
 class SchemaError(ValueError):
@@ -244,16 +248,7 @@ def build_problem(spec: dict) -> Problem:
 
 
 def build_compressor(spec: dict, dim: int) -> Compressor:
-    kind = spec["kind"]
-    if kind == "topk":
-        return top_k(spec["k"], dim)
-    if kind == "randk":
-        return rand_k(spec["k"], dim)
-    if kind == "identity":
-        return identity(dim)
-    if kind == "hard_threshold":
-        return hard_threshold(spec["tau"], dim)
-    raise SchemaError(f"unknown compressor kind {kind!r}")
+    return Compressor(spec["kind"], dim, k=spec["k"] or 0, tau=spec["tau"] or 0.0)
 
 
 def resolve_hyper(exp: dict, algorithm: str, problem: Problem, comp: Compressor) -> HyperParams:
@@ -285,9 +280,7 @@ def resolve_hyper(exp: dict, algorithm: str, problem: Problem, comp: Compressor)
     )
 
 
-def _build_config(exp: dict, algorithm: str, problem: Problem | None = None) -> RunConfig:
-    if problem is None:
-        problem = build_problem(exp["problem"])
+def _build_config(exp: dict, algorithm: str, problem: Problem) -> RunConfig:
     comp = build_compressor(exp["compressor"], problem.dim)
     hyper = resolve_hyper(exp, algorithm, problem, comp)
     return RunConfig(
@@ -302,19 +295,15 @@ def _build_config(exp: dict, algorithm: str, problem: Problem | None = None) -> 
     )
 
 
-def _tune_config(exp: dict, algorithm: str, problem: Problem) -> RunConfig:
-    """The configuration the tuning sweep runs: the tune section's seeds, if
-    it names any, and never the Lyapunov diagnostic, which no criterion
-    reads."""
-    cfg = _build_config(exp, algorithm, problem)
-    return replace(cfg, seeds=tuple(exp["tune"]["seeds"] or cfg.seeds), lyapunov=False)
-
-
-def _run_task(exp: dict, algorithm: str, seed: int, gamma: float, tuning: bool = False) -> RunTrace:
+def _run_task(exp: dict, algorithm: str, gamma: float, seed: int) -> RunTrace:
     """Worker entry: rebuild everything from the declarative spec."""
-    problem = build_problem(exp["problem"])
-    cfg = (_tune_config if tuning else _build_config)(exp, algorithm, problem)
-    return run(replace(cfg, hyper=replace(cfg.hyper, gamma=gamma)), seed)
+    return run(_with_gamma(_build_config(exp, algorithm, build_problem(exp["problem"])), gamma), seed)
+
+
+def _submit(pool, exp: dict, algorithm: str, pairs) -> list:
+    """Futures of the (gamma, seed) runs of one algorithm, each rebuilt from
+    the spec in a worker, submitted at once and in the order given."""
+    return [pool.submit(_run_task, exp, algorithm, gamma, seed) for gamma, seed in pairs]
 
 
 def worker_pool(workers: int):
@@ -323,78 +312,71 @@ def worker_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
 
 
-def task_runner(pool, exp: dict, algorithm: str, tuning: bool = False):
-    """A runner in the sense of ``harness.sweep``: it maps (gamma, seed)
-    pairs of one algorithm to their traces, in the order given, through
-    ``_run_task`` (``tuning`` selects the tune section's configuration).
-    With a pool every pair is submitted at once; without one they run one
-    after another in this process."""
+def tune_gamma(exp: dict, algorithm: str, problem: Problem, tune: dict, pool=None) -> SweepResult:
+    """Sweep the step-size grid of the tune section ``tune`` for one
+    algorithm of the validated experiment ``exp``.
 
-    def runner(pairs):
-        if pool is None:
-            return (_run_task(exp, algorithm, seed, gamma, tuning) for gamma, seed in pairs)
-        futures = [pool.submit(_run_task, exp, algorithm, seed, gamma, tuning) for gamma, seed in pairs]
-        return (fut.result() for fut in futures)
+    The sweep runs the tune section's seeds, if it names any, else the
+    experiment's, and never computes the Lyapunov diagnostic, which no
+    criterion reads.  Without a pool every run happens in this process on
+    ``problem``; with one, each is rebuilt from the spec in a worker.  If
+    every step size diverges, ``SweepDiverged`` is raised.
+    """
+    doc = {**exp, "seeds": tune["seeds"] or exp["seeds"], "lyapunov": False}
+    runner = None if pool is None else lambda pairs: (fut.result() for fut in _submit(pool, doc, algorithm, pairs))
+    grid = power_grid(tune["k_lo"], tune["k_hi"])
+    return sweep(_build_config(doc, algorithm, problem), grid, tune["criterion"], runner)
 
-    return runner
 
-
-def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> dict:
+def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict]:
     """Execute every (algorithm, seed) pair, write traces, quantiles, and a
-    manifest; return a summary keyed by algorithm.
+    manifest; return the manifest's path and a summary keyed by algorithm.
 
-    With ``workers > 1`` one process pool serves every run of the call, the
-    tuning sweeps' and the final ones; each run is rebuilt from the spec
-    alone, so the outputs do not depend on ``workers``.  If every tuning
-    step size of an algorithm diverges, ``SweepDiverged`` is raised.
+    Every configuration is built, and so checked, before ``out_dir`` is
+    made.  With ``workers > 1`` one process pool serves every run of the
+    call, the tuning sweeps' and the final ones, each rebuilt from the spec
+    alone; without one every run reuses the configuration built here.  The
+    outputs do not depend on ``workers``.  If every tuning step size of an
+    algorithm diverges, ``SweepDiverged`` is raised.
     """
     exp = validate_experiment(exp)
     problem = build_problem(exp["problem"])
-    os.makedirs(out_dir, exist_ok=True)
     algorithms, seeds, tune = exp["algorithms"], exp["seeds"], exp["tune"]
-    grid = power_grid(tune["k_lo"], tune["k_hi"]) if tune is not None else []
+    configs = {a: _build_config(exp, a, problem) for a in algorithms}
+    os.makedirs(out_dir, exist_ok=True)
     pooled = tune is not None or len(algorithms) * len(seeds) > 1
 
-    resolved_hyper: dict[str, dict] = {}
     with worker_pool(workers if pooled else 1) as pool:
-        for algorithm in algorithms:
-            cfg = _build_config(exp, algorithm, problem)
-            gamma = cfg.hyper.gamma
-            if tune is not None:
-                runner = task_runner(pool, exp, algorithm, tuning=True) if pool else None
-                gamma = sweep(_tune_config(exp, algorithm, problem), grid, tune["criterion"], runner).best_gamma
-            resolved_hyper[algorithm] = {
-                "gamma": gamma,
-                "eta": cfg.hyper.eta,
-                "batch": cfg.hyper.batch,
-                "b_init": cfg.hyper.b_init,
-                "rounds": cfg.hyper.rounds,
-                "schedule": cfg.hyper.schedule,
-            }
-        # every final run is submitted before any is collected
-        runs = {a: task_runner(pool, exp, a)([(resolved_hyper[a]["gamma"], s) for s in seeds]) for a in algorithms}
-        traces = {a: list(runs[a]) for a in algorithms}
+        if tune is not None:
+            for a in algorithms:
+                configs[a] = _with_gamma(configs[a], tune_gamma(exp, a, problem, tune, pool).best_gamma)
+        if pool is None:
+            traces = {a: [run(configs[a], s) for s in seeds] for a in algorithms}
+        else:  # every final run is submitted before any is collected
+            futures = {a: _submit(pool, exp, a, [(configs[a].hyper.gamma, s) for s in seeds]) for a in algorithms}
+            traces = {a: [fut.result() for fut in futures[a]] for a in algorithms}
 
     outputs = []
     summary = {}
+    resolved_hyper = {}
     name = exp["name"]
-    for algorithm in exp["algorithms"]:
+    for algorithm in algorithms:
+        hyper = configs[algorithm].hyper
+        resolved_hyper[algorithm] = {key: getattr(hyper, key) for key in _RESOLVED_KEYS}
         algo_traces = traces[algorithm]
         for tr in algo_traces:
             fname = f"{name}__{algorithm}__seed{tr.seed}.csv"
             write_trace_csv(os.path.join(out_dir, fname), tr)
             outputs.append(fname)
-        cfg = _build_config(exp, algorithm, problem)
-        qt = run_quantiles(cfg, traces=algo_traces)
         qname = f"{name}__{algorithm}__quantiles.csv"
-        write_quantiles_csv(os.path.join(out_dir, qname), qt)
+        write_quantiles_csv(os.path.join(out_dir, qname), run_quantiles(algo_traces))
         outputs.append(qname)
         ok = [tr for tr in algo_traces if not trace_diverged(tr)]
         summary[algorithm] = {
             "diverged_seeds": len(algo_traces) - len(ok),
             "final_grad_norm_median": float(np.median([tr.final.grad_norm for tr in ok])) if ok else math.inf,
             "final_obj_gap_median": float(np.median([tr.final.obj_gap for tr in ok])) if ok else math.inf,
-            "gamma": resolved_hyper[algorithm]["gamma"],
+            "gamma": hyper.gamma,
         }
 
     manifest = {
@@ -411,11 +393,7 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> dict:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     os.replace(tmp, mpath)
-    summary["_manifest"] = mpath
-    summary["_all_diverged"] = all(
-        summary[a]["diverged_seeds"] == len(exp["seeds"]) for a in exp["algorithms"]
-    )
-    return summary
+    return mpath, summary
 
 
 def load_experiment_file(path: str) -> dict:

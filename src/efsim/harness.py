@@ -61,6 +61,7 @@ class RunConfig:
     lyapunov_every: int = 10  # full metrics are cheap, this one costs n gradient oracles
 
     def __post_init__(self):
+        optim.validate_pairing(self.algorithm, self.compressor)
         if self.metric_every < 1:
             raise ValueError("metric_every must be >= 1")
         if not self.seeds:
@@ -225,15 +226,13 @@ class QuantileTrace:
     METRICS = ("coords_cum", "samples_cum", "grad_norm", "obj_gap", "lyapunov")
 
 
-def run_quantiles(cfg: RunConfig, traces: list[RunTrace] | None = None) -> QuantileTrace:
-    """Median and quartile bands across cfg.seeds (pointwise per round).
+def run_quantiles(traces: list[RunTrace]) -> QuantileTrace:
+    """Median and quartile bands across the seeds' traces (pointwise per round).
 
     Runs that failed midway are excluded from aggregation; if every seed
     failed the quantiles are over the (possibly empty) common prefix of all
     traces.  A single seed yields bands equal to its own trace.
     """
-    if traces is None:
-        traces = [run(cfg, s) for s in cfg.seeds]
     complete = [tr for tr in traces if tr.failure_round is None]
     pool = complete if complete else traces
     min_rows = min(len(tr.records) for tr in pool)

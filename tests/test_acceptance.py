@@ -1,12 +1,13 @@
 """Acceptance suite: one test per shipped guarantee, each printing a
 [PASS]/[FAIL] line with the measured statistics.
 
-Checks 4, 5, 6 and 9 run the ``efsim verify`` suites ``reductions``,
-``compressors``, ``lyapunov`` and ``storm`` of ``efsim.checks``, the only
-implementation of those checks.  The floor checks (2, 3, 7) judge seed
-means against the closed-form expected final error of the uncompressed
-counterpart (``momentum_floor``) within 3 standard errors, and print the
-closed form, the measured mean, its standard error and the z-score.
+Checks 1, 4, 5, 6 and 9 run the ``efsim verify`` suites ``theorem1``,
+``reductions``, ``compressors``, ``lyapunov`` and ``storm`` of
+``efsim.checks``, the only implementation of those checks.  The floor
+checks (2, 3, 7) judge seed means against the closed-form expected final
+error of the uncompressed counterpart (``momentum_floor``) within 3
+standard errors, and print the closed form, the measured mean, its
+standard error and the z-score.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The divergence study
 (checks 2 and 3) takes about 1.5 minutes and the step-size-tuned quadratic
@@ -25,7 +26,7 @@ import pytest
 from efsim.checks import run_suite
 from efsim.compress import identity, top_k
 from efsim.experiments import run_experiment
-from efsim.harness import RunConfig, momentum_floor, power_grid, run, sweep, theorem1_check
+from efsim.harness import RunConfig, momentum_floor, power_grid, run, sweep
 from efsim.optim import HyperParams
 from efsim.problems import CounterexampleProblem, generate_quadratic
 
@@ -35,6 +36,13 @@ def report(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def check_suite(suite, seed):
+    """Run one ``efsim verify`` suite, print a line per check, and assert
+    that every check passed."""
+    failed = [f"{r.name}: {r.detail}" for r in run_suite(suite, seed) if not report(r.name, r.passed, r.detail)]
+    assert not failed, "; ".join(failed)
+
+
 # ---------------------------------------------------------------------------
 # 1. lower bound for the idealized compressed method on the adversarial
 #    two-dimensional instance
@@ -42,16 +50,7 @@ def report(name: str, ok: bool, detail: str) -> bool:
 
 
 def test_01_lower_bound_on_counterexample():
-    rep = theorem1_check(
-        l_smooth=1.0, sigma=1.0, gamma=1e-3, n=1, variance_batch=1, rounds=10_000, seeds=range(50), x0=(0.0, -0.01)
-    )
-    ok = rep.lhs - 3.0 * rep.stderr >= rep.rhs
-    assert report(
-        "lower bound",
-        ok,
-        f"mean |grad|^2 = {rep.lhs:.4e} (stderr {rep.stderr:.2e}) >= {rep.rhs:.4e} with "
-        f"{rep.margin_se:.0f} standard errors of margin",
-    )
+    check_suite("theorem1", seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +166,6 @@ def test_03_node_scaling(divergence_finals):
 # 4.-6. the reduction identities, the compressor definitions and the descent
 #       diagnostic: the ``efsim verify`` suites of the same names
 # ---------------------------------------------------------------------------
-
-
-def check_suite(suite, seed):
-    """Run one ``efsim verify`` suite, print a line per check, and assert
-    that every check passed."""
-    failed = [f"{r.name}: {r.detail}" for r in run_suite(suite, seed) if not report(r.name, r.passed, r.detail)]
-    assert not failed, "; ".join(failed)
 
 
 def test_04_reduction_identities():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from efsim.cli import main
 from efsim.experiments import (
     SchemaError,
     _run_task,
-    _tune_config,
     build_problem,
     load_experiment_file,
     run_experiment,
+    tune_gamma,
     validate_experiment,
 )
 from efsim.harness import read_trace_csv
@@ -368,15 +369,33 @@ def test_all_seeds_diverging_exit_code(tmp_path):
     assert main(["run", path, "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
 
 
-def test_parallel_workers_match_serial(tmp_path):
-    exp = minimal_experiment(seeds=[0, 1, 2, 3])
+def _assert_workers_match(tmp_path, exp, workers="2"):
+    """Run ``exp`` at ``--workers 1`` and ``workers``: both exit 0 and write
+    the same files, the manifest included, byte for byte.  Return the
+    second output directory."""
     path = write_exp(tmp_path, exp)
-    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "par")
-    main(["run", path, "--out", out1, "--workers", "1"])
-    main(["run", path, "--out", out2, "--workers", "4"])
-    for name in sorted(os.listdir(out1)):
-        if name.endswith(".csv"):
-            assert open(os.path.join(out1, name), "rb").read() == open(os.path.join(out2, name), "rb").read()
+    serial, par = tmp_path / "serial", tmp_path / "par"
+    assert main(["run", path, "--out", str(serial), "--workers", "1"]) == 0
+    assert main(["run", path, "--out", str(par), "--workers", workers]) == 0
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(par)) and f"{exp['name']}__manifest.json" in names
+    for name in names:
+        assert (serial / name).read_bytes() == (par / name).read_bytes(), name
+    return par
+
+
+def test_parallel_workers_match_serial(tmp_path):
+    _assert_workers_match(tmp_path, minimal_experiment(seeds=[0, 1, 2, 3]), workers="4")
+
+
+def test_parallel_workers_match_serial_theoretical_lyapunov(tmp_path):
+    # serial final runs reuse the configuration built in this process, pooled
+    # ones rebuild it (theoretical step sizes included) from the spec
+    exp = minimal_experiment(seeds=[0, 1], algorithms=["ef21_sgdm", "ef21_sgd2m"], lyapunov=True, lyapunov_every=5)
+    exp["problem"] = {"kind": "quadratic", "n": 4, "d": 20, "lam": 0.1, "s": 1.0, "sigma": 0.01}
+    exp["compressor"] = {"kind": "topk", "k": 2}
+    exp["hyper"] = {"theoretical": True, "rounds": 40}
+    _assert_workers_match(tmp_path, exp)
 
 
 @pytest.mark.parametrize("tune_seeds", [[5, 6], None], ids=["own_seeds", "run_seeds"])
@@ -386,28 +405,81 @@ def test_parallel_workers_match_serial_under_tuning(tmp_path, tune_seeds):
     exp = minimal_experiment(seeds=[0, 1, 2], lyapunov=True, algorithms=["ef21_sgdm", "ef21_sgd2m"])
     exp["hyper"] = {"eta": 0.1, "rounds": 60}
     exp["tune"] = {"k_lo": -8, "k_hi": 4, "seeds": tune_seeds}
-    path = write_exp(tmp_path, exp)
-    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "par")
-    assert main(["run", path, "--out", out1, "--workers", "1"]) == 0
-    assert main(["run", path, "--out", out2, "--workers", "2"]) == 0
-    names = sorted(os.listdir(out1))
-    assert names == sorted(os.listdir(out2)) and "mini__manifest.json" in names
-    for name in names:
-        assert open(os.path.join(out1, name), "rb").read() == open(os.path.join(out2, name), "rb").read()
-    resolved = json.load(open(os.path.join(out2, "mini__manifest.json")))["resolved_hyper"]
+    out = _assert_workers_match(tmp_path, exp)
+    resolved = json.loads((out / "mini__manifest.json").read_text())["resolved_hyper"]
     assert all(resolved[a]["gamma"] in [2.0**k for k in range(-8, 5)] for a in exp["algorithms"])
 
 
+def test_serial_run_builds_the_problem_once(tmp_path, monkeypatch):
+    from efsim import experiments
+
+    calls = []
+    real = experiments.build_problem
+    monkeypatch.setattr(experiments, "build_problem", lambda spec: calls.append(spec) or real(spec))
+    exp = minimal_experiment(seeds=[0, 1], algorithms=["ef21_sgdm", "ef21_sgd2m"])
+    exp["hyper"] = {"eta": 0.1, "rounds": 20}
+    exp["tune"] = {"k_lo": -4, "k_hi": -2, "seeds": [5]}
+    run_experiment(exp, str(tmp_path / "out"), workers=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"algorithms": ["ef21_sgdm", "sgd"]}, "use the identity compressor"),
+        ({"algorithms": ["ef21_sgd"], "lyapunov": True}, "keeps no momentum estimator"),
+        (
+            {
+                "problem": {"kind": "blobs", "classes": 2, "features": 4, "examples": 40, "n": 2},
+                "hyper": {"theoretical": True, "rounds": 10},
+            },
+            "need a problem with a known optimal value",
+        ),
+    ],
+    ids=["sgd_with_topk", "lyapunov_without_momentum", "theoretical_without_f_star"],
+)
+def test_config_error_leaves_no_output_directory(tmp_path, capsys, change, message, workers):
+    path = write_exp(tmp_path, minimal_experiment(seeds=[0, 1], **change))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--workers", workers]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _InlinePool:
+    """A pool that runs each submitted task at once in this process."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit(self, fn, *args):
+        self.tasks.append(args)
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
 @pytest.mark.parametrize("tune_seeds, seeds", [([5, 6], (5, 6)), (None, (0, 1, 2))], ids=["own_seeds", "run_seeds"])
-def test_tuning_never_computes_lyapunov(tune_seeds, seeds):
+def test_tuning_never_computes_lyapunov(tune_seeds, seeds, monkeypatch):
+    from efsim import harness
+
+    calls = []
+    real = harness.lyapunov
+    monkeypatch.setattr(harness, "lyapunov", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     exp = minimal_experiment(seeds=[0, 1, 2], lyapunov=True, lyapunov_every=5)
     exp["hyper"] = {"eta": 0.1, "rounds": 20}
     exp["tune"] = {"k_lo": -2, "k_hi": 0, "seeds": tune_seeds}
     exp = validate_experiment(exp)
-    cfg = _tune_config(exp, "ef21_sgdm", build_problem(exp["problem"]))
+    problem = build_problem(exp["problem"])
+    cfg = tune_gamma(exp, "ef21_sgdm", problem, exp["tune"]).best_config
     assert cfg.seeds == seeds and not cfg.lyapunov
-    assert all(rec.lyapunov is None for rec in _run_task(exp, "ef21_sgdm", seeds[0], 0.25, tuning=True).records)
-    assert _run_task(exp, "ef21_sgdm", seeds[0], 0.25).final.lyapunov is not None
+    pool = _InlinePool()  # the tasks a worker pool would run
+    tune_gamma(exp, "ef21_sgdm", problem, exp["tune"], pool)
+    assert [seed for _, _, _, seed in pool.tasks] == list(seeds) * 3
+    assert all(not doc["lyapunov"] for doc, *_ in pool.tasks)
+    assert calls == []
+    assert _run_task(exp, "ef21_sgdm", 0.25, seeds[0]).final.lyapunov is not None
 
 
 def _diverging_tune_experiment():
@@ -557,6 +629,23 @@ def test_cmd_sweep_workers_match_serial(tmp_path, capsys):
         assert main(["sweep", path, "--k-lo", "-8", "--k-hi", "4", "--workers", workers]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and "diverged" in outs[0]
+
+
+def test_cmd_sweep_best_gamma_is_the_run_gamma(tmp_path, capsys):
+    # one tuning stage: sweep's flags and a tune section of the same grid,
+    # seeds and criterion pick the same step size
+    exp = minimal_experiment(seeds=[0, 1], algorithms=["ef14_sgd", "ef21_sgdm"])
+    exp["problem"] = {"kind": "quadratic", "n": 3, "d": 10, "lam": 0.1, "s": 1.0, "sigma": 0.05}
+    exp["compressor"] = {"kind": "topk", "k": 2}
+    exp["hyper"] = {"eta": 0.2, "rounds": 40}
+    exp["tune"] = {"k_lo": -8, "k_hi": 2, "criterion": "final_grad_norm"}
+    path = write_exp(tmp_path, exp)
+    argv = ["--k-lo", "-8", "--k-hi", "2", "--criterion", "final_grad_norm", "--workers", "1"]
+    assert main(["sweep", path, *argv]) == 0
+    best = dict(line.split(": best gamma = ") for line in capsys.readouterr().out.splitlines() if "best gamma" in line)
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--workers", "1"]) == 0
+    resolved = json.loads((tmp_path / "out" / "mini__manifest.json").read_text())["resolved_hyper"]
+    assert {a: f"{resolved[a]['gamma']:.6g}" for a in exp["algorithms"]} == {a: b.split()[0] for a, b in best.items()}
 
 
 def test_reproduce_writes_experiment_files(tmp_path):

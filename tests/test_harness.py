@@ -86,7 +86,7 @@ def test_divergent_run_truncates_with_round():
 
 def test_quantiles_single_seed_equal_bands():
     cfg = quad_config(rounds=20, metric_every=5)
-    qt = run_quantiles(cfg)
+    qt = run_quantiles([run(cfg, s) for s in cfg.seeds])
     for name in ("grad_norm", "obj_gap"):
         assert np.array_equal(qt.q25[name], qt.median[name])
         assert np.array_equal(qt.median[name], qt.q75[name])
@@ -94,13 +94,13 @@ def test_quantiles_single_seed_equal_bands():
 
 def test_quantiles_identical_seeds_zero_iqr():
     cfg = quad_config(rounds=20, metric_every=5, seeds=(3,) * 10)
-    qt = run_quantiles(cfg)
+    qt = run_quantiles([run(cfg, s) for s in cfg.seeds])
     assert np.all(qt.q75["grad_norm"] - qt.q25["grad_norm"] == 0.0)
 
 
 def test_quantiles_median_is_pointwise():
     cfg = quad_config(rounds=10, metric_every=10, seeds=(0, 1, 2, 3, 4))
-    qt = run_quantiles(cfg)
+    qt = run_quantiles([run(cfg, s) for s in cfg.seeds])
     finals = sorted(tr.final.grad_norm for tr in qt.traces)
     assert qt.median["grad_norm"][-1] == pytest.approx(np.median(finals), rel=1e-15)
 
@@ -400,7 +400,7 @@ def test_trace_csv_records_failure(tmp_path):
 
 def test_quantile_csv_schema(tmp_path):
     cfg = quad_config(rounds=20, metric_every=5, seeds=(0, 1, 2))
-    qt = run_quantiles(cfg)
+    qt = run_quantiles([run(cfg, s) for s in cfg.seeds])
     path = str(tmp_path / "q.csv")
     write_quantiles_csv(path, qt)
     header = open(path).readline().strip().split(",")
