@@ -91,25 +91,14 @@ def _print_summary(exp: dict, summary: dict) -> bool:
 
 
 def cmd_run(args) -> int:
-    try:
-        exp = _prepare(load_experiment_file(args.experiment), args)
-        manifest, summary = run_experiment(exp, args.out or exp["out"] or "results", workers=args.workers)
-    except (OSError, ValueError) as exc:  # a bad file or document, or e.g. an incompatible algorithm/compressor pair
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SweepDiverged as exc:
-        print(exc)
-        return 2
+    exp = _prepare(load_experiment_file(args.experiment), args)
+    manifest, summary = run_experiment(exp, args.out or exp["out"] or "results", workers=args.workers)
     print(f"wrote {manifest}")
     return 2 if _print_summary(exp, summary) else 0
 
 
 def cmd_reproduce(args) -> int:
-    try:
-        exps = preset_experiments(args.figure, rounds=args.rounds)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    exps = preset_experiments(args.figure, rounds=args.rounds)
     note = preset_note(args.figure)
     if note:
         print(f"note: {note}")
@@ -117,19 +106,16 @@ def cmd_reproduce(args) -> int:
     all_diverged = True
     speedup_rows = []
     for exp in exps:
+        _prepare(exp, args)
         try:
-            _prepare(exp, args)
-            os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, f"{exp['name']}__experiment.json"), "w") as fh:
-                json.dump(exp, fh, indent=1)
-                fh.write("\n")
             _, summary = run_experiment(exp, out_dir, workers=args.workers)
-        except (OSError, ValueError) as exc:  # a bad override, or e.g. a problem size its generator rejects
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         except SweepDiverged as exc:  # counts as an experiment whose every run diverged
             print(exc)
-            continue
+            summary = {}
+        # written once the configurations are built, so a config error leaves no directory
+        with open(os.path.join(out_dir, f"{exp['name']}__experiment.json"), "w") as fh:
+            json.dump(exp, fh, indent=1)
+            fh.write("\n")
         all_diverged = _print_summary(exp, summary) and all_diverged
         if args.figure == "speedup":
             n = exp["problem"]["n"]
@@ -142,57 +128,43 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        check_flag(args.seed, "--seed", "experiment", "seeds")
-        results = run_suite(args.suite, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    failed = 0
+    check_flag(args.seed, "--seed", "experiment", "seeds")
+    results = run_suite(args.suite, seed=args.seed)
     for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        print(f"[{tag}] {args.suite}: {res.name} ({res.detail})")
-        failed += 0 if res.passed else 1
-    return 3 if failed else 0
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {args.suite}: {res.name} ({res.detail})")
+    return 0 if all(res.passed for res in results) else 3
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.what == "quadratic":
-            problem = generate_quadratic(args.n, args.d, args.lam, args.s, args.seed or 0, sigma=args.sigma)
-            save_quadratic_task(problem, args.out_path)
-        else:  # blobs
-            x, y = make_blobs(args.classes, args.features, args.examples, args.seed or 0)
-            write_libsvm(args.out_path, x, y)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.what == "quadratic":
+        problem = generate_quadratic(args.n, args.d, args.lam, args.s, args.seed, sigma=args.sigma)
+        save_quadratic_task(problem, args.out_path)
+    else:  # blobs
+        x, y = make_blobs(args.classes, args.features, args.examples, args.seed)
+        write_libsvm(args.out_path, x, y)
     print(f"wrote {args.out_path}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    try:
-        exp = _prepare(load_experiment_file(args.experiment), args)
-        check_grid(args.k_lo, args.k_hi, "--k-lo", "--k-hi")
-        tune = {"k_lo": args.k_lo, "k_hi": args.k_hi, "criterion": args.criterion, "seeds": None}
-        rc = 0
-        problem = build_problem(exp["problem"])
-        with worker_pool(args.workers) as pool:
-            for algorithm in exp["algorithms"]:
-                try:
-                    result = tune_gamma(exp, algorithm, problem, tune, pool)
-                except SweepDiverged as exc:
-                    print(exc)
-                    rc = 2
-                    continue
-                print(f"{algorithm}: best gamma = {result.best_gamma:.6g} ({args.criterion} = {result.best_score:.6g})")
-                for row in result.table:
-                    mark = "diverged" if row["diverged"] else f"{row['score']:.6g}"
-                    print(f"    gamma=2^{int(round(math.log2(row['gamma']))):>4d} -> {mark}")
-    except (OSError, ValueError) as exc:  # a bad file, document or grid, or e.g. a problem size its generator rejects
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    exp = _prepare(load_experiment_file(args.experiment), args)
+    check_grid(args.k_lo, args.k_hi, "--k-lo", "--k-hi")
+    tune = {"k_lo": args.k_lo, "k_hi": args.k_hi, "criterion": args.criterion, "seeds": None}
+    rc = 0
+    problem = build_problem(exp["problem"])
+    runs = len(exp["algorithms"]) * (args.k_hi - args.k_lo + 1) * len(exp["seeds"])
+    with worker_pool(args.workers, runs) as pool:
+        for algorithm in exp["algorithms"]:
+            try:
+                result = tune_gamma(exp, algorithm, problem, tune, pool)
+            except SweepDiverged as exc:  # counts as an algorithm whose every run diverged
+                print(exc)
+                rc = 2
+                continue
+            print(f"{algorithm}: best gamma = {result.best_gamma:.6g} ({args.criterion} = {result.best_score:.6g})")
+            for row in result.table:
+                mark = "diverged" if row["diverged"] else f"{row['score']:.6g}"
+                print(f"    gamma=2^{int(round(math.log2(row['gamma']))):>4d} -> {mark}")
     return rc
 
 
@@ -258,10 +230,16 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        print(f"error: --workers: must be >= 1, got {args.workers}", file=sys.stderr)
+    try:  # the one place an error becomes an exit code
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers: must be >= 1, got {args.workers}")
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # a bad file, document or flag, or e.g. an unfit algorithm/compressor pair
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args)
+    except SweepDiverged as exc:
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -240,11 +240,9 @@ def build_problem(spec: dict) -> Problem:
         return load_libsvm_problem(
             spec["path"], spec["classes"], spec["features"], spec["n"], spec["split"], spec["split_seed"], spec["reg"]
         )
-    if kind == "blobs":
-        x, y = make_blobs(spec["classes"], spec["features"], spec["examples"], spec["seed"])
-        feats, labs = split_examples(x, y, spec["n"], spec["split"], spec["split_seed"])
-        return LogRegProblem(feats, labs, spec["classes"], reg=spec["reg"])
-    raise SchemaError(f"unknown problem kind {kind!r}")
+    x, y = make_blobs(spec["classes"], spec["features"], spec["examples"], spec["seed"])  # blobs, the last kind
+    feats, labs = split_examples(x, y, spec["n"], spec["split"], spec["split_seed"])
+    return LogRegProblem(feats, labs, spec["classes"], reg=spec["reg"])
 
 
 def build_compressor(spec: dict, dim: int) -> Compressor:
@@ -306,9 +304,11 @@ def _submit(pool, exp: dict, algorithm: str, pairs) -> list:
     return [pool.submit(_run_task, exp, algorithm, gamma, seed) for gamma, seed in pairs]
 
 
-def worker_pool(workers: int):
-    """A process pool of ``workers`` workers, or a null context yielding
-    None when ``workers`` is 1 or less."""
+def worker_pool(workers: int, runs: int):
+    """A process pool of at most ``workers`` workers and one per run (a
+    forking pool starts every worker at its first submit), or a null context
+    yielding None when that is a single worker."""
+    workers = min(workers, runs)
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
 
 
@@ -333,20 +333,21 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict
     manifest; return the manifest's path and a summary keyed by algorithm.
 
     Every configuration is built, and so checked, before ``out_dir`` is
-    made.  With ``workers > 1`` one process pool serves every run of the
-    call, the tuning sweeps' and the final ones, each rebuilt from the spec
-    alone; without one every run reuses the configuration built here.  The
-    outputs do not depend on ``workers``.  If every tuning step size of an
-    algorithm diverges, ``SweepDiverged`` is raised.
+    made.  With ``workers > 1`` one process pool of at most one worker per
+    run serves every run of the call, the tuning sweeps' and the final ones,
+    each rebuilt from the spec alone; without one every run reuses the
+    configuration built here.  The outputs do not depend on ``workers``.
+    If every tuning step size of an algorithm diverges, ``SweepDiverged``
+    is raised.
     """
     exp = validate_experiment(exp)
     problem = build_problem(exp["problem"])
     algorithms, seeds, tune = exp["algorithms"], exp["seeds"], exp["tune"]
     configs = {a: _build_config(exp, a, problem) for a in algorithms}
     os.makedirs(out_dir, exist_ok=True)
-    pooled = tune is not None or len(algorithms) * len(seeds) > 1
+    tune_runs = 0 if tune is None else (tune["k_hi"] - tune["k_lo"] + 1) * len(tune["seeds"] or seeds)
 
-    with worker_pool(workers if pooled else 1) as pool:
+    with worker_pool(workers, len(algorithms) * (tune_runs + len(seeds))) as pool:
         if tune is not None:
             for a in algorithms:
                 configs[a] = _with_gamma(configs[a], tune_gamma(exp, a, problem, tune, pool).best_gamma)

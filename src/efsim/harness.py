@@ -170,11 +170,7 @@ def run(cfg: RunConfig, seed: int) -> RunTrace:
     problem = cfg.problem
     streams = StreamFactory(seed)
     trace = RunTrace(algorithm=cfg.algorithm, seed=seed)
-    try:
-        server, nodes, init_log = optim.init(cfg.algorithm, problem, cfg.hyper, cfg.compressor, streams)
-    except NumericFailure:
-        trace.failure_round = 0
-        return trace
+    server, nodes, init_log = optim.init(cfg.algorithm, problem, cfg.hyper, cfg.compressor, streams)
     coords_cum = init_log.coords_sent
     samples_cum = init_log.grad_evals
     rounds = cfg.hyper.rounds
@@ -192,11 +188,11 @@ def run(cfg: RunConfig, seed: int) -> RunTrace:
 
     if not log_row(0):
         return trace
-    for t in range(rounds):
+    for _ in range(rounds):
         try:
             rlog = optim.run_round(cfg.algorithm, server, nodes, problem, cfg.hyper, cfg.compressor, streams)
         except NumericFailure as exc:
-            trace.failure_round = exc.round_index if exc.round_index is not None else t
+            trace.failure_round = exc.round_index
             return trace
         coords_cum += rlog.coords_sent
         samples_cum += rlog.grad_evals

@@ -222,14 +222,38 @@ def save_quadratic_task(problem: QuadraticProblem, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_REALS = (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_real, v)), "a nonempty list of finite numbers")
+# task file key -> (check, what its value must be)
+_TASK_KEYS = {
+    "version": (lambda v: type(v) is int and v == 1, "1"),
+    "dim": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+    "tri_scale": _REALS,
+    "b_first": _REALS,
+    "shift": (_is_real, "a finite number"),
+    "sigma": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
+    "params": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
 def load_quadratic_task(path: str, sigma: float | None = None) -> QuadraticProblem:
+    """Read a task written by ``save_quadratic_task``; a malformed file
+    raises ``ValueError`` naming the file and the key."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "efsim-quadratic-task":
-        raise ValueError(f"{path} is not a quadratic task file")
-    d = int(doc["dim"])
-    tri_scale = np.asarray(doc["tri_scale"], dtype=np.float64)
+    if not isinstance(doc, dict) or doc.get("format") != "efsim-quadratic-task":
+        raise ValueError(f"{path} is not a quadratic task file (a JSON object with format 'efsim-quadratic-task')")
+    for key, (ok, expected) in _TASK_KEYS.items():
+        if key not in doc or not ok(doc[key]):
+            got = f"got {doc[key]!r}" if key in doc else "missing"
+            raise ValueError(f"{path}: {key}: expected {expected}, {got}")
+    d, tri_scale = doc["dim"], np.asarray(doc["tri_scale"], dtype=np.float64)
     n = len(tri_scale)
+    if len(doc["b_first"]) != n:
+        raise ValueError(f"{path}: b_first: expected {n} entries, one per tri_scale entry, got {len(doc['b_first'])}")
     b = np.zeros((n, d))
     b[:, 0] = np.asarray(doc["b_first"], dtype=np.float64)
     x0 = np.zeros(d)

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import os
-from concurrent.futures import Future
+import tempfile
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efsim.cli import main
 from efsim.experiments import (
+    SCHEMA,
     SchemaError,
     _run_task,
     build_problem,
@@ -17,6 +21,7 @@ from efsim.experiments import (
     validate_experiment,
 )
 from efsim.harness import read_trace_csv
+from efsim.optim import ALGORITHMS
 
 
 def minimal_experiment(**kw):
@@ -294,6 +299,44 @@ def test_missing_task_file_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+TASK = {
+    "format": "efsim-quadratic-task", "version": 1, "params": {}, "sigma": 0.0, "tri_scale": [0.25, 0.3],
+    "b_first": [-0.25, -0.3], "shift": 0.1, "dim": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "content, key",
+    [
+        ([1], "format"),  # used to end in an AttributeError traceback
+        ({**TASK, "format": "efsim-manifest"}, "format"),
+        ({k: v for k, v in TASK.items() if k != "dim"}, "dim"),  # used to end in a KeyError traceback
+        ({**TASK, "dim": 1, "sigma": -0.5}, "dim"),  # used to exit 1 on numpy's "unexpected array size"
+        ({**TASK, "dim": 4.0}, "dim"),
+        ({**TASK, "dim": True}, "dim"),
+        ({**TASK, "version": 2}, "version"),
+        ({**TASK, "tri_scale": [], "b_first": []}, "tri_scale"),  # used to end in a StopIteration traceback
+        ({**TASK, "tri_scale": [0.25, "a"]}, "tri_scale"),
+        ({**TASK, "b_first": [-0.25]}, "b_first"),  # used to be broadcast over both nodes silently
+        ({**TASK, "shift": float("nan")}, "shift"),
+        ({**TASK, "sigma": -0.5}, "sigma"),
+        ({k: v for k, v in TASK.items() if k != "params"}, "params"),
+    ],
+    ids=["not_an_object", "wrong_format", "no_dim", "dim_1_negative_sigma", "float_dim", "bool_dim", "version_2",
+         "empty_lists", "string_scale", "short_b_first", "nan_shift", "negative_sigma", "no_params"],
+)
+def test_malformed_task_file_is_usage_error(tmp_path, capsys, content, key):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(content))
+    exp = minimal_experiment(problem={"kind": "quadratic_file", "path": str(task)})
+    out = tmp_path / "out"
+    for argv in (["run", "--out", str(out)], ["sweep"]):
+        assert main([*argv, write_exp(tmp_path, exp), "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert str(task) in err and key in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("theoretical", [False, True], ids=["fixed_gamma", "theoretical"])
 @pytest.mark.parametrize("l_smooth", [-1, 0])
 def test_nonpositive_l_smooth_is_rejected_naming_it(tmp_path, capsys, l_smooth, theoretical):
@@ -423,6 +466,43 @@ def test_serial_run_builds_the_problem_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool the experiments module opens.  The
+    pools are thread pools, which start their threads lazily, so a large
+    ``max_workers`` starts nothing."""
+    from efsim import experiments
+
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "seeds, tune, sizes",
+    [([0, 1], None, [2]), ([0], None, []), ([0, 1], {"k_lo": -4, "k_hi": -2, "seeds": [5]}, [5])],
+    ids=["two_runs", "one_run", "tuned"],
+)
+def test_worker_pool_has_no_more_workers_than_runs(tmp_path, pool_sizes, seeds, tune, sizes):
+    # a forking pool starts all its workers at the first submit; the parent opened 64 here
+    exp = minimal_experiment(seeds=seeds, tune=tune)
+    exp["hyper"]["rounds"] = 20
+    run_experiment(exp, str(tmp_path / "out"), workers=64)
+    assert pool_sizes == sizes
+
+
+def test_cmd_sweep_pool_has_no_more_workers_than_runs(tmp_path, capsys, pool_sizes):
+    path = write_exp(tmp_path, minimal_experiment(seeds=[0, 1]))
+    assert main(["sweep", path, "--k-lo", "-12", "--k-hi", "-10", "--workers", "64"]) == 0
+    assert pool_sizes == [6]  # 3 grid points x 2 seeds
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
     "change, message",
@@ -436,13 +516,17 @@ def test_serial_run_builds_the_problem_once(tmp_path, monkeypatch):
             },
             "need a problem with a known optimal value",
         ),
+        ("reproduce", "use the identity compressor"),  # fig1 with sgd on its topk compressor
     ],
-    ids=["sgd_with_topk", "lyapunov_without_momentum", "theoretical_without_f_star"],
+    ids=["sgd_with_topk", "lyapunov_without_momentum", "theoretical_without_f_star", "reproduce_sgd_with_topk"],
 )
 def test_config_error_leaves_no_output_directory(tmp_path, capsys, change, message, workers):
-    path = write_exp(tmp_path, minimal_experiment(seeds=[0, 1], **change))
+    if change == "reproduce":  # used to write fig1_n1__experiment.json before building the configurations
+        argv = ["reproduce", "fig1", "--rounds", "10", "--override", 'algorithms=["sgd"]']
+    else:
+        argv = ["run", write_exp(tmp_path, minimal_experiment(seeds=[0, 1], **change))]
     out = tmp_path / "out"
-    assert main(["run", path, "--out", str(out), "--workers", workers]) == 1
+    assert main([*argv, "--out", str(out), "--workers", workers]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -683,3 +767,74 @@ def test_unknown_preset_rejected_by_parser():
 
 def test_verify_compressors_with_seed_flag():
     assert main(["verify", "compressors", "--seed", "1"]) == 0
+
+
+# -- the error boundary ----------------------------------------------------------------
+
+_NAMES = sorted({section.split(".")[1] for section in SCHEMA if "." in section} | set(ALGORITHMS) | {"", "x"})
+
+
+def _values(top: int):
+    """A small pool of JSON values, integers at most ``top``."""
+    scalars = st.one_of(
+        st.integers(-2, top), st.sampled_from([0.0, 1e-3, 0.5, 1.0, -1.0, 1e300]), st.booleans(), st.none(),
+        st.sampled_from(_NAMES),
+    )
+    keys = st.sampled_from(["kind", "k", "n", "d", "rounds", "gamma", "k_lo", "k_hi", "seeds"])
+    return st.one_of(scalars, st.lists(scalars, max_size=3), st.dictionaries(keys, scalars, max_size=2))
+
+
+# one (section, key, value) change; every size key stays at most 8 and rounds at most 5
+_CHANGE = st.sampled_from(sorted(SCHEMA)).flatmap(
+    lambda section: st.sampled_from(list(SCHEMA[section])).flatmap(
+        lambda key: st.tuples(st.just(section), st.just(key), _values(5 if key == "rounds" else 8))
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def data_files(tmp_path_factory):
+    """A quadratic task file and a LIBSVM file for the file-backed problem kinds."""
+    tmp = tmp_path_factory.mktemp("data")
+    main(["gen", "quadratic", str(tmp / "task.json"), "--n", "2", "--d", "4", "--lam", "0.1", "--s", "1.0"])
+    main(["gen", "blobs", str(tmp / "blobs.txt"), "--classes", "2", "--features", "3", "--examples", "8"])
+    return str(tmp / "task.json"), str(tmp / "blobs.txt")
+
+
+def _kind_bases(task: str, libsvm: str) -> dict:
+    """A valid problem or compressor section of each kind."""
+    return {
+        "problem.counterexample": {"kind": "counterexample", "sigma": 1.0, "n": 1},
+        "problem.quadratic": {"kind": "quadratic", "n": 2, "d": 4, "lam": 0.1, "s": 1.0, "sigma": 0.1},
+        "problem.quadratic_file": {"kind": "quadratic_file", "path": task},
+        "problem.logreg_file": {"kind": "logreg_file", "path": libsvm, "classes": 2, "features": 3, "n": 2},
+        "problem.blobs": {"kind": "blobs", "classes": 2, "features": 3, "examples": 8, "n": 2},
+        "compressor.topk": {"kind": "topk", "k": 1},
+        "compressor.randk": {"kind": "randk", "k": 1},
+        "compressor.identity": {"kind": "identity"},
+        "compressor.hard_threshold": {"kind": "hard_threshold", "tau": 0.1},
+        "tune": {"k_lo": -3, "k_hi": -1},
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(changes=st.lists(_CHANGE, min_size=1, max_size=3))
+def test_any_experiment_document_exits_0_1_or_2(data_files, changes):
+    # bad input exits 1 with a message, never a traceback
+    bases = _kind_bases(*data_files)
+    exp = minimal_experiment(hyper={"gamma": 1e-3, "eta": 1e-3, "rounds": 5})
+    for section, key, value in changes:
+        where, _, kind = section.partition(".")
+        if where == "experiment":
+            exp[key] = value
+            continue
+        target = exp.get(where)
+        if section in bases and not (isinstance(target, dict) and target.get("kind", kind) == kind):
+            target = exp[where] = dict(bases[section])
+        if isinstance(target, dict):
+            target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.json")
+        with open(path, "w") as fh:
+            json.dump(exp, fh)
+        assert main(["run", path, "--out", os.path.join(tmp, "out"), "--workers", "1"]) in (0, 1, 2)
