@@ -11,6 +11,8 @@ with replacement from the node's examples.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import Problem, SmoothnessInfo, power_iteration_norm
@@ -36,20 +38,24 @@ class LogRegProblem(Problem):
         l = features[0].shape[1]
         self.n_features = l
         self.dim = (l + 1) * self.classes
-        self.a = []  # bias-augmented example matrices, (m_i, l+1)
-        self.y = []  # zero-based labels
+        features = [np.asarray(feat, dtype=np.float64) for feat in features]
+        labels = [np.asarray(lab, dtype=np.int64) for lab in labels]
         for feat, lab in zip(features, labels):
-            feat = np.asarray(feat, dtype=np.float64)
-            lab = np.asarray(lab, dtype=np.int64)
             if feat.ndim != 2 or feat.shape[1] != l:
                 raise ValueError("all nodes must share the feature dimension")
             if feat.shape[0] == 0:
                 raise ValueError("every node needs at least one example")
             if lab.min() < 1 or lab.max() > self.classes:
                 raise ValueError(f"labels must lie in [1, {self.classes}]")
-            self.a.append(np.hstack([feat, np.ones((feat.shape[0], 1))]))
-            self.y.append(lab - 1)
-        self.m_i = np.array([a.shape[0] for a in self.a])
+        self.m_i = np.array([feat.shape[0] for feat in features])
+        # every node's bias-augmented examples and zero-based labels, stacked in
+        # node order, so a block's samples are gathered by one index
+        self._start = np.concatenate([[0], np.cumsum(self.m_i)[:-1]])
+        self._a_all = np.ones((int(self.m_i.sum()), l + 1))
+        np.concatenate(features, out=self._a_all[:, :l])
+        self._y_all = np.concatenate(labels) - 1
+        self.a = np.split(self._a_all, self._start[1:])  # per-node views, (m_i, l+1)
+        self.y = np.split(self._y_all, self._start[1:])
         self.sigma = 0.0  # data-driven noise; no closed-form bound is claimed
         # start at zero weights: symmetric softmax, loss log(c)
         self.x0 = np.zeros(self.dim)
@@ -71,60 +77,79 @@ class LogRegProblem(Problem):
         out[:, : self.n_features] = self.reg * 2.0 * w / (1.0 + w**2) ** 2
         return out.ravel()
 
-    def _probs(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None):
-        """Examples, labels and softmax probabilities of node i on a batch.
+    def _softmax_grads(self, x: np.ndarray, a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The one softmax and cross-entropy gradient formula, over r stacked
+        batches of m examples: ``a`` (r, m, l+1), zero-based labels ``y``
+        (r, m).
 
-        ``batch_idx`` selects example rows of node i; None means the full
-        local dataset.  Softmax is stabilized by max subtraction.
+        Returns the softmax probability of each true label, (r, m), and one
+        data-gradient row per batch, (r, d), without the regularizer.
+        Softmax is stabilized by max subtraction.  Each batch's two products
+        are the same BLAS calls as for that batch alone, so a row does not
+        depend on what else is stacked with it.
         """
-        a = self.a[i]
-        y = self.y[i]
-        if batch_idx is not None:
-            if len(batch_idx) == 0:
-                raise ValueError("empty batch")
-            a = a[batch_idx]
-            y = y[batch_idx]
-        logits = a @ self._weights(x).T  # (m, c)
-        logits -= logits.max(axis=1, keepdims=True)
+        r, m = y.shape
+        if m == 0:
+            raise ValueError("empty batch")
+        logits = a @ self._weights(x).T  # (r, m, c)
+        logits -= logits.max(axis=2, keepdims=True)
         expz = np.exp(logits)
-        return a, y, expz / expz.sum(axis=1, keepdims=True)
+        probs = expz / expz.sum(axis=2, keepdims=True)
+        true = (np.arange(r)[:, None], np.arange(m), y)
+        p_true = probs[true]
+        probs[true] -= 1.0  # the residual, in place
+        grads = (probs.transpose(0, 2, 1) @ a) / m  # (r, c, l+1)
+        return p_true, grads.reshape(r, self.dim)
 
-    def _grad_from(self, x: np.ndarray, a: np.ndarray, y: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        m = a.shape[0]
-        resid = probs  # overwritten in place
-        resid[np.arange(m), y] -= 1.0
-        grad = (resid.T @ a) / m  # (c, l+1)
-        return grad.ravel() + self._reg_grad(x)
+    def _node_batch(self, i: int, batch_idx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Node i's examples and labels as a stack of one batch: its full local
+        dataset, or the rows ``batch_idx``."""
+        if batch_idx is None:
+            return self.a[i][None], self.y[i][None]
+        return self.a[i][batch_idx][None], self.y[i][batch_idx][None]
 
     def grad(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None = None) -> np.ndarray:
         """The gradient of ``value_and_grad`` alone, without the loss."""
-        return self._grad_from(x, *self._probs(i, x, batch_idx))
+        return self._softmax_grads(x, *self._node_batch(i, batch_idx))[1][0] + self._reg_grad(x)
 
     def value_and_grad(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None = None):
-        """Cross-entropy (plus regularizer) and its gradient on a batch
-        (``batch_idx`` as in ``_probs``)."""
-        a, y, probs = self._probs(i, x, batch_idx)
-        loss = -float(np.mean(np.log(probs[np.arange(a.shape[0]), y] + 1e-300)))
-        return loss + self._reg_value(x), self._grad_from(x, a, y, probs)
+        """Cross-entropy (plus regularizer) and its gradient on node i's full
+        local dataset, or on its example rows ``batch_idx``."""
+        p_true, grads = self._softmax_grads(x, *self._node_batch(i, batch_idx))
+        return self._loss(p_true[0]) + self._reg_value(x), grads[0] + self._reg_grad(x)
+
+    @staticmethod
+    def _loss(p_true: np.ndarray) -> float:
+        return -float(np.mean(np.log(p_true + 1e-300)))
 
     # -- Problem interface -------------------------------------------------
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
-        return np.array([self.grad(i, x) for i in range(rows.start, rows.stop)])
+        reg = self._reg_grad(x)
+        # one stack per node: node sizes may differ
+        return np.array(
+            [self._softmax_grads(x, *self._node_batch(i, None))[1][0] + reg for i in range(rows.start, rows.stop)]
+        )
 
     def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
         """Example indices, sampled with replacement."""
         return rng.integers(0, self.m_i[i], size=batch)
 
     def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
-        return np.array([self.grad(i, x, idx) for i, idx in zip(range(rows.start, rows.stop), draws)])
+        idx = self._start[rows, None] + np.asarray(draws)  # (r, batch) rows of the stacked data
+        return self._softmax_grads(x, self._a_all[idx], self._y_all[idx])[1] + self._reg_grad(x)
 
     def value(self, x: np.ndarray) -> float:
-        return float(np.mean([self.value_and_grad(i, x)[0] for i in range(self.n_nodes)]))
+        return self.value_and_mean_grad(x)[0]
 
     def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """One full-data pass per node serves both quantities."""
-        values, grads = zip(*(self.value_and_grad(i, x) for i in range(self.n_nodes)))
+        reg_value, reg = self._reg_value(x), self._reg_grad(x)
+        values, grads = [], []
+        for i in range(self.n_nodes):
+            p_true, g = self._softmax_grads(x, *self._node_batch(i, None))
+            values.append(self._loss(p_true[0]) + reg_value)
+            grads.append(g[0] + reg)
         g = grads[0].copy()
         for gi in grads[1:]:
             g += gi
@@ -158,8 +183,9 @@ class LogRegProblem(Problem):
 def parse_libsvm(path: str, classes: int, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """Read a LIBSVM text file into dense (X, y) with 1-based labels.
 
-    Lines look like ``label idx:val idx:val ...`` with strictly 1-based
-    feature indices.  Malformed lines are reported with their line number.
+    Lines look like ``label idx:val idx:val ...`` with an integral label,
+    strictly 1-based feature indices and finite values.  Malformed lines are
+    reported with their line number.
     """
     rows = []
     labels = []
@@ -170,9 +196,12 @@ def parse_libsvm(path: str, classes: int, n_features: int) -> tuple[np.ndarray, 
                 continue
             parts = line.split()
             try:
-                label = int(float(parts[0]))
+                label_value = float(parts[0])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad label field {parts[0]!r}") from exc
+            if not label_value.is_integer():  # also rejects inf and nan
+                raise ValueError(f"{path}:{lineno}: label {parts[0]!r} is not an integer")
+            label = int(label_value)
             if not 1 <= label <= classes:
                 raise ValueError(f"{path}:{lineno}: label {label} outside [1, {classes}]")
             x = np.zeros(n_features)
@@ -185,6 +214,8 @@ def parse_libsvm(path: str, classes: int, n_features: int) -> tuple[np.ndarray, 
                     raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
                 if not 1 <= idx <= n_features:
                     raise ValueError(f"{path}:{lineno}: feature index {idx} outside [1, {n_features}]")
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}:{lineno}: feature value {val_s!r} is not finite")
                 x[idx - 1] = val
             rows.append(x)
             labels.append(label)

@@ -337,6 +337,27 @@ def test_malformed_task_file_is_usage_error(tmp_path, capsys, content, key):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, what",
+    [
+        ("2 1:nan", "feature value 'nan'"),  # these three used to run and exit 2 as "diverged"
+        ("1 2:inf", "feature value 'inf'"),
+        ("1 1:1e400", "feature value '1e400'"),
+        ("inf 1:0.5", "label 'inf'"),  # used to end in an OverflowError traceback
+        ("1.5 1:0.5", "label '1.5'"),  # used to be read as class 1
+    ],
+    ids=["nan_feature", "inf_feature", "overflowing_feature", "inf_label", "fractional_label"],
+)
+def test_malformed_libsvm_file_is_usage_error(tmp_path, capsys, line, what):
+    data = tmp_path / "data.txt"
+    data.write_text(f"1 1:0.5 2:-1\n2 1:1.5\n{line}\n2 2:0.25\n")
+    exp = minimal_experiment(problem={"kind": "logreg_file", "path": str(data), "classes": 2, "features": 2, "n": 2})
+    out = tmp_path / "out"
+    assert main(["run", write_exp(tmp_path, exp), "--out", str(out), "--workers", "1"]) == 1
+    assert f"{data}:3: {what}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("theoretical", [False, True], ids=["fixed_gamma", "theoretical"])
 @pytest.mark.parametrize("l_smooth", [-1, 0])
 def test_nonpositive_l_smooth_is_rejected_naming_it(tmp_path, capsys, l_smooth, theoretical):

@@ -5,7 +5,9 @@ run of every valid (algorithm x compressor) pair on four problems (the 2-d
 counterexample, a structured quadratic, a dense quadratic built from
 matrices, and small logistic-regression blobs), plus runs that reach the
 rarer paths: mini-batches, the decaying schedule, zero noise, the Lyapunov
-column, and a diverging step size.  A refactor of the engine, the oracles or
+column, a diverging step size, and problems wide enough to span several row
+blocks of the engine (a quadratic, and logistic regression with uneven node
+sizes, d = 2,100 and n = 8).  A refactor of the engine, the oracles or
 the compressors must leave every hash unchanged.
 
 Re-record (only when a change of results is intended) with
@@ -48,6 +50,13 @@ def _blobs() -> LogRegProblem:
     x, y = make_blobs(classes=3, n_features=4, examples=60, seed=5)
     feats, labs = split_examples(x, y, 3, "by_label", 0)
     return LogRegProblem(feats, labs, classes=3, reg=1e-3)
+
+
+def _wide_logreg() -> LogRegProblem:
+    # 403 examples dealt to 8 nodes: 50 or 51 each
+    x, y = make_blobs(classes=10, n_features=209, examples=403, seed=8)
+    feats, labs = split_examples(x, y, 8, "uniform", 9)
+    return LogRegProblem(feats, labs, classes=10, reg=1e-3)
 
 
 def _problems() -> dict:
@@ -105,6 +114,8 @@ def configs() -> dict[str, tuple[RunConfig, int]]:
     hp = HyperParams(gamma=gamma, eta=0.3, rounds=ROUNDS)
     # n=20 at d=1000 spans several row blocks of the engine
     wide = generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01)
+    # n=8 at d=2100 spans three row blocks
+    wide_logreg = _wide_logreg()
     for kind in optim.ALGORITHMS:
         comp = _default_comp(kind, problem.dim)
         out[f"inv_sqrt_t/{kind}"] = (RunConfig(kind, problem, comp, replace(hp, schedule="inv_sqrt_t")), 2)
@@ -116,6 +127,10 @@ def configs() -> dict[str, tuple[RunConfig, int]]:
                 5,
             )
         out[f"blocks/{kind}"] = (RunConfig(kind, wide, _default_comp(kind, wide.dim), replace(hp, gamma=2.0**-4)), 6)
+        out[f"blocks_logreg/{kind}"] = (
+            RunConfig(kind, wide_logreg, _default_comp(kind, wide_logreg.dim), replace(hp, gamma=0.05, batch=3, b_init=4)),
+            7,
+        )
     return out
 
 

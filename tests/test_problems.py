@@ -236,6 +236,66 @@ def _tiny_logreg(classes=3, features=5, per_node=10, nodes=2, seed=17, reg=1e-3)
     return LogRegProblem(feats, labs, classes, reg=reg)
 
 
+def _uneven_logreg(classes=4, features=6, examples=47, nodes=5):
+    """Logistic-regression blobs dealt to nodes of uneven sizes (9 or 10 by
+    default), with the raw node features and labels."""
+    x, y = make_blobs(classes=classes, n_features=features, examples=examples, seed=2)
+    feats, labs = split_examples(x, y, nodes, "uniform", 3)
+    return LogRegProblem(feats, labs, classes, reg=1e-3), feats, labs
+
+
+def _logreg_reference(feat, lab, classes, reg, x, batch_idx=None):
+    """Loss and gradient of one node, written out: logits, max-stabilized
+    softmax, residual, ``resid.T @ a / m`` plus the regularizer's gradient."""
+    a = np.hstack([feat, np.ones((feat.shape[0], 1))])
+    y = lab - 1
+    if batch_idx is not None:
+        a, y = a[batch_idx], y[batch_idx]
+    m, l = a.shape[0], feat.shape[1]
+    wmat = x.reshape(classes, l + 1)
+    logits = a @ wmat.T
+    logits -= logits.max(axis=1, keepdims=True)
+    expz = np.exp(logits)
+    probs = expz / expz.sum(axis=1, keepdims=True)
+    w = wmat[:, :l]
+    loss = -float(np.mean(np.log(probs[np.arange(m), y] + 1e-300))) + reg * float(np.sum(w**2 / (1.0 + w**2)))
+    probs[np.arange(m), y] -= 1.0
+    reg_grad = np.zeros_like(wmat)
+    reg_grad[:, :l] = reg * 2.0 * w / (1.0 + w**2) ** 2
+    return loss, ((probs.T @ a) / m).ravel() + reg_grad.ravel()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 28, None], ids=["one_row", "three_rows", "default"])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+def test_logreg_oracles_equal_explicit_reference_bitwise(batch, block_bytes, monkeypatch):
+    from efsim import optim
+
+    if block_bytes is not None:
+        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+    prob, feats, labs = _uneven_logreg()  # d = 28
+    assert len(set(prob.m_i.tolist())) > 1
+    x = 0.5 * derive_stream(13, 0, 0).standard_normal(prob.dim)
+
+    def ref(i, batch_idx=None):
+        return _logreg_reference(feats[i], labs[i], prob.classes, prob.reg, x, batch_idx)
+
+    draws = [prob.draw(i, derive_stream(14, i, 0), batch) for i in range(prob.n_nodes)]
+    blocks = list(optim._blocks(prob.n_nodes, prob.dim))
+    assert len(blocks) == {1: 5, 3 * 8 * 28: 2, None: 1}[block_bytes]
+    for rows in blocks:
+        sg, full = prob.stoch_grads(rows, x, draws[rows]), prob.full_grads(rows, x)
+        for r, i in enumerate(range(rows.start, rows.stop)):
+            assert np.array_equal(sg[r], ref(i, draws[i])[1])
+            assert np.array_equal(full[r], ref(i)[1])
+    values, grads = zip(*(ref(i) for i in range(prob.n_nodes)))
+    g = grads[0].copy()
+    for gi in grads[1:]:
+        g += gi
+    value, mean_grad = prob.value_and_mean_grad(x)
+    assert value == float(np.mean(values))
+    assert np.array_equal(mean_grad, g / prob.n_nodes)
+
+
 def test_logreg_zero_weights_symmetric():
     prob = LogRegProblem([np.array([[0.5, -0.2]])], [np.array([1])], classes=2, reg=0.0)
     loss, grad = prob.value_and_grad(0, np.zeros(prob.dim))
@@ -418,8 +478,9 @@ def test_block_oracles_equal_per_node_oracles_bitwise(prob, batch):
             np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(5)]), np.ones((5, 4)), x0=np.zeros(4)
         ),
         CounterexampleProblem(sigma=1.0, n_nodes=7),
+        _uneven_logreg(classes=3, features=2, examples=37)[0],
     ],
-    ids=["structured", "from_matrices", "counterexample"],
+    ids=["structured", "from_matrices", "counterexample", "logreg"],
 )
 @pytest.mark.parametrize("block_bytes", [1, 200, None], ids=["one_row", "small", "default"])
 def test_mean_full_grad_equals_per_node_sum_bitwise(prob, block_bytes, monkeypatch):
