@@ -30,11 +30,8 @@ __all__ = [
     "draw_picks",
     "keep_mask",
     "compress",
-    "densify",
     "contraction_alpha",
     "absolute_delta",
-    "ContractionReport",
-    "verify_contractive",
 ]
 
 @dataclass(frozen=True)
@@ -145,6 +142,7 @@ def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
     return mask
 
 
+# no efsim code calls this; it stays because perfbench/tracing.py imports it by name
 def compress(spec: Compressor, x: np.ndarray, rng: np.random.Generator | None = None) -> CompressedVector:
     """Apply the operator to x, returning the kept coordinates (see
     ``keep_mask``); RandK draws its coordinates from ``rng``."""
@@ -152,12 +150,6 @@ def compress(spec: Compressor, x: np.ndarray, rng: np.random.Generator | None = 
         raise ValueError(f"dimension mismatch: compressor dim {spec.dim}, vector shape {x.shape}")
     idx = np.flatnonzero(keep_mask(spec, x[None, :], [draw_picks(spec, rng)])[0])
     return CompressedVector(idx, x[idx], spec.dim)
-
-
-def densify(c: CompressedVector) -> np.ndarray:
-    out = np.zeros(c.dim, dtype=np.float64)
-    out[c.indices] = c.values
-    return out
 
 
 def contraction_alpha(spec: Compressor) -> float | None:
@@ -178,41 +170,3 @@ def absolute_delta(spec: Compressor) -> float | None:
     if spec.kind == "hard_threshold":
         return float(np.sqrt(spec.dim) * spec.tau)
     return None
-
-
-@dataclass
-class ContractionReport:
-    max_ratio: float
-    mean_ratio: float
-    trials: int
-
-
-def verify_contractive(
-    spec: Compressor,
-    trials: int,
-    rng: np.random.Generator,
-    resamplings: int = 100,
-) -> ContractionReport:
-    """Empirically measure ||C(x) - x||^2 / ||x||^2 on Gaussian inputs.
-
-    For randomized operators (RandK) the ratio for each draw is averaged
-    over ``resamplings`` independent applications, since the contraction
-    bound holds in expectation.  For the deterministic TopK the maximum
-    ratio must not exceed 1 - k/d on any input.
-    """
-    if not spec.is_contractive:
-        raise ValueError(f"{spec.kind} is not a contractive compressor")
-    ratios = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        x = rng.standard_normal(spec.dim)
-        nx = float(x @ x)
-        if spec.is_random:
-            acc = 0.0
-            for _ in range(resamplings):
-                err = x - densify(compress(spec, x, rng))
-                acc += float(err @ err)
-            ratios[t] = acc / resamplings / nx
-        else:
-            err = x - densify(compress(spec, x, rng))
-            ratios[t] = float(err @ err) / nx
-    return ContractionReport(float(ratios.max()), float(ratios.mean()), trials)

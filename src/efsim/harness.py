@@ -106,31 +106,31 @@ def lyapunov(
     gamma: float,
     eta: float,
     alpha: float,
+    gap: float,
 ) -> float:
-    """Descent diagnostic: objective gap plus weighted compression-error and
-    momentum-error terms,
+    """Descent diagnostic: the objective gap ``gap`` at the server iterate
+    plus weighted compression-error and momentum-error terms,
 
         gap + (gamma/(alpha n)) sum_i ||g_i - v_i||^2
             + (gamma eta/(alpha^2 n)) sum_i ||v_i - grad f_i(x)||^2
             + (gamma/eta) ||(1/n) sum_i (v_i - grad f_i(x))||^2.
 
     Uses full-gradient oracles, evaluated over the round engine's blocks of
-    node rows; the sums run in ascending node order.  When f* is unknown the
-    first term is the raw objective value (a shifted version of the same
-    quantity).
+    node rows; the sums run in ascending node order.  ``gap`` is the metric
+    row's ``obj_gap``, so the diagnostic makes no objective call of its own;
+    when f* is unknown it is the raw objective value (a shifted version of
+    the same quantity).
     """
     if nodes.v is None:
         raise ValueError("algorithm state has no momentum estimator v_i")
     n = problem.n_nodes
     x = server.x
-    f_star = problem.f_star
-    gap = problem.value(x) - (f_star if f_star is not None else 0.0)
     comp_err = 0.0
     mom_err = 0.0
     mean_dev = np.zeros(problem.dim)
     for rows in optim._blocks(n, problem.dim):
-        for gap_i, dev in zip(nodes.g[rows] - nodes.v[rows], nodes.v[rows] - problem.full_grads(rows, x)):
-            comp_err += norm_sq(gap_i)
+        for err, dev in zip(nodes.g[rows] - nodes.v[rows], nodes.v[rows] - problem.full_grads(rows, x)):
+            comp_err += norm_sq(err)
             mom_err += norm_sq(dev)
             mean_dev += dev
     mean_dev /= n
@@ -155,7 +155,7 @@ def _measure(cfg: RunConfig, server, nodes, coords_cum, samples_cum, want_lyap) 
         if want_lyap:
             gamma_t, eta_t = schedule_at(cfg.hyper, server.t)
             alpha = contraction_alpha(cfg.compressor)
-            lam = lyapunov(problem, server, nodes, gamma_t, eta_t, alpha)
+            lam = lyapunov(problem, server, nodes, gamma_t, eta_t, alpha, obj_gap)
     return MetricsRecord(server.t, coords_cum, samples_cum, grad_norm, obj_gap, lam)
 
 

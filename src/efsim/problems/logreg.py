@@ -101,22 +101,9 @@ class LogRegProblem(Problem):
         grads = (probs.transpose(0, 2, 1) @ a) / m  # (r, c, l+1)
         return p_true, grads.reshape(r, self.dim)
 
-    def _node_batch(self, i: int, batch_idx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Node i's examples and labels as a stack of one batch: its full local
-        dataset, or the rows ``batch_idx``."""
-        if batch_idx is None:
-            return self.a[i][None], self.y[i][None]
-        return self.a[i][batch_idx][None], self.y[i][batch_idx][None]
-
-    def grad(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None = None) -> np.ndarray:
-        """The gradient of ``value_and_grad`` alone, without the loss."""
-        return self._softmax_grads(x, *self._node_batch(i, batch_idx))[1][0] + self._reg_grad(x)
-
-    def value_and_grad(self, i: int, x: np.ndarray, batch_idx: np.ndarray | None = None):
-        """Cross-entropy (plus regularizer) and its gradient on node i's full
-        local dataset, or on its example rows ``batch_idx``."""
-        p_true, grads = self._softmax_grads(x, *self._node_batch(i, batch_idx))
-        return self._loss(p_true[0]) + self._reg_value(x), grads[0] + self._reg_grad(x)
+    def _node_batch(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node i's full local dataset as a stack of one batch."""
+        return self.a[i][None], self.y[i][None]
 
     @staticmethod
     def _loss(p_true: np.ndarray) -> float:
@@ -128,7 +115,7 @@ class LogRegProblem(Problem):
         reg = self._reg_grad(x)
         # one stack per node: node sizes may differ
         return np.array(
-            [self._softmax_grads(x, *self._node_batch(i, None))[1][0] + reg for i in range(rows.start, rows.stop)]
+            [self._softmax_grads(x, *self._node_batch(i))[1][0] + reg for i in range(rows.start, rows.stop)]
         )
 
     def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
@@ -147,7 +134,7 @@ class LogRegProblem(Problem):
         reg_value, reg = self._reg_value(x), self._reg_grad(x)
         values, grads = [], []
         for i in range(self.n_nodes):
-            p_true, g = self._softmax_grads(x, *self._node_batch(i, None))
+            p_true, g = self._softmax_grads(x, *self._node_batch(i))
             values.append(self._loss(p_true[0]) + reg_value)
             grads.append(g[0] + reg)
         g = grads[0].copy()
@@ -184,8 +171,8 @@ def parse_libsvm(path: str, classes: int, n_features: int) -> tuple[np.ndarray, 
     """Read a LIBSVM text file into dense (X, y) with 1-based labels.
 
     Lines look like ``label idx:val idx:val ...`` with an integral label,
-    strictly 1-based feature indices and finite values.  Malformed lines are
-    reported with their line number.
+    strictly ascending 1-based feature indices and finite values.  Malformed
+    lines are reported with their line number.
     """
     rows = []
     labels = []
@@ -205,6 +192,7 @@ def parse_libsvm(path: str, classes: int, n_features: int) -> tuple[np.ndarray, 
             if not 1 <= label <= classes:
                 raise ValueError(f"{path}:{lineno}: label {label} outside [1, {classes}]")
             x = np.zeros(n_features)
+            prev = 0
             for tok in parts[1:]:
                 try:
                     idx_s, val_s = tok.split(":", 1)
@@ -214,6 +202,9 @@ def parse_libsvm(path: str, classes: int, n_features: int) -> tuple[np.ndarray, 
                     raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
                 if not 1 <= idx <= n_features:
                     raise ValueError(f"{path}:{lineno}: feature index {idx} outside [1, {n_features}]")
+                if idx <= prev:
+                    raise ValueError(f"{path}:{lineno}: feature index {idx} is not above the previous index {prev}")
+                prev = idx
                 if not math.isfinite(val):
                     raise ValueError(f"{path}:{lineno}: feature value {val_s!r} is not finite")
                 x[idx - 1] = val

@@ -345,8 +345,11 @@ def test_malformed_task_file_is_usage_error(tmp_path, capsys, content, key):
         ("1 1:1e400", "feature value '1e400'"),
         ("inf 1:0.5", "label 'inf'"),  # used to end in an OverflowError traceback
         ("1.5 1:0.5", "label '1.5'"),  # used to be read as class 1
+        ("1 1:0.5 1:0.7", "feature index 1 is not above the previous index 1"),  # used to keep the last value
+        ("1 2:0.5 1:0.7", "feature index 1 is not above the previous index 2"),
     ],
-    ids=["nan_feature", "inf_feature", "overflowing_feature", "inf_label", "fractional_label"],
+    ids=["nan_feature", "inf_feature", "overflowing_feature", "inf_label", "fractional_label", "repeated_index",
+         "descending_index"],
 )
 def test_malformed_libsvm_file_is_usage_error(tmp_path, capsys, line, what):
     data = tmp_path / "data.txt"

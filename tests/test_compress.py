@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from efsim.checks import contraction_ratios, dropped, run_suite
 from efsim.compress import (
-    CompressedVector,
     absolute_delta,
     compress,
     contraction_alpha,
-    densify,
     draw_picks,
     hard_threshold,
     identity,
     keep_mask,
     rand_k,
     top_k,
-    verify_contractive,
 )
 from efsim.core import derive_stream
 
@@ -45,9 +43,9 @@ def test_top1_tie_breaks_to_lowest_index():
 def test_identity_round_trip_bitwise():
     rng = derive_stream(1, 0, 0)
     x = rng.standard_normal(23)
-    c = compress(identity(23), x)
-    assert len(c.indices) == 23
-    assert np.array_equal(densify(c), x)
+    mask = keep_mask(identity(23), x[None])[0]
+    assert np.count_nonzero(mask) == 23
+    assert np.array_equal(np.where(mask, x, 0.0), x)
 
 
 def test_hard_threshold_keeps_large_entries():
@@ -85,8 +83,8 @@ def test_absolute_delta_values():
     assert absolute_delta(top_k(3, 10)) is None
     # inputs whose entries all clear the threshold compress without error
     x = np.array([0.2, -0.3, 5.0])
-    c = compress(hard_threshold(0.1, 3), x)
-    assert np.array_equal(densify(c), x)
+    mask = keep_mask(hard_threshold(0.1, 3), x[None])[0]
+    assert np.array_equal(np.where(mask, x, 0.0), x)
 
 
 def test_topk_sends_k_coordinates():
@@ -135,25 +133,27 @@ def test_randk_unscaled_values_match_input():
 
 
 def test_randk_mean_contraction():
-    rep = verify_contractive(rand_k(10, 100), trials=400, rng=derive_stream(21, 0, 0))
+    ratios = contraction_ratios(rand_k(10, 100), trials=400, rng=derive_stream(21, 0, 0))
     # E||C(x)-x||^2 = (1-k/d)||x||^2 exactly for uniform subsets
-    assert rep.mean_ratio == pytest.approx(0.9, abs=0.01)
+    assert ratios.mean() == pytest.approx(0.9, abs=0.01)
 
 
 def test_verify_contractive_topk_and_identity():
-    rep = verify_contractive(top_k(10, 100), trials=3000, rng=derive_stream(22, 0, 0))
-    assert rep.max_ratio <= 0.9
-    rep = verify_contractive(identity(40), trials=100, rng=derive_stream(23, 0, 0))
-    assert rep.max_ratio == 0.0
-    with pytest.raises(ValueError):
-        verify_contractive(hard_threshold(0.1, 10), trials=10, rng=derive_stream(24, 0, 0))
+    ratios = contraction_ratios(top_k(10, 100), trials=3000, rng=derive_stream(22, 0, 0))
+    assert ratios.max() <= 0.9
+    ratios = contraction_ratios(identity(40), trials=100, rng=derive_stream(23, 0, 0))
+    assert ratios.max() == 0.0
 
 
-def test_densify_respects_dim():
-    c = CompressedVector(np.array([1, 4]), np.array([2.0, -3.0]), 6)
-    out = densify(c)
-    assert out.shape == (6,)
-    assert out[1] == 2.0 and out[4] == -3.0 and out.sum() == -1.0
+def test_dropped_is_input_minus_kept_bitwise():
+    # x - x is +0.0 and x - 0.0 is x, signed zeros included
+    rows = derive_stream(5, 0, 0).standard_normal((6, 12))
+    rows[:, :3] = [0.0, -0.0, 0.05]
+    picks = [draw_picks(rand_k(4, 12), derive_stream(5, i, 1)) for i in range(6)]
+    for spec in (top_k(1, 12), top_k(5, 12), rand_k(4, 12), identity(12), hard_threshold(0.1, 12)):
+        p = picks if spec.is_random else None
+        kept = np.where(keep_mask(spec, rows, p), rows, 0.0)
+        assert np.array_equal(dropped(spec, rows, p).view(np.uint64), (rows - kept).view(np.uint64))
 
 
 # -- row-wise selection against the per-vector reference ---------------------------
@@ -222,3 +222,17 @@ def test_randk_block_draws_match_per_node_compress():
         assert np.array_equal(c.indices, expected[i])
         assert np.array_equal(c.values, rows[i][expected[i]])
     assert draw_picks(top_k(2, 30), None) is None
+
+
+@pytest.mark.parametrize(
+    "seed, details",
+    [
+        (0, ["max=0.708004 mean=0.567115", "max=0.0", "mean=0.899863", "worst=0.322398 Delta^2=1.000000"]),
+        (1, ["max=0.708585 mean=0.567888", "max=0.0", "mean=0.900209", "worst=0.295216 Delta^2=1.000000"]),
+    ],
+)
+def test_compressors_suite_details_are_pinned(seed, details):
+    # recorded from the suite's former per-vector compress()/densify() code
+    results = run_suite("compressors", seed)
+    assert [r.detail for r in results] == details
+    assert all(r.passed for r in results)

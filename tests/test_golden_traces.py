@@ -5,10 +5,11 @@ run of every valid (algorithm x compressor) pair on four problems (the 2-d
 counterexample, a structured quadratic, a dense quadratic built from
 matrices, and small logistic-regression blobs), plus runs that reach the
 rarer paths: mini-batches, the decaying schedule, zero noise, the Lyapunov
-column, a diverging step size, and problems wide enough to span several row
-blocks of the engine (a quadratic, and logistic regression with uneven node
-sizes, d = 2,100 and n = 8).  A refactor of the engine, the oracles or
-the compressors must leave every hash unchanged.
+column (on the quadratic, the counterexample with f* known, and the blobs
+with f* unknown), a diverging step size, and problems wide enough to span
+several row blocks of the engine (a quadratic, and logistic regression with
+uneven node sizes, d = 2,100 and n = 8).  A refactor of the engine, the
+oracles or the compressors must leave every hash unchanged.
 
 Re-record (only when a change of results is intended) with
 
@@ -86,12 +87,12 @@ def _valid(kind: str, comp) -> bool:
     return True
 
 
-def _default_comp(kind: str, d: int):
+def _default_comp(kind: str, d: int, k: int = 3):
     if kind in (optim.SGD, optim.SGDM):
         return identity(d)
     if kind == optim.EF21_SGDM_ABS:
         return hard_threshold(0.05, d)
-    return top_k(min(3, d), d)
+    return top_k(min(k, d), d)
 
 
 def configs() -> dict[str, tuple[RunConfig, int]]:
@@ -109,6 +110,19 @@ def configs() -> dict[str, tuple[RunConfig, int]]:
         hp = HyperParams(gamma=gamma, eta=0.3, rounds=ROUNDS, batch=3, b_init=4)
         for kind in optim.ALGORITHMS:
             out[f"batch/{pname}/{kind}"] = (RunConfig(kind, problem, _default_comp(kind, problem.dim), hp), 1)
+
+    # the Lyapunov column with f* known (counterexample, under Top1) and
+    # unknown (blobs)
+    for pname, seed, k in (("counterexample", 8, 1), ("blobs", 9, 3)):
+        problem, gamma = problems[pname]
+        hp = HyperParams(gamma=gamma, eta=0.3, rounds=ROUNDS)
+        for kind in optim.MOMENTUM_KINDS:
+            comp = _default_comp(kind, problem.dim, k)
+            if comp.is_contractive:
+                out[f"lyapunov_{pname}/{kind}"] = (
+                    RunConfig(kind, problem, comp, hp, metric_every=2, lyapunov=True, lyapunov_every=4),
+                    seed,
+                )
 
     problem, gamma = problems["quadratic"]
     hp = HyperParams(gamma=gamma, eta=0.3, rounds=ROUNDS)

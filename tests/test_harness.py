@@ -22,6 +22,7 @@ from efsim.harness import (
 )
 from efsim.optim import HyperParams, NodeArrays, ServerState
 from efsim.problems import CounterexampleProblem, QuadraticProblem, generate_quadratic
+from test_problems import _uneven_logreg
 
 
 def quad_config(sigma=0.1, rounds=50, **kw):
@@ -114,7 +115,7 @@ def test_lyapunov_hand_computed_value():
     prob = QuadraticProblem.from_matrices(np.ones((1, 1, 1)), np.zeros((1, 1)), x0=np.zeros(1))
     server = ServerState(x=np.array([1.0]), g=np.array([0.5]), t=0)
     nodes = NodeArrays(g=np.array([[0.5]]), v=np.array([[0.5]]))
-    val = lyapunov(prob, server, nodes, gamma=1.0, eta=1.0, alpha=1.0)
+    val = lyapunov(prob, server, nodes, gamma=1.0, eta=1.0, alpha=1.0, gap=prob.value(server.x) - prob.f_star)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
@@ -126,7 +127,7 @@ def test_lyapunov_noiseless_exact_init_equals_gap():
     hp = HyperParams(gamma=0.01, eta=0.5, rounds=1, b_init=1)
     server, nodes, _ = optim.init("ef21_sgdm", prob, hp, top_k(2, 10), StreamFactory(0))
     delta0 = prob.value(prob.x0) - prob.f_star
-    val = lyapunov(prob, server, nodes, gamma=0.01, eta=0.5, alpha=0.2)
+    val = lyapunov(prob, server, nodes, gamma=0.01, eta=0.5, alpha=0.2, gap=prob.value(server.x) - prob.f_star)
     assert val == pytest.approx(delta0, rel=1e-12)
 
 
@@ -153,7 +154,7 @@ def test_lyapunov_requires_momentum_state():
     server = ServerState(x=prob.x0.copy(), g=np.zeros(10), t=0)
     nodes = NodeArrays(g=np.zeros((2, 10)))
     with pytest.raises(ValueError):
-        lyapunov(prob, server, nodes, 0.01, 0.5, 0.2)
+        lyapunov(prob, server, nodes, 0.01, 0.5, 0.2, 0.0)
 
 
 def test_lyapunov_logged_at_own_cadence():
@@ -167,8 +168,9 @@ def test_lyapunov_logged_at_own_cadence():
 
 
 def _lyapunov_per_node(prob, x, nodes, gamma, eta, alpha):
-    """The descent diagnostic with each node's gradient taken from its own
-    one-row block, summed in ascending node order."""
+    """The objective gap at x, and the descent diagnostic with each node's
+    gradient taken from its own one-row block, summed in ascending node
+    order."""
     n = prob.n_nodes
     comp_err = mom_err = 0.0
     mean_dev = np.zeros(prob.dim)
@@ -179,7 +181,7 @@ def _lyapunov_per_node(prob, x, nodes, gamma, eta, alpha):
         mean_dev += dev
     mean_dev /= n
     gap = prob.value(x) - (prob.f_star if prob.f_star is not None else 0.0)
-    return (
+    return gap, (
         gap
         + gamma / (alpha * n) * comp_err
         + gamma * eta / (alpha**2 * n) * mom_err
@@ -195,8 +197,9 @@ def _lyapunov_per_node(prob, x, nodes, gamma, eta, alpha):
             np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(5)]), np.ones((5, 4)), x0=np.zeros(4)
         ),
         CounterexampleProblem(sigma=1.0, n_nodes=7),
+        _uneven_logreg()[0],
     ],
-    ids=["structured", "from_matrices", "counterexample"],
+    ids=["structured", "from_matrices", "counterexample", "logreg"],
 )
 @pytest.mark.parametrize("block_bytes", [1, 200, None], ids=["one_row", "small", "default"])
 def test_lyapunov_blocks_equal_per_node_reference_bitwise(prob, block_bytes, monkeypatch):
@@ -209,8 +212,18 @@ def test_lyapunov_blocks_equal_per_node_reference_bitwise(prob, block_bytes, mon
     server = ServerState(x=rng.standard_normal(prob.dim), g=np.zeros(prob.dim), t=0)
     nodes = NodeArrays(g=rng.standard_normal(shape), v=rng.standard_normal(shape))
     # weights that let the error sums, not the gap, set the last bits
-    want = _lyapunov_per_node(prob, server.x, nodes, 1.0, 0.5, 0.01)
-    assert lyapunov(prob, server, nodes, 1.0, 0.5, 0.01) == want
+    gap, want = _lyapunov_per_node(prob, server.x, nodes, 1.0, 0.5, 0.01)
+    assert lyapunov(prob, server, nodes, 1.0, 0.5, 0.01, gap) == want
+
+
+def test_lyapunov_rows_reuse_the_metric_rows_objective(monkeypatch):
+    cfg = quad_config(rounds=40, metric_every=5, lyapunov=True, lyapunov_every=10)
+    calls = []
+    value = cfg.problem.value
+    monkeypatch.setattr(cfg.problem, "value", lambda x: calls.append(1) or value(x))
+    tr = run(cfg, 0)
+    assert sum(rec.lyapunov is not None for rec in tr.records) == 5
+    assert len(calls) == len(tr.records) == 9
 
 
 # -- lower-bound check ------------------------------------------------------------

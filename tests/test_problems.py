@@ -196,10 +196,10 @@ def test_counterexample_atoms():
 
 
 def test_counterexample_compressed_noise_bias():
-    from efsim.compress import compress, densify, top_k
+    from efsim.compress import keep_mask, top_k
 
     prob = CounterexampleProblem(sigma=1.0, variance_batch=1)
-    kept = np.mean([densify(compress(top_k(1, 2), z)) for z in prob.atoms], axis=0)
+    kept = np.mean(np.where(keep_mask(top_k(1, 2), prob.atoms), prob.atoms, 0.0), axis=0)
     expected = math.sqrt(3 / 10) * np.array([0.0, 1.0 / 3.0])
     assert np.allclose(kept, expected, rtol=1e-12)
 
@@ -298,7 +298,7 @@ def test_logreg_oracles_equal_explicit_reference_bitwise(batch, block_bytes, mon
 
 def test_logreg_zero_weights_symmetric():
     prob = LogRegProblem([np.array([[0.5, -0.2]])], [np.array([1])], classes=2, reg=0.0)
-    loss, grad = prob.value_and_grad(0, np.zeros(prob.dim))
+    loss, grad = prob.value(np.zeros(prob.dim)), node_grad(prob, 0, np.zeros(prob.dim))
     assert loss == pytest.approx(math.log(2.0), rel=1e-12)
     # softmax probabilities (1/2, 1/2): residual is +-1/2 times the example
     a_aug = np.array([0.5, -0.2, 1.0])
@@ -314,8 +314,8 @@ def test_logreg_dimension():
 def test_logreg_gradient_matches_finite_differences():
     prob = _tiny_logreg(classes=3, features=5, per_node=10, nodes=1)
     x = 0.5 * derive_stream(18, 0, 0).standard_normal(prob.dim)
-    _, grad = prob.value_and_grad(0, x)
-    fd = central_diff_grad(lambda y: prob.value_and_grad(0, y)[0], x)
+    grad = node_grad(prob, 0, x)
+    fd = central_diff_grad(prob.value, x)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -324,8 +324,8 @@ def test_regularizer_gradient_hand_value():
     prob = LogRegProblem([np.zeros((1, 2))], [np.array([1])], classes=2, reg=reg)
     x = np.zeros(prob.dim)
     x[0] = 1.0  # a weight coordinate: d/dz [z^2/(1+z^2)] = 2z/(1+z^2)^2 = 1/2 at z=1
-    _, grad_with = prob.value_and_grad(0, x)
-    probs_part = LogRegProblem([np.zeros((1, 2))], [np.array([1])], classes=2, reg=0.0).value_and_grad(0, x)[1]
+    grad_with = node_grad(prob, 0, x)
+    probs_part = node_grad(LogRegProblem([np.zeros((1, 2))], [np.array([1])], classes=2, reg=0.0), 0, x)
     assert grad_with[0] - probs_part[0] == pytest.approx(reg / 2.0, rel=1e-12)
     # bias coordinates are not regularized
     x2 = np.zeros(prob.dim)
@@ -354,7 +354,7 @@ def test_logreg_smoothness_is_upper_bound():
 def test_empty_batch_rejected():
     prob = _tiny_logreg()
     with pytest.raises(ValueError):
-        prob.value_and_grad(0, np.zeros(prob.dim), np.array([], dtype=int))
+        prob.stoch_grads(slice(0, 1), np.zeros(prob.dim), [np.array([], dtype=int)])
 
 
 # -- LIBSVM ingestion ----------------------------------------------------------
@@ -499,8 +499,14 @@ def test_logreg_gradient_alone_equals_value_and_grad():
     prob = _tiny_logreg()
     x = derive_stream(11, 0, 0).standard_normal(prob.dim)
     idx = np.array([0, 3, 3, 7])
-    assert np.array_equal(prob.grad(1, x, idx), prob.value_and_grad(1, x, idx)[1])
-    assert np.array_equal(prob.grad(0, x), prob.value_and_grad(0, x)[1])
+
+    def one_node(i, rows=slice(None)):
+        """Node i's examples ``rows`` as a one-node problem, whose gradient
+        comes from the value pass ``value_and_mean_grad``."""
+        return LogRegProblem([prob.a[i][rows, :-1]], [prob.y[i][rows] + 1], prob.classes, reg=prob.reg)
+
+    assert np.array_equal(prob.stoch_grads(slice(1, 2), x, [idx])[0], one_node(1, idx).value_and_mean_grad(x)[1])
+    assert np.array_equal(node_grad(prob, 0, x), one_node(0).value_and_mean_grad(x)[1])
     value, mean_grad = prob.value_and_mean_grad(x)
     assert value == prob.value(x)
     assert np.array_equal(mean_grad, prob.mean_full_grad(x))
