@@ -28,7 +28,7 @@ from .compress import (
     top_k,
 )
 from .core import StreamFactory, derive_stream, norm_sq
-from .harness import RunConfig, run, theorem1_check
+from .harness import RunConfig, run_all, theorem1_check
 from .optim import HyperParams, theoretical_params
 from .problems import generate_quadratic
 
@@ -207,7 +207,7 @@ def check_lyapunov(seed: int = 0) -> list[CheckResult]:
         delta0 = problem.value(problem.x0) - smooth.f_star
         hp = theoretical_params(optim.EF21_SGDM, smooth, contraction_alpha(comp), sigma, 20, 1000, delta0)
         cfg = RunConfig(optim.EF21_SGDM, problem, comp, hp, seeds, metric_every=10, lyapunov=True, lyapunov_every=10)
-        traces = [run(cfg, s) for s in seeds]
+        traces = list(run_all([cfg] * len(seeds), seeds))
         failed = [tr.seed for tr in traces if tr.failure_round is not None]
         if failed:
             out.append(_result(name, False, f"non-finite at seeds {failed}"))

@@ -23,11 +23,10 @@ from .compress import Compressor, absolute_delta, contraction_alpha
 from .core import SEED_MAX
 from .harness import (
     RunConfig,
-    RunTrace,
     SweepResult,
     _with_gamma,
     power_grid,
-    run,
+    run_all,
     run_quantiles,
     sweep,
     trace_diverged,
@@ -293,17 +292,6 @@ def _build_config(exp: dict, algorithm: str, problem: Problem) -> RunConfig:
     )
 
 
-def _run_task(exp: dict, algorithm: str, gamma: float, seed: int) -> RunTrace:
-    """Worker entry: rebuild everything from the declarative spec."""
-    return run(_with_gamma(_build_config(exp, algorithm, build_problem(exp["problem"])), gamma), seed)
-
-
-def _submit(pool, exp: dict, algorithm: str, pairs) -> list:
-    """Futures of the (gamma, seed) runs of one algorithm, each rebuilt from
-    the spec in a worker, submitted at once and in the order given."""
-    return [pool.submit(_run_task, exp, algorithm, gamma, seed) for gamma, seed in pairs]
-
-
 def worker_pool(workers: int, runs: int):
     """A process pool of at most ``workers`` workers and one per run (a
     forking pool starts every worker at its first submit), or a null context
@@ -318,14 +306,13 @@ def tune_gamma(exp: dict, algorithm: str, problem: Problem, tune: dict, pool=Non
 
     The sweep runs the tune section's seeds, if it names any, else the
     experiment's, and never computes the Lyapunov diagnostic, which no
-    criterion reads.  Without a pool every run happens in this process on
-    ``problem``; with one, each is rebuilt from the spec in a worker.  If
-    every step size diverges, ``SweepDiverged`` is raised.
+    criterion reads.  Every run is of the configuration built here on
+    ``problem``, in this process or, with a pool, in a worker.  If every
+    step size diverges, ``SweepDiverged`` is raised.
     """
     doc = {**exp, "seeds": tune["seeds"] or exp["seeds"], "lyapunov": False}
-    runner = None if pool is None else lambda pairs: (fut.result() for fut in _submit(pool, doc, algorithm, pairs))
     grid = power_grid(tune["k_lo"], tune["k_hi"])
-    return sweep(_build_config(doc, algorithm, problem), grid, tune["criterion"], runner)
+    return sweep(_build_config(doc, algorithm, problem), grid, tune["criterion"], pool)
 
 
 def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict]:
@@ -333,10 +320,10 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict
     manifest; return the manifest's path and a summary keyed by algorithm.
 
     Every configuration is built, and so checked, before ``out_dir`` is
-    made.  With ``workers > 1`` one process pool of at most one worker per
-    run serves every run of the call, the tuning sweeps' and the final ones,
-    each rebuilt from the spec alone; without one every run reuses the
-    configuration built here.  The outputs do not depend on ``workers``.
+    made.  Every run, the tuning sweeps' and the final ones, is of a
+    configuration built here; with ``workers > 1`` one process pool of at
+    most one worker per run serves them all.  The outputs do not depend on
+    ``workers``.
     If every tuning step size of an algorithm diverges, ``SweepDiverged``
     is raised.
     """
@@ -351,11 +338,9 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict
         if tune is not None:
             for a in algorithms:
                 configs[a] = _with_gamma(configs[a], tune_gamma(exp, a, problem, tune, pool).best_gamma)
-        if pool is None:
-            traces = {a: [run(configs[a], s) for s in seeds] for a in algorithms}
-        else:  # every final run is submitted before any is collected
-            futures = {a: _submit(pool, exp, a, [(configs[a].hyper.gamma, s) for s in seeds]) for a in algorithms}
-            traces = {a: [fut.result() for fut in futures[a]] for a in algorithms}
+        # with a pool, every final run is submitted before any is collected
+        results = {a: run_all([configs[a]] * len(seeds), seeds, pool) for a in algorithms}
+        traces = {a: list(results[a]) for a in algorithms}
 
     outputs = []
     summary = {}

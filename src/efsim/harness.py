@@ -30,6 +30,7 @@ __all__ = [
     "RunTrace",
     "QuantileTrace",
     "run",
+    "run_all",
     "run_quantiles",
     "lyapunov",
     "Theorem1Report",
@@ -202,6 +203,13 @@ def run(cfg: RunConfig, seed: int) -> RunTrace:
     return trace
 
 
+def run_all(cfgs, seeds, pool=None):
+    """The traces of ``run(cfg, seed)`` for each pair of ``cfgs`` and
+    ``seeds``, in their order: lazily in this process without a pool, else
+    through ``pool.map``, which submits every run at once."""
+    return (map if pool is None else pool.map)(run, cfgs, seeds)
+
+
 def _record_finite(rec: MetricsRecord) -> bool:
     vals = [rec.grad_norm, rec.obj_gap]
     if rec.lyapunov is not None:
@@ -287,7 +295,7 @@ def theorem1_check(
         seeds=tuple(seeds),
         metric_every=max(rounds, 1),
     )
-    finals = np.array([run(cfg, s).final.grad_norm ** 2 for s in cfg.seeds])
+    finals = np.array([tr.final.grad_norm**2 for tr in run_all([cfg] * len(cfg.seeds), cfg.seeds)])
     lhs = float(finals.mean())
     stderr = float(finals.std(ddof=1) / math.sqrt(len(finals))) if len(finals) > 1 else 0.0
     grad0_sq = norm_sq(l_smooth * x0)
@@ -387,17 +395,13 @@ def _with_gamma(cfg: RunConfig, gamma: float) -> RunConfig:
     return replace(cfg, hyper=replace(cfg.hyper, gamma=gamma))
 
 
-def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss", runner=None) -> SweepResult:
+def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss", pool=None) -> SweepResult:
     """Evaluate each step size on fixed seeds and pick the best survivor.
 
     ``criterion`` is 'final_loss' (mean final objective gap over seeds) or
     'final_grad_norm'.  Grid points where every seed diverges are dropped;
-    if nothing survives ``SweepDiverged`` (a RuntimeError) is raised.
-
-    ``runner`` maps the grid's (gamma, seed) pairs, in grid order, to an
-    iterable of their traces in the same order; it must run each pair as
-    ``run`` would with cfg_template at that gamma.  The default runs them
-    one after another in this process.
+    if nothing survives ``SweepDiverged`` (a RuntimeError) is raised.  The
+    (gamma, seed) runs go through ``run_all`` with ``pool``.
     """
     if criterion not in ("final_loss", "final_grad_norm"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -405,16 +409,14 @@ def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss", runner
     if not gammas:
         raise ValueError("empty step-size grid")
     col = "obj_gap" if criterion == "final_loss" else "grad_norm"
-    pairs = [(gamma, s) for gamma in gammas for s in cfg_template.seeds]
-    if runner is None:
-        traces = (run(_with_gamma(cfg_template, gamma), s) for gamma, s in pairs)
-    else:
-        traces = iter(runner(pairs))
+    seeds = cfg_template.seeds
+    cfgs = [_with_gamma(cfg_template, gamma) for gamma in gammas for _ in seeds]
+    traces = run_all(cfgs, seeds * len(gammas), pool)
     table = []
     best = None
     for gamma in gammas:
         finals = []
-        for _ in cfg_template.seeds:
+        for _ in seeds:
             tr = next(traces)
             if not trace_diverged(tr):
                 finals.append(getattr(tr.final, col))

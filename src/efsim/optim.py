@@ -265,75 +265,71 @@ def run_round(
     warnings are silenced in favor of the explicit finiteness checks.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _run_round_unchecked(kind, server, nodes, problem, hp, comp, streams)
+        rule = RULES[kind]
+        t = server.t
+        gamma_t, eta_t = schedule_at(hp, t)
+        n = problem.n_nodes
+        x_new = server.x - (server.g if rule.message == "ef14" else gamma_t * server.g)
+        ensure_finite(x_new, "iterate", t)
 
+        acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
+        coords = 0
+        for rows in _blocks(n, problem.dim):
+            draws, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
+            sg = problem.stoch_grads(rows, x_new, draws)
+            g = nodes.g[rows]
+            target = sg
+            # in-place updates, each operation in the order of the formulas above
+            for name in rule.estimators:
+                state = getattr(nodes, name)[rows]
+                if name in ("v", "u"):  # v averages the sample gradient, u averages v
+                    np.multiply(1.0 - eta_t, state, out=state)
+                    state += eta_t * target
+                    target = state
+                elif name == "w":
+                    np.subtract(state, problem.stoch_grads(rows, nodes.x_prev, draws), out=state)
+                    np.multiply(1.0 - eta_t, state, out=state)
+                    np.add(sg, state, out=state)
+                    target = state
+                elif name == "e":
+                    state += gamma_t * nodes.sg_prev[rows]
+                    state -= g
+                    target = state + gamma_t * sg
+                else:  # "sg_prev": cache this round's sample gradient
+                    state[...] = sg
 
-def _run_round_unchecked(kind, server, nodes, problem, hp, comp, streams) -> RoundLog:
-    rule = RULES[kind]
-    t = server.t
-    gamma_t, eta_t = schedule_at(hp, t)
-    n = problem.n_nodes
-    x_new = server.x - (server.g if rule.message == "ef14" else gamma_t * server.g)
-    ensure_finite(x_new, "iterate", t)
+            if rule.message == "write":
+                resid = target - g
+                mask = keep_mask(comp, resid, picks)
+                np.copyto(g, target, where=mask)
+                _add_rows(acc, resid, mask)
+            elif rule.message == "absolute":
+                unscaled = (target - g) / gamma_t
+                mask = keep_mask(comp, unscaled, picks)
+                scaled = gamma_t * unscaled
+                np.add(g, scaled, out=g, where=mask)
+                _add_rows(acc, scaled, mask)
+            elif rule.message == "ef14":
+                mask = keep_mask(comp, target, picks)
+                g[...] = np.where(mask, target, 0.0)
+                _add_rows(acc, g)
+            else:  # ideal: exact gradient plus the compressed noise, sent dense
+                full = problem.full_grads(rows, x_new)
+                noise = sg - full
+                if rule.scale_noise:
+                    noise = eta_t * noise
+                mask = keep_mask(comp, noise, picks)
+                _add_rows(acc, full + np.where(mask, noise, 0.0))
+            coords += problem.dim * len(g) if rule.message == "ideal" else int(np.count_nonzero(mask))
 
-    acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
-    coords = 0
-    for rows in _blocks(n, problem.dim):
-        draws, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
-        sg = problem.stoch_grads(rows, x_new, draws)
-        g = nodes.g[rows]
-        target = sg
-        # in-place updates, each operation in the order of the formulas above
-        for name in rule.estimators:
-            state = getattr(nodes, name)[rows]
-            if name in ("v", "u"):  # v averages the sample gradient, u averages v
-                np.multiply(1.0 - eta_t, state, out=state)
-                state += eta_t * target
-                target = state
-            elif name == "w":
-                np.subtract(state, problem.stoch_grads(rows, nodes.x_prev, draws), out=state)
-                np.multiply(1.0 - eta_t, state, out=state)
-                np.add(sg, state, out=state)
-                target = state
-            elif name == "e":
-                state += gamma_t * nodes.sg_prev[rows]
-                state -= g
-                target = state + gamma_t * sg
-            else:  # "sg_prev": cache this round's sample gradient
-                state[...] = sg
-
-        if rule.message == "write":
-            resid = target - g
-            mask = keep_mask(comp, resid, picks)
-            np.copyto(g, target, where=mask)
-            _add_rows(acc, resid, mask)
-        elif rule.message == "absolute":
-            unscaled = (target - g) / gamma_t
-            mask = keep_mask(comp, unscaled, picks)
-            scaled = gamma_t * unscaled
-            np.add(g, scaled, out=g, where=mask)
-            _add_rows(acc, scaled, mask)
-        elif rule.message == "ef14":
-            mask = keep_mask(comp, target, picks)
-            g[...] = np.where(mask, target, 0.0)
-            _add_rows(acc, g)
-        else:  # ideal: exact gradient plus the compressed noise, sent dense
-            full = problem.full_grads(rows, x_new)
-            noise = sg - full
-            if rule.scale_noise:
-                noise = eta_t * noise
-            mask = keep_mask(comp, noise, picks)
-            _add_rows(acc, full + np.where(mask, noise, 0.0))
-        coords += problem.dim * len(g) if rule.message == "ideal" else int(np.count_nonzero(mask))
-
-    server.g = server.g + acc / n if rule.message in ("write", "absolute") else acc / n
-    ensure_finite(server.g, "aggregated state", t)
-    if nodes.x_prev is not None:
-        nodes.x_prev = x_new
-    server.x = x_new
-    server.t = t + 1
-    evals = 2 * hp.batch if "w" in rule.estimators else hp.batch
-    return RoundLog(coords_sent=coords, grad_evals=evals)
+        server.g = server.g + acc / n if rule.message in ("write", "absolute") else acc / n
+        ensure_finite(server.g, "aggregated state", t)
+        if nodes.x_prev is not None:
+            nodes.x_prev = x_new
+        server.x = x_new
+        server.t = t + 1
+        evals = 2 * hp.batch if "w" in rule.estimators else hp.batch
+        return RoundLog(coords_sent=coords, grad_evals=evals)
 
 
 def _inf_if_zero_div(num: float, den: float) -> float:

@@ -2,7 +2,7 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,14 +13,14 @@ from efsim.cli import main
 from efsim.experiments import (
     SCHEMA,
     SchemaError,
-    _run_task,
+    _build_config,
     build_problem,
     load_experiment_file,
     run_experiment,
     tune_gamma,
     validate_experiment,
 )
-from efsim.harness import read_trace_csv
+from efsim.harness import _with_gamma, read_trace_csv, run
 from efsim.optim import ALGORITHMS
 
 
@@ -456,8 +456,8 @@ def test_parallel_workers_match_serial(tmp_path):
 
 
 def test_parallel_workers_match_serial_theoretical_lyapunov(tmp_path):
-    # serial final runs reuse the configuration built in this process, pooled
-    # ones rebuild it (theoretical step sizes included) from the spec
+    # pooled final runs are of the configuration the parent built, theoretical
+    # step sizes and the Lyapunov column included
     exp = minimal_experiment(seeds=[0, 1], algorithms=["ef21_sgdm", "ef21_sgd2m"], lyapunov=True, lyapunov_every=5)
     exp["problem"] = {"kind": "quadratic", "n": 4, "d": 20, "lam": 0.1, "s": 1.0, "sigma": 0.01}
     exp["compressor"] = {"kind": "topk", "k": 2}
@@ -475,6 +475,31 @@ def test_parallel_workers_match_serial_under_tuning(tmp_path, tune_seeds):
     out = _assert_workers_match(tmp_path, exp)
     resolved = json.loads((out / "mini__manifest.json").read_text())["resolved_hyper"]
     assert all(resolved[a]["gamma"] in [2.0**k for k in range(-8, 5)] for a in exp["algorithms"])
+
+
+@pytest.mark.parametrize("kind", ["blobs", "logreg_file", "quadratic_file"])
+def test_parallel_workers_match_serial_on_file_and_blob_problems(tmp_path, data_files, kind):
+    # a worker runs the configuration the parent built, problem included
+    exp = minimal_experiment(seeds=[0, 1], algorithms=["ef21_sgdm", "ef14_sgd"])
+    exp["problem"] = _kind_bases(*data_files)[f"problem.{kind}"]
+    exp["compressor"] = {"kind": "topk", "k": 2}
+    exp["hyper"] = {"eta": 0.3, "rounds": 20}
+    exp["tune"] = {"k_lo": -6, "k_hi": -4, "seeds": [5, 6]}
+    _assert_workers_match(tmp_path, exp)
+
+
+def test_pooled_logreg_file_run_parses_its_file_once(tmp_path, data_files, pool_sizes, monkeypatch):
+    from efsim.problems import logreg
+
+    calls = []
+    real = logreg.parse_libsvm
+    monkeypatch.setattr(logreg, "parse_libsvm", lambda *a: calls.append(a) or real(*a))
+    exp = minimal_experiment(seeds=[0, 1], problem=_kind_bases(*data_files)["problem.logreg_file"])
+    exp["compressor"] = {"kind": "topk", "k": 2}
+    exp["hyper"] = {"eta": 0.3, "rounds": 20}
+    exp["tune"] = {"k_lo": -4, "k_hi": -2, "seeds": [5]}
+    run_experiment(exp, str(tmp_path / "out"), workers=4)
+    assert pool_sizes == [4] and len(calls) == 1
 
 
 def test_serial_run_builds_the_problem_once(tmp_path, monkeypatch):
@@ -556,16 +581,16 @@ def test_config_error_leaves_no_output_directory(tmp_path, capsys, change, messa
 
 
 class _InlinePool:
-    """A pool that runs each submitted task at once in this process."""
+    """A pool that runs each mapped item at once in this process and
+    records it."""
 
     def __init__(self):
-        self.tasks = []
+        self.items = []
 
-    def submit(self, fn, *args):
-        self.tasks.append(args)
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def map(self, fn, *iterables):
+        items = list(zip(*iterables))
+        self.items += items
+        return iter([fn(*item) for item in items])
 
 
 @pytest.mark.parametrize("tune_seeds, seeds", [([5, 6], (5, 6)), (None, (0, 1, 2))], ids=["own_seeds", "run_seeds"])
@@ -582,12 +607,13 @@ def test_tuning_never_computes_lyapunov(tune_seeds, seeds, monkeypatch):
     problem = build_problem(exp["problem"])
     cfg = tune_gamma(exp, "ef21_sgdm", problem, exp["tune"]).best_config
     assert cfg.seeds == seeds and not cfg.lyapunov
-    pool = _InlinePool()  # the tasks a worker pool would run
+    pool = _InlinePool()  # the runs a worker pool would do
     tune_gamma(exp, "ef21_sgdm", problem, exp["tune"], pool)
-    assert [seed for _, _, _, seed in pool.tasks] == list(seeds) * 3
-    assert all(not doc["lyapunov"] for doc, *_ in pool.tasks)
+    assert [seed for _, seed in pool.items] == list(seeds) * 3
+    assert all(not cfg.lyapunov for cfg, _ in pool.items)
     assert calls == []
-    assert _run_task(exp, "ef21_sgdm", 0.25, seeds[0]).final.lyapunov is not None
+    final = _with_gamma(_build_config(exp, "ef21_sgdm", problem), 0.25)  # as run_experiment builds it
+    assert run(final, seeds[0]).final.lyapunov is not None
 
 
 def _diverging_tune_experiment():

@@ -110,6 +110,14 @@ def configs() -> dict[str, tuple[RunConfig, int]]:
         hp = HyperParams(gamma=gamma, eta=0.3, rounds=ROUNDS, batch=3, b_init=4)
         for kind in optim.ALGORITHMS:
             out[f"batch/{pname}/{kind}"] = (RunConfig(kind, problem, _default_comp(kind, problem.dim), hp), 1)
+    # on the 2-d counterexample the default TopK keeps both coordinates;
+    # Top1 makes the batch runs compress
+    problem, gamma = problems["counterexample"]
+    hp = HyperParams(gamma=gamma, eta=0.3, rounds=ROUNDS, batch=3, b_init=4)
+    for kind in optim.ALGORITHMS:
+        comp = _default_comp(kind, problem.dim, 1)
+        if comp.kind == "topk":
+            out[f"batch_top1/counterexample/{kind}"] = (RunConfig(kind, problem, comp, hp), 1)
 
     # the Lyapunov column with f* known (counterexample, under Top1) and
     # unknown (blobs)

@@ -348,17 +348,14 @@ def test_sweep_all_diverged_raises():
         sweep(cfg, [1e9, 1e12])
 
 
-def _reverse_runner(cfg):
-    """Runs the pairs last first, then hands the traces back in grid order."""
+class _ReversePool:
+    """A pool whose ``map`` runs the items last first, then hands the
+    results back in order."""
 
-    def runner(pairs):
-        done = {}
-        for k in reversed(range(len(pairs))):
-            gamma, seed = pairs[k]
-            done[k] = run(replace(cfg, hyper=replace(cfg.hyper, gamma=gamma)), seed)
-        return [done[k] for k in range(len(pairs))]
-
-    return runner
+    def map(self, fn, *iterables):
+        items = list(zip(*iterables))
+        done = [fn(*item) for item in reversed(items)]
+        return reversed(done)
 
 
 @pytest.mark.parametrize(
@@ -371,7 +368,7 @@ def _reverse_runner(cfg):
 )
 def test_sweep_runner_out_of_order_matches_serial(cfg, grid):
     serial = sweep(cfg, grid)
-    pooled = sweep(cfg, grid, runner=_reverse_runner(cfg))
+    pooled = sweep(cfg, grid, pool=_ReversePool())
     assert pooled.best_gamma == serial.best_gamma and pooled.best_score == serial.best_score
     assert pooled.table == serial.table
     assert pooled.best_config.hyper == serial.best_config.hyper
