@@ -29,9 +29,11 @@ Node update rules (per node i, fresh sample at the new iterate x'):
 states are (n, d) arrays (``NodeArrays``) walked in blocks of rows, each
 temporary under ``BLOCK_BYTES``.  Per block, every node resets its own
 (seed, node, round) stream and draws its oracle sample, then its RandK
-picks; the rest is array operations in the operand order of the formulas
-above, and messages are added row by row in ascending node order, so traces
-match a loop over single nodes bit for bit.  Compressed-state updates write
+picks (a batch-1 sample that is one bounded integer comes instead from a
+chunk of rounds the stream factory draws at once, with the same values);
+the rest is array operations in the operand order of the formulas above,
+and messages are added row by row in ascending node order, so traces match
+a loop over single nodes bit for bit.  Compressed-state updates write
 the kept coordinates of the target directly into g_i (mathematically
 identical to adding the transmitted residual, and it makes the eta = 1 and
 identity-compressor reductions exact bitwise).
@@ -205,8 +207,20 @@ def _blocks(n: int, d: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _draw(problem: Problem, comp: Compressor | None, streams: StreamFactory, rows: slice, round_index: int, batch: int):
-    """Each node's oracle sample, then its RandK picks, from its own stream."""
+def _draw(
+    problem: Problem, comp: Compressor | None, streams: StreamFactory, rows: slice, round_index: int, batch: int,
+    last_round: int,
+):
+    """Each node's oracle sample, then its RandK picks, from its own stream.
+
+    A batch-1 sample that is one bounded integer (``problem.draw_bounds``)
+    and is followed by no picks comes from the chunk of rounds the stream
+    factory draws at once, up to ``last_round``; it equals the per-node
+    draw bit for bit, and the per-node path serves whatever it does not."""
+    if batch == 1 and problem.draw_bounds is not None and (comp is None or not comp.is_random):
+        k = streams.integers(problem.draw_bounds, rows, round_index, last_round, BLOCK_BYTES // 8)
+        if k is not None:
+            return problem.draws_of(k), None
     draws, picks = [], []
     for i in range(rows.start, rows.stop):
         rng = streams.stream(i, round_index)
@@ -240,7 +254,7 @@ def init(
     batch = hp.batch if rule.message == "ef14" else hp.b_init
     g0 = np.empty((n, d))
     for rows in _blocks(n, d):
-        draws, _ = _draw(problem, None, streams, rows, 0, batch)
+        draws, _ = _draw(problem, None, streams, rows, 0, batch, hp.rounds)
         g0[rows] = problem.stoch_grads(rows, x0, draws)
     if rule.message == "ef14":
         nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)), sg_prev=g0)
@@ -275,7 +289,7 @@ def run_round(
         acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
         coords = 0
         for rows in _blocks(n, problem.dim):
-            draws, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
+            draws, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch, hp.rounds)
             sg = problem.stoch_grads(rows, x_new, draws)
             g = nodes.g[rows]
             target = sg

@@ -55,6 +55,10 @@ class Problem:
     n_nodes: int
     x0: np.ndarray
     sigma: float
+    # per-node bounds b_i when node i's batch-1 draw is ``draws_of`` of one
+    # ``rng.integers(0, b_i)`` and nothing else, so the engine may compute the
+    # draws of many rounds at once; None when it is not
+    draw_bounds: np.ndarray | None = None
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         """One row grad f_i(x) per node i of the block ``rows``
@@ -64,6 +68,11 @@ class Problem:
     def draw(self, i: int, rng: np.random.Generator, batch: int = 1):
         """The sample of one size-``batch`` stochastic gradient at node i,
         drawn from ``rng`` (None when the oracle draws nothing)."""
+        raise NotImplementedError
+
+    def draws_of(self, k: np.ndarray):
+        """The batch-1 draws of a block whose nodes drew the integers ``k``
+        (only called when ``draw_bounds`` is set)."""
         raise NotImplementedError
 
     def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:

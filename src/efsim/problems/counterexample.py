@@ -47,6 +47,7 @@ class CounterexampleProblem(Problem):
             raise ValueError("x0 must be 2-dimensional")
         scale = np.sqrt(3.0 * self.sigma**2 / (10.0 * self.variance_batch))
         self.atoms = scale * np.array([[2.0, 0.0], [0.0, 1.0], [-2.0, -1.0]])
+        self.draw_bounds = None if self.sigma == 0.0 else np.full(self.n_nodes, len(self.atoms))
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         return np.tile(self.l_smooth * x, (rows.stop - rows.start, 1))
@@ -58,6 +59,9 @@ class CounterexampleProblem(Problem):
         if batch == 1:  # same draw as the batched path, minus the reduction
             return self.atoms[rng.integers(0, 3)]
         return self.atoms[rng.integers(0, 3, size=batch)].mean(axis=0)
+
+    def draws_of(self, k: np.ndarray) -> np.ndarray:
+        return self.atoms[k]
 
     def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
         if self.sigma == 0.0:

@@ -54,8 +54,7 @@ class LogRegProblem(Problem):
         self._a_all = np.ones((int(self.m_i.sum()), l + 1))
         np.concatenate(features, out=self._a_all[:, :l])
         self._y_all = np.concatenate(labels) - 1
-        self.a = np.split(self._a_all, self._start[1:])  # per-node views, (m_i, l+1)
-        self.y = np.split(self._y_all, self._start[1:])
+        self.draw_bounds = self.m_i  # a batch-1 draw is one example index
         self.sigma = 0.0  # data-driven noise; no closed-form bound is claimed
         # start at zero weights: symmetric softmax, loss log(c)
         self.x0 = np.zeros(self.dim)
@@ -101,9 +100,16 @@ class LogRegProblem(Problem):
         grads = (probs.transpose(0, 2, 1) @ a) / m  # (r, c, l+1)
         return p_true, grads.reshape(r, self.dim)
 
+    def _node_data(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node i's examples (m_i, l+1) and zero-based labels: views into the
+        stacked data, which is all a pickled problem carries."""
+        rows = slice(self._start[i], self._start[i] + self.m_i[i])
+        return self._a_all[rows], self._y_all[rows]
+
     def _node_batch(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Node i's full local dataset as a stack of one batch."""
-        return self.a[i][None], self.y[i][None]
+        a, y = self._node_data(i)
+        return a[None], y[None]
 
     @staticmethod
     def _loss(p_true: np.ndarray) -> float:
@@ -121,6 +127,9 @@ class LogRegProblem(Problem):
     def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
         """Example indices, sampled with replacement."""
         return rng.integers(0, self.m_i[i], size=batch)
+
+    def draws_of(self, k: np.ndarray) -> np.ndarray:
+        return k[:, None]
 
     def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
         idx = self._start[rows, None] + np.asarray(draws)  # (r, batch) rows of the stacked data
@@ -149,7 +158,8 @@ class LogRegProblem(Problem):
             return self._smooth
         l_i = np.empty(self.n_nodes)
         ell_i = np.empty(self.n_nodes)
-        for i, a in enumerate(self.a):
+        for i in range(self.n_nodes):
+            a = self._node_data(i)[0]
             gram_norm = power_iteration_norm(lambda v, a=a: a.T @ (a @ v), a.shape[1])
             l_i[i] = gram_norm / (4.0 * a.shape[0]) + 2.0 * self.reg
             ell_i[i] = float(np.max(np.sum(a**2, axis=1))) / 4.0 + 2.0 * self.reg

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from efsim import optim
+from efsim import core, optim
 from efsim.compress import hard_threshold, identity, top_k
 from efsim.core import NumericFailure, StreamFactory
+from efsim.harness import RunConfig, run, write_trace_csv
 from efsim.optim import HyperParams, schedule_at, theoretical_params, validate_pairing
-from efsim.problems import CounterexampleProblem, generate_quadratic
+from efsim.problems import CounterexampleProblem, LogRegProblem, generate_quadratic, make_blobs, split_examples
 
 
 def make_problem(sigma=0.1, n=4, d=20, seed=3):
@@ -292,3 +293,67 @@ def test_theoretical_params_unsupported_kind():
         theoretical_params("ef21_sgd", prob.smoothness(), 0.5, 0.1, 1, 100, 1.0)
 
 
+# -- chunked bounded draws -----------------------------------------------------
+
+
+def _chunk_problems():
+    x, y = make_blobs(classes=3, n_features=4, examples=60, seed=5)
+    feats, labs = split_examples(x, y, 3, "by_label", 0)
+    return {
+        "counterexample": (CounterexampleProblem(sigma=1.0, n_nodes=3, x0=(0.0, -0.5)), 0.1),
+        "blobs": (LogRegProblem(feats, labs, classes=3, reg=1e-3), 0.5),
+    }
+
+
+def _trace_bytes(cfg, seed, path):
+    write_trace_csv(str(path), run(cfg, seed))
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("pname", ["counterexample", "blobs"])
+@pytest.mark.parametrize("kind", ["ef21_sgdm", "ef21_storm", "ef14_sgd"])
+@pytest.mark.parametrize("block_bytes", [1, None], ids=["one_row", "default"])
+@pytest.mark.parametrize("case", ["chunk_of_3", "guard_fails", "node_1_rejects"])
+def test_chunked_draws_equal_per_node_draws_bitwise(case, block_bytes, kind, pname, tmp_path, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+    problem, gamma = _chunk_problems()[pname]
+    cfg = RunConfig(kind, problem, top_k(1, problem.dim), HyperParams(gamma=gamma, eta=0.3, rounds=10), metric_every=2)
+    draws, draw, bounds = [], problem.draw, problem.draw_bounds
+    monkeypatch.setattr(problem, "draw", lambda i, rng, batch=1: draws.append(i) or draw(i, rng, batch))
+    problem.draw_bounds = None  # the reference: every node draws from its own stream
+    per_node = _trace_bytes(cfg, 3, tmp_path / "per_node.csv")
+    assert len(draws) == 11 * problem.n_nodes
+    problem.draw_bounds = bounds
+    draws.clear()
+
+    fills = []
+    fill = StreamFactory._fill
+    integers = StreamFactory.integers
+
+    def spy_fill(self, bounds, first, stop, max_keys):
+        fills.append((first, stop))
+        fill(self, bounds, first, stop, max_keys)
+        if case == "node_1_rejects":
+            self._ok = np.ones(self._values.shape, dtype=bool)
+            self._ok[:, 1] = False
+
+    monkeypatch.setattr(StreamFactory, "_fill", spy_fill)
+    if case == "chunk_of_3":
+        monkeypatch.setattr(
+            StreamFactory, "integers", lambda self, b, rows, r, last, keys: integers(self, b, rows, r, last, 3 * len(b))
+        )
+    elif case == "guard_fails":
+        monkeypatch.setattr(core, "_philox_matches_numpy", lambda: False)
+    assert _trace_bytes(cfg, 3, tmp_path / "chunked.csv") == per_node
+
+    n = problem.n_nodes
+    if case == "chunk_of_3":  # chunk edges fall mid-run; the last stops at round 10
+        assert fills == [(0, 3), (3, 6), (6, 9), (9, 11)] and draws == []
+    elif case == "guard_fails":
+        assert fills == [] and len(draws) == 11 * n
+    elif block_bytes is None:  # node 1's block, here every node, draws per node
+        assert fills == [(0, 11)] and len(draws) == 11 * n
+    else:  # one-row blocks: only node 1 draws per node
+        assert fills == [(0, 1)] + [(r, r + 1) for r in range(1, 11)] and draws == [1] * 11

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -296,6 +297,16 @@ def test_logreg_oracles_equal_explicit_reference_bitwise(batch, block_bytes, mon
     assert np.array_equal(mean_grad, g / prob.n_nodes)
 
 
+def test_logreg_pickles_its_data_once():
+    prob = _uneven_logreg(classes=10, features=20, examples=2000, nodes=10)[0]
+    prob.smoothness()  # the cached constants travel too
+    data = prob._a_all.nbytes + prob._y_all.nbytes
+    assert len(pickle.dumps(prob)) <= 1.1 * data
+    copy = pickle.loads(pickle.dumps(prob))
+    x = 0.1 * derive_stream(15, 0, 0).standard_normal(prob.dim)
+    assert np.array_equal(copy.full_grads(slice(0, prob.n_nodes), x), prob.full_grads(slice(0, prob.n_nodes), x))
+
+
 def test_logreg_zero_weights_symmetric():
     prob = LogRegProblem([np.array([[0.5, -0.2]])], [np.array([1])], classes=2, reg=0.0)
     loss, grad = prob.value(np.zeros(prob.dim)), node_grad(prob, 0, np.zeros(prob.dim))
@@ -503,7 +514,8 @@ def test_logreg_gradient_alone_equals_value_and_grad():
     def one_node(i, rows=slice(None)):
         """Node i's examples ``rows`` as a one-node problem, whose gradient
         comes from the value pass ``value_and_mean_grad``."""
-        return LogRegProblem([prob.a[i][rows, :-1]], [prob.y[i][rows] + 1], prob.classes, reg=prob.reg)
+        a, y = prob._node_data(i)
+        return LogRegProblem([a[rows, :-1]], [y[rows] + 1], prob.classes, reg=prob.reg)
 
     assert np.array_equal(prob.stoch_grads(slice(1, 2), x, [idx])[0], one_node(1, idx).value_and_mean_grad(x)[1])
     assert np.array_equal(node_grad(prob, 0, x), one_node(0).value_and_mean_grad(x)[1])
