@@ -2,7 +2,8 @@
 
 Each suite exercises one family of structural guarantees (compressor
 definitions, algorithm reduction identities, the divergence lower bound,
-Lyapunov descent, estimator unbiasedness) and returns per-check results
+Lyapunov descent, estimator unbiasedness, the closed-form floors of
+uncompressed momentum) and returns per-check results
 with the measured statistics, so failures are diagnosable from the output.
 These are the only implementation of each check: the acceptance tests run
 the same suites through ``run_suite``.
@@ -28,9 +29,9 @@ from .compress import (
     top_k,
 )
 from .core import StreamFactory, derive_stream, norm_sq
-from .harness import RunConfig, run_all, theorem1_check
+from .harness import RunConfig, momentum_floor, power_grid, run_all, sweep, theorem1_check
 from .optim import HyperParams, theoretical_params
-from .problems import generate_quadratic
+from .problems import CounterexampleProblem, generate_quadratic
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "dropped", "contraction_ratios"]
 
@@ -207,7 +208,7 @@ def check_lyapunov(seed: int = 0) -> list[CheckResult]:
         delta0 = problem.value(problem.x0) - smooth.f_star
         hp = theoretical_params(optim.EF21_SGDM, smooth, contraction_alpha(comp), sigma, 20, 1000, delta0)
         cfg = RunConfig(optim.EF21_SGDM, problem, comp, hp, seeds, metric_every=10, lyapunov=True, lyapunov_every=10)
-        traces = list(run_all([cfg] * len(seeds), seeds))
+        traces = list(run_all([cfg]))
         failed = [tr.seed for tr in traces if tr.failure_round is not None]
         if failed:
             out.append(_result(name, False, f"non-finite at seeds {failed}"))
@@ -253,12 +254,99 @@ def check_storm(seed: int = 0) -> list[CheckResult]:
     ]
 
 
+def _vs_floor(cfg: RunConfig, samples: np.ndarray, label: str) -> tuple[float, str]:
+    """The z-score, and its report text, of the seed mean of ``samples``
+    (final ``|grad|^2`` or ``gap``, as ``label`` says) against the closed
+    form (``momentum_floor``) of the uncompressed counterpart of ``cfg``, a
+    run with batch = b_init = 1 on the counterexample or a generated
+    quadratic: sgdm at the same step size and momentum (eta = 1 is sgd)."""
+    problem, hp = cfg.problem, cfg.hyper
+    if isinstance(problem, CounterexampleProblem):
+        hessian = problem.l_smooth * np.eye(2)
+        noise = problem.atoms.T @ problem.atoms / 3.0  # the three atoms are equally likely and sum to zero
+        offset = problem.x0
+    else:
+        hessian = np.column_stack([problem.mean_matvec(e) for e in np.eye(problem.dim)])
+        noise = problem.sigma**2 / problem.dim * np.eye(problem.dim)
+        offset = problem.x0 - np.linalg.solve(hessian, problem.b.mean(axis=0))
+    floor = momentum_floor(hessian, noise / problem.n_nodes, hp.gamma, hp.eta, rounds=hp.rounds, x0_offset=offset)
+    ref = floor.obj_gap if label == "gap" else floor.grad_sq
+    mean = float(np.mean(samples))
+    se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+    z = (mean - ref) / se
+    return z, f"{label} seed-mean {mean:.3e} (SE {se:.2e}) vs closed form {ref:.3e}, z = {z:+.1f}"
+
+
+def check_floors(seed: int = 0) -> list[CheckResult]:
+    """Seed means against the closed-form floors of uncompressed momentum,
+    within 3 standard errors.  Counterexample (its defaults sigma = 1, x0 =
+    (0, -0.01)), Top1, n = 1, 4, 16, seeds seed..seed+9, T = 1e4, gamma =
+    1e-3: ef21_sgd (eta = 1) neither converges nor reaches sgd's floor, and
+    ef21_sgdm (eta = 1e-3) sits on sgdm's, which falls as n grows.  Quadratic
+    n = 20, d = 100, Top5, T = 8000 (both methods send 5 coordinates per node
+    and round), step sizes tuned over 2^-8..2^0 on seed ``seed``, final gaps
+    on seeds seed..seed+2: ef14_sgd (eta = 1) and ef21_sgdm (eta = 0.1) sit
+    on their counterparts' floors at sigma = 0.01; at sigma = 0.001 error
+    feedback's compression floor dominates, and momentum's median stays
+    below half of it."""
+    hp = HyperParams(gamma=1e-3, rounds=10_000)
+    seeds = tuple(range(seed, seed + 10))
+    cfgs = [
+        RunConfig(algo, CounterexampleProblem(n_nodes=n), top_k(1, 2), replace(hp, eta=eta), seeds, hp.rounds)
+        for algo, eta in ((optim.EF21_SGD, 1.0), (optim.EF21_SGDM, 1e-3))
+        for n in (1, 4, 16)
+    ]
+    traces = iter(run_all(cfgs))
+    out, medians = [], []
+    for cfg in cfgs:
+        finals = np.array([next(traces).final.grad_norm for _ in cfg.seeds])
+        med, (z, text) = float(np.median(finals)), _vs_floor(cfg, finals**2, "|grad|^2")
+        where = f"counterexample n={cfg.problem.n_nodes}: {cfg.algorithm}"
+        if cfg.algorithm == optim.EF21_SGDM:
+            medians.append(med)
+            out.append(_result(f"{where} on the closed form of sgdm (|z| <= 3)", abs(z) <= 3.0, text))
+            continue
+        out.append(_result(f"{where} does not converge", med >= 0.01, f"median final |grad| = {med:.4f} >= 0.01"))
+        if cfg.problem.n_nodes != 4:
+            out.append(_result(f"{where} above the closed form of sgd (z > 3)", z > 3.0, text))
+    text = "medians n=1/4/16: " + "/".join(f"{m:.4f}" for m in medians)
+    falling = medians[0] >= medians[1] >= medians[2]
+    out.append(_result("counterexample n=1/4/16: ef21_sgdm medians fall as n grows", falling, text))
+
+    for sigma in (0.01, 0.001):
+        problem = generate_quadratic(20, 100, 0.01, 1.0, seed=0, sigma=sigma)
+        best = []
+        for algo, eta in ((optim.EF14_SGD, 1.0), (optim.EF21_SGDM, 0.1)):
+            hp = HyperParams(gamma=1.0, eta=eta, rounds=8000)
+            tune = RunConfig(algo, problem, top_k(5, 100), hp, (seed,), metric_every=hp.rounds)
+            best.append(replace(sweep(tune, power_grid(-8, 0)).best_config, seeds=tuple(range(seed, seed + 3))))
+        traces = iter(run_all(best))
+        rows = {}
+        for cfg in best:
+            gaps = np.array([next(traces).final.obj_gap for _ in cfg.seeds])
+            z, text = _vs_floor(cfg, gaps, "gap")
+            text += f" ({'sgd' if cfg.hyper.eta == 1.0 else 'sgdm'} at tuned gamma {cfg.hyper.gamma:.3g})"
+            rows[cfg.algorithm] = (cfg.hyper.gamma, float(np.median(gaps)), text)
+            if sigma == 0.01:
+                name = f"quadratic sigma=0.01: {cfg.algorithm} on the closed form of its counterpart (|z| <= 3)"
+                out.append(_result(name, abs(z) <= 3.0, text))
+    (g14, m14, t14), (gm, mm, tm) = rows[optim.EF14_SGD], rows[optim.EF21_SGDM]
+    text = (
+        f"medians: momentum {mm:.3e} (gamma {gm:.3g}) vs error feedback {m14:.3e} (gamma {g14:.3g}), "
+        f"ratio {mm / m14:.3f} <= 0.5; ef14_sgd {t14}; ef21_sgdm {tm}"
+    )
+    name = "quadratic sigma=0.001: momentum floor at most half the error-feedback floor"
+    out.append(_result(name, mm / m14 <= 0.5, text))
+    return out
+
+
 SUITES = {
     "compressors": check_compressors,
     "reductions": check_reductions,
     "theorem1": check_theorem1,
     "lyapunov": check_lyapunov,
     "storm": check_storm,
+    "floors": check_floors,
 }
 
 

@@ -23,6 +23,7 @@ import sys
 
 from . import __version__
 from .checks import SUITES, run_suite
+from .core import atomic_write
 from .experiments import (
     SchemaError,
     build_problem,
@@ -113,7 +114,7 @@ def cmd_reproduce(args) -> int:
             print(exc)
             summary = {}
         # written once the configurations are built, so a config error leaves no directory
-        with open(os.path.join(out_dir, f"{exp['name']}__experiment.json"), "w") as fh:
+        with atomic_write(os.path.join(out_dir, f"{exp['name']}__experiment.json")) as fh:
             json.dump(exp, fh, indent=1)
             fh.write("\n")
         all_diverged = _print_summary(exp, summary) and all_diverged

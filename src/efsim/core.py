@@ -1,5 +1,5 @@
-"""Numeric substrate shared by every module: dense float64 vectors and
-seeded, splittable random streams.
+"""Substrate shared by every module: dense float64 vectors, seeded,
+splittable random streams, and the atomic write of every output file.
 
 Vectors are plain ``numpy.ndarray`` objects with dtype float64.  Randomness
 is derived from a counter-based generator (Philox) keyed by
@@ -15,13 +15,16 @@ engine uses this for batch-1 samples (``StreamFactory.integers``).
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
 
 import numpy as np
 
 __all__ = [
     "NumericFailure",
     "SEED_MAX",
+    "atomic_write",
     "norm_sq",
     "ensure_finite",
     "derive_stream",
@@ -55,6 +58,21 @@ def ensure_finite(a: np.ndarray, context: str = "", round_index: int | None = No
     if not np.isfinite(a).all():
         raise NumericFailure(f"non-finite value in {context or 'vector'}", round_index)
     return a
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, newline: str | None = None):
+    """A text file handle on ``path + ".tmp"``, moved onto ``path`` when the
+    block exits cleanly and removed when it raises, so ``path`` never holds
+    a partly written file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _philox_key(seed: int, node: int, round_index: int, out: np.ndarray | None = None) -> np.ndarray:

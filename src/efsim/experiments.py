@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, optim
 from .compress import Compressor, absolute_delta, contraction_alpha
-from .core import SEED_MAX
+from .core import SEED_MAX, atomic_write
 from .harness import (
     RunConfig,
     SweepResult,
@@ -339,8 +339,8 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict
             for a in algorithms:
                 configs[a] = _with_gamma(configs[a], tune_gamma(exp, a, problem, tune, pool).best_gamma)
         # with a pool, every final run is submitted before any is collected
-        results = {a: run_all([configs[a]] * len(seeds), seeds, pool) for a in algorithms}
-        traces = {a: list(results[a]) for a in algorithms}
+        results = run_all([configs[a] for a in algorithms], pool)
+        traces = {a: [next(results) for _ in seeds] for a in algorithms}
 
     outputs = []
     summary = {}
@@ -374,11 +374,9 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict
         "outputs": outputs,
     }
     mpath = os.path.join(out_dir, f"{name}__manifest.json")
-    tmp = mpath + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(mpath) as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, mpath)
     return mpath, summary
 
 

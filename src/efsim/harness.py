@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import optim
 from .compress import Compressor, contraction_alpha
-from .core import NumericFailure, StreamFactory, norm_sq
+from .core import NumericFailure, StreamFactory, atomic_write, norm_sq
 from .optim import HyperParams, NodeArrays, ServerState, schedule_at
 from .problems.base import Problem
 
@@ -203,11 +202,13 @@ def run(cfg: RunConfig, seed: int) -> RunTrace:
     return trace
 
 
-def run_all(cfgs, seeds, pool=None):
-    """The traces of ``run(cfg, seed)`` for each pair of ``cfgs`` and
-    ``seeds``, in their order: lazily in this process without a pool, else
-    through ``pool.map``, which submits every run at once."""
-    return (map if pool is None else pool.map)(run, cfgs, seeds)
+def run_all(cfgs, pool=None):
+    """The traces of ``run(cfg, seed)`` for each config of ``cfgs`` and
+    each of its own ``seeds``, config by config: lazily in this process
+    without a pool, else through ``pool.map``, which submits every run at
+    once, one task per run."""
+    jobs = [(cfg, seed) for cfg in cfgs for seed in cfg.seeds]
+    return (map if pool is None else pool.map)(run, [cfg for cfg, _ in jobs], [seed for _, seed in jobs])
 
 
 def _record_finite(rec: MetricsRecord) -> bool:
@@ -295,7 +296,7 @@ def theorem1_check(
         seeds=tuple(seeds),
         metric_every=max(rounds, 1),
     )
-    finals = np.array([tr.final.grad_norm**2 for tr in run_all([cfg] * len(cfg.seeds), cfg.seeds)])
+    finals = np.array([tr.final.grad_norm**2 for tr in run_all([cfg])])
     lhs = float(finals.mean())
     stderr = float(finals.std(ddof=1) / math.sqrt(len(finals))) if len(finals) > 1 else 0.0
     grad0_sq = norm_sq(l_smooth * x0)
@@ -409,17 +410,12 @@ def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss", pool=N
     if not gammas:
         raise ValueError("empty step-size grid")
     col = "obj_gap" if criterion == "final_loss" else "grad_norm"
-    seeds = cfg_template.seeds
-    cfgs = [_with_gamma(cfg_template, gamma) for gamma in gammas for _ in seeds]
-    traces = run_all(cfgs, seeds * len(gammas), pool)
+    traces = run_all([_with_gamma(cfg_template, gamma) for gamma in gammas], pool)
     table = []
     best = None
     for gamma in gammas:
-        finals = []
-        for _ in seeds:
-            tr = next(traces)
-            if not trace_diverged(tr):
-                finals.append(getattr(tr.final, col))
+        runs = [next(traces) for _ in cfg_template.seeds]
+        finals = [getattr(tr.final, col) for tr in runs if not trace_diverged(tr)]
         diverged = len(finals) == 0
         score = float(np.mean(finals)) if finals else math.inf
         table.append({"gamma": gamma, "score": score, "diverged": diverged})
@@ -445,15 +441,13 @@ def _fmt(v) -> str:
 
 def write_trace_csv(path: str, trace: RunTrace) -> None:
     """Write one run's rows; floats use repr so re-parsing is bitwise."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_HEADER)
         for r in trace.records:
             w.writerow([r.t, r.coords_cum, r.samples_cum, _fmt(r.grad_norm), _fmt(r.obj_gap), _fmt(r.lyapunov)])
         if trace.failure_round is not None:
             w.writerow([f"# diverged at round {trace.failure_round}"])
-    os.replace(tmp, path)
 
 
 def read_trace_csv(path: str, algorithm: str = "", seed: int = -1) -> RunTrace:
@@ -483,8 +477,7 @@ def write_quantiles_csv(path: str, qt: QuantileTrace) -> None:
     header = ["t"]
     for name in QuantileTrace.METRICS:
         header += [f"{name}_q25", f"{name}_med", f"{name}_q75"]
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for k, t in enumerate(qt.t):
@@ -492,4 +485,3 @@ def write_quantiles_csv(path: str, qt: QuantileTrace) -> None:
             for name in QuantileTrace.METRICS:
                 row += [_fmt(float(qt.q25[name][k])), _fmt(float(qt.median[name][k])), _fmt(float(qt.q75[name][k]))]
             w.writerow(row)
-    os.replace(tmp, path)

@@ -30,7 +30,8 @@ states are (n, d) arrays (``NodeArrays``) walked in blocks of rows, each
 temporary under ``BLOCK_BYTES``.  Per block, every node resets its own
 (seed, node, round) stream and draws its oracle sample, then its RandK
 picks (a batch-1 sample that is one bounded integer comes instead from a
-chunk of rounds the stream factory draws at once, with the same values);
+chunk of rounds the stream factory draws at once, with the same values,
+and a noiseless problem without RandK resets no stream);
 the rest is array operations in the operand order of the formulas above,
 and messages are added row by row in ascending node order, so traces match
 a loop over single nodes bit for bit.  Compressed-state updates write
@@ -216,7 +217,10 @@ def _draw(
     A batch-1 sample that is one bounded integer (``problem.draw_bounds``)
     and is followed by no picks comes from the chunk of rounds the stream
     factory draws at once, up to ``last_round``; it equals the per-node
-    draw bit for bit, and the per-node path serves whatever it does not."""
+    draw bit for bit, and the per-node path serves whatever it does not.
+    A noiseless problem without picks resets no stream at all."""
+    if problem.noiseless and (comp is None or not comp.is_random):
+        return [None] * (rows.stop - rows.start), None
     if batch == 1 and problem.draw_bounds is not None and (comp is None or not comp.is_random):
         k = streams.integers(problem.draw_bounds, rows, round_index, last_round, BLOCK_BYTES // 8)
         if k is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 PRESET_NAMES = ("fig1", "fig5", "speedup", "quad3", "mnist_small")
 
-# desk-scaling notes recorded into each preset's experiments
+# desk-scaling notes that ``reproduce`` prints before running the preset
 _SCALE_NOTES = {
     "quad3": "desk scale: n=20, d=100 (published run used n=100, d=1000)",
     "mnist_small": "synthetic blob data at reduced dimension stands in for the published dataset",

@@ -59,6 +59,9 @@ class Problem:
     # ``rng.integers(0, b_i)`` and nothing else, so the engine may compute the
     # draws of many rounds at once; None when it is not
     draw_bounds: np.ndarray | None = None
+    # True when the oracle is exact: ``draw`` takes nothing from its stream
+    # and returns None, so the engine need not reset the stream for it
+    noiseless: bool = False
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         """One row grad f_i(x) per node i of the block ``rows``

@@ -40,6 +40,7 @@ class CounterexampleProblem(Problem):
         self.dim = 2
         self.l_smooth = float(l_smooth)
         self.sigma = float(sigma)
+        self.noiseless = self.sigma == 0.0
         self.variance_batch = int(variance_batch)
         self.n_nodes = int(n_nodes)
         self.x0 = np.asarray(x0, dtype=np.float64)

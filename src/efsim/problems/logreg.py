@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from ..core import atomic_write
 from .base import Problem, SmoothnessInfo, power_iteration_norm
 
 __all__ = [
@@ -226,7 +227,7 @@ def parse_libsvm(path: str, classes: int, n_features: int) -> tuple[np.ndarray, 
 
 
 def write_libsvm(path: str, features: np.ndarray, labels: np.ndarray) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for x, y in zip(features, labels):
             toks = [str(int(y))]
             toks += [f"{j + 1}:{float(v)!r}" for j, v in enumerate(x) if v != 0.0]

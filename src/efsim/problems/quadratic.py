@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from ..core import derive_stream
+from ..core import atomic_write, derive_stream
 from .base import Problem, SmoothnessInfo, power_iteration_norm
 
 __all__ = ["QuadraticProblem", "generate_quadratic", "save_quadratic_task", "load_quadratic_task"]
@@ -65,6 +64,7 @@ class QuadraticProblem(Problem):
         self.n_nodes, self.dim = self.b.shape
         self.x0 = np.asarray(x0, dtype=np.float64)
         self.sigma = float(sigma)
+        self.noiseless = self.sigma == 0.0
         self.tri_scale = None if tri_scale is None else np.asarray(tri_scale, dtype=np.float64)
         self.shift = float(shift)
         self.dense = None if dense is None else np.asarray(dense, dtype=np.float64)
@@ -215,11 +215,9 @@ def save_quadratic_task(problem: QuadraticProblem, path: str) -> None:
         "shift": problem.shift,
         "dim": problem.dim,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _is_real(value) -> bool:

@@ -255,6 +255,7 @@ def test_mistyped_real_and_bool_keys_are_rejected_naming_the_key(tmp_path, capsy
     [
         (["verify", "storm", "--seed", "-1"], "--seed"),  # used to run with the key masked to 2^64 - 1
         (["verify", "storm", "--seed", str(BIG)], "--seed"),
+        (["verify", "floors", "--seed", "-1"], "--seed"),
         (["sweep", "EXP", "--k-lo", "0", "--k-hi", "1024"], "--k-hi"),  # used to die with an OverflowError
         (["sweep", "EXP", "--k-lo", "-1075"], "--k-lo"),
         (["sweep", "EXP", "--k-lo", "3", "--k-hi", "2"], "--k-hi"),  # used to say "empty step-size grid"
@@ -266,9 +267,9 @@ def test_mistyped_real_and_bool_keys_are_rejected_naming_the_key(tmp_path, capsy
         (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "0.1", "--s", "1", "--seed", "-1"], "seed"),
         (["sweep", "EXP", "--metric-every", "0"], "experiment.metric_every"),  # used to be ignored
     ],
-    ids=["verify_seed_negative", "verify_seed_2_64", "sweep_k_hi_1024", "sweep_k_lo_-1075", "sweep_k_lo_above_k_hi",
-         "sweep_seed_negative", "run_seed_2_64", "run_workers_0", "sweep_workers_-3", "reproduce_workers_0",
-         "gen_seed_negative", "sweep_metric_every_0"],
+    ids=["verify_seed_negative", "verify_seed_2_64", "verify_floors_seed_negative", "sweep_k_hi_1024",
+         "sweep_k_lo_-1075", "sweep_k_lo_above_k_hi", "sweep_seed_negative", "run_seed_2_64", "run_workers_0",
+         "sweep_workers_-3", "reproduce_workers_0", "gen_seed_negative", "sweep_metric_every_0"],
 )
 def test_bad_flag_is_rejected_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"

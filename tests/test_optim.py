@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from efsim import core, optim
-from efsim.compress import hard_threshold, identity, top_k
+from efsim.compress import hard_threshold, identity, rand_k, top_k
 from efsim.core import NumericFailure, StreamFactory
 from efsim.harness import RunConfig, run, write_trace_csv
 from efsim.optim import HyperParams, schedule_at, theoretical_params, validate_pairing
@@ -357,3 +357,19 @@ def test_chunked_draws_equal_per_node_draws_bitwise(case, block_bytes, kind, pna
         assert fills == [(0, 11)] and len(draws) == 11 * n
     else:  # one-row blocks: only node 1 draws per node
         assert fills == [(0, 1)] + [(r, r + 1) for r in range(1, 11)] and draws == [1] * 11
+
+
+# -- noiseless problems ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("pname", ["quadratic", "counterexample"])
+@pytest.mark.parametrize("compressor", [top_k, rand_k])
+def test_noiseless_run_resets_streams_only_for_randk_picks(compressor, pname, monkeypatch):
+    problem = make_problem(sigma=0.0) if pname == "quadratic" else CounterexampleProblem(sigma=0.0, n_nodes=4)
+    resets, stream = [], StreamFactory.stream
+    monkeypatch.setattr(StreamFactory, "stream", lambda self, i, r: resets.append((i, r)) or stream(self, i, r))
+    hp = HyperParams(gamma=0.05, eta=0.5, rounds=100)
+    run(RunConfig("ef21_sgdm", problem, compressor(1, problem.dim), hp, metric_every=100), 0)
+    # no sample to draw: only RandK takes its picks, from stream (i, t) of every round t >= 1
+    expect = [(i, t) for t in range(1, 101) for i in range(4)] if compressor is rand_k else []
+    assert resets == expect

@@ -411,6 +411,14 @@ def test_libsvm_round_trip(tmp_path):
     assert np.array_equal(y, y2)
 
 
+def test_libsvm_write_failing_midway_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "blobs.txt"
+    path.write_text("1 1:0.5\n")
+    with pytest.raises(TypeError):  # int(None) fails on the third line
+        write_libsvm(str(path), np.ones((3, 2)), np.array([1, 2, None], dtype=object))
+    assert path.read_text() == "1 1:0.5\n" and [p.name for p in tmp_path.iterdir()] == ["blobs.txt"]
+
+
 def test_mnist_shaped_dimension(tmp_path):
     rng = derive_stream(32, 0, 0)
     x = np.zeros((20, 784))
