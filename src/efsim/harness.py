@@ -1,6 +1,6 @@
-"""Experiment engine: seeded runs, metric traces, quantile aggregation,
-descent diagnostics, the lower-bound check, the closed-form floor of
-uncompressed momentum, and step-size sweeps.
+"""Run engine: seeded runs, metric traces, quantile aggregation, the
+Lyapunov descent diagnostic, step-size sweeps and trace CSV I/O.  The
+closed forms that runs are checked against live in ``checks``.
 
 Metrics (gradient norm of the mean objective, objective gap, optional
 Lyapunov value, cumulative transmitted coordinates and per-node samples)
@@ -32,10 +32,6 @@ __all__ = [
     "run_all",
     "run_quantiles",
     "lyapunov",
-    "Theorem1Report",
-    "theorem1_check",
-    "MomentumFloor",
-    "momentum_floor",
     "SweepResult",
     "SweepDiverged",
     "sweep",
@@ -249,115 +245,6 @@ def run_quantiles(traces: list[RunTrace]) -> QuantileTrace:
         med[name] = np.quantile(data, 0.5, axis=0)
         q75[name] = np.quantile(data, 0.75, axis=0)
     return QuantileTrace(t=t_grid, q25=q25, median=med, q75=q75, traces=traces)
-
-
-# -- lower-bound check --------------------------------------------------------
-
-
-@dataclass
-class Theorem1Report:
-    lhs: float
-    rhs: float
-    stderr: float
-    passed: bool
-    margin_se: float
-
-
-def theorem1_check(
-    l_smooth: float,
-    sigma: float,
-    gamma: float,
-    n: int,
-    variance_batch: int,
-    rounds: int,
-    seeds,
-    x0=(0.0, -0.01),
-) -> Theorem1Report:
-    """Check the divergence lower bound for the idealized compressed method.
-
-    Runs the exact-gradient variant with Top1 on the two-dimensional
-    counterexample for each seed and compares the seed-mean of
-    ||grad f(x_T)||^2 against (1/60) min(sigma^2/B, ||grad f(x0)||^2).
-    """
-    from .compress import top_k
-    from .problems.counterexample import CounterexampleProblem
-
-    if gamma > 1.0 / l_smooth:
-        raise ValueError("step size must satisfy gamma <= 1/L")
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0[0] != 0.0 or x0[1] >= 0.0:
-        raise ValueError("x0 must be of the form (0, x2) with x2 < 0")
-    problem = CounterexampleProblem(l_smooth=l_smooth, sigma=sigma, variance_batch=variance_batch, n_nodes=n, x0=x0)
-    cfg = RunConfig(
-        algorithm=optim.EF21_SGD_IDEAL,
-        problem=problem,
-        compressor=top_k(1, 2),
-        hyper=HyperParams(gamma=gamma, rounds=rounds, batch=1, b_init=1),
-        seeds=tuple(seeds),
-        metric_every=max(rounds, 1),
-    )
-    finals = np.array([tr.final.grad_norm**2 for tr in run_all([cfg])])
-    lhs = float(finals.mean())
-    stderr = float(finals.std(ddof=1) / math.sqrt(len(finals))) if len(finals) > 1 else 0.0
-    grad0_sq = norm_sq(l_smooth * x0)
-    rhs = min(sigma**2 / variance_batch, grad0_sq) / 60.0
-    margin = (lhs - rhs) / stderr if stderr > 0 else math.inf
-    return Theorem1Report(lhs=lhs, rhs=rhs, stderr=stderr, passed=lhs >= rhs, margin_se=margin)
-
-
-# -- closed-form floor of uncompressed momentum --------------------------------
-
-
-@dataclass
-class MomentumFloor:
-    grad_sq: float  # E ||grad f(x_T)||^2
-    obj_gap: float  # E [f(x_T) - f*]
-
-
-def momentum_floor(
-    hessian, noise_cov, gamma: float, eta: float, rounds: int | None = None, x0_offset=None
-) -> MomentumFloor:
-    """Expected final error of uncompressed momentum on a quadratic, as
-    ``optim`` runs ``sgdm`` (``eta = 1`` is ``sgd``):
-
-        x' = x - gamma v,   v' = (1 - eta) v + eta (H (x' - x*) + xi),
-
-    with xi the node-averaged gradient noise of covariance ``noise_cov``
-    (so already divided by n and the batch size).  In the eigenbasis of H
-    each mode lam with noise variance s^2 is the linear system
-    z' = M z + B xi for z = (x - x*, v),
-
-        M = [[1, -gamma], [eta lam, 1 - eta - eta gamma lam]],   B = [0, eta]^T,
-
-    whose stationary covariance solves P = M P M^T + B B^T s^2 (for
-    eta = 1, P_xx = gamma s^2 / (lam (2 - gamma lam))).  Noise correlations
-    between modes do not enter either expectation, so the per-mode
-    variances suffice.  With ``rounds=None`` the stationary floor is
-    returned.  Otherwise the run starts at x0 - x* = ``x0_offset`` (default
-    0) with v0 = H (x0 - x*) + xi0, xi0 distributed like xi (``b_init``
-    equal to ``batch``), and the expectation at round T adds the noiseless
-    mean M^T m0 and the transient covariance M^T (P0 - P) (M^T)^T.
-    """
-    from scipy.linalg import solve_discrete_lyapunov
-
-    hessian = np.asarray(hessian, dtype=np.float64)
-    lams, basis = np.linalg.eigh(hessian)
-    mode_var = np.einsum("ij,ik,kj->j", basis, np.asarray(noise_cov, dtype=np.float64), basis)
-    offset = np.zeros(len(lams)) if x0_offset is None else basis.T @ np.asarray(x0_offset, dtype=np.float64)
-    ex_sq = np.empty(len(lams))
-    for j, (lam, s2, y0) in enumerate(zip(lams, mode_var, offset)):
-        m = np.array([[1.0, -gamma], [eta * lam, 1.0 - eta - eta * gamma * lam]])
-        if np.max(np.abs(np.linalg.eigvals(m))) >= 1.0:
-            raise ValueError(f"recursion is unstable at gamma={gamma}, eta={eta} on eigenvalue {lam}")
-        p = solve_discrete_lyapunov(m, np.array([[0.0, 0.0], [0.0, eta**2 * s2]]))
-        if rounds is None:
-            ex_sq[j] = p[0, 0]
-            continue
-        mt = np.linalg.matrix_power(m, rounds)
-        mean = mt @ np.array([y0, lam * y0])
-        p0 = np.array([[0.0, 0.0], [0.0, s2]])
-        ex_sq[j] = mean[0] ** 2 + (p + mt @ (p0 - p) @ mt.T)[0, 0]
-    return MomentumFloor(grad_sq=float(lams**2 @ ex_sq), obj_gap=float(0.5 * lams @ ex_sq))
 
 
 # -- step-size sweep ----------------------------------------------------------

@@ -27,8 +27,7 @@ class SmoothnessInfo:
     ``L_i`` of each node objective, ``L_tilde`` is the quadratic mean
     sqrt((1/n) sum L_i^2).  ``ell_tilde`` is the analogous quantity for
     single-sample gradients when each realization is itself smooth (needed
-    by variance-reduced estimators).  ``exact`` is False when the constants
-    are analytic upper bounds rather than tight values.
+    by variance-reduced estimators).
     """
 
     L: float
@@ -36,7 +35,6 @@ class SmoothnessInfo:
     L_tilde: float
     ell_tilde: float | None = None
     f_star: float | None = None
-    exact: bool = True
 
 
 class Problem:

@@ -80,5 +80,4 @@ class CounterexampleProblem(Problem):
             L_tilde=self.l_smooth,
             ell_tilde=self.l_smooth,
             f_star=0.0,
-            exact=True,
         )

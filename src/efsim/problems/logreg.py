@@ -170,7 +170,6 @@ class LogRegProblem(Problem):
             L_tilde=float(np.sqrt(np.mean(l_i**2))),
             ell_tilde=float(np.sqrt(np.mean(ell_i**2))),
             f_star=None,
-            exact=False,
         )
         return self._smooth
 

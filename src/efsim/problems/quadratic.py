@@ -149,7 +149,6 @@ class QuadraticProblem(Problem):
             L_tilde=float(np.sqrt(np.mean(l_i**2))),
             ell_tilde=float(np.sqrt(np.mean(l_i**2))),  # additive noise keeps per-sample Lipschitz constants
             f_star=self._compute_f_star(),
-            exact=True,
         )
         return self._smooth
 

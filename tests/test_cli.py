@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -19,6 +21,7 @@ from efsim.experiments import (
     run_experiment,
     tune_gamma,
     validate_experiment,
+    worker_pool,
 )
 from efsim.harness import _with_gamma, read_trace_csv, run
 from efsim.optim import ALGORITHMS
@@ -526,7 +529,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):  # the BLAS initializer would act on this process
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
@@ -551,6 +554,21 @@ def test_cmd_sweep_pool_has_no_more_workers_than_runs(tmp_path, capsys, pool_siz
     path = write_exp(tmp_path, minimal_experiment(seeds=[0, 1]))
     assert main(["sweep", path, "--k-lo", "-12", "--k-hi", "-10", "--workers", "64"]) == 0
     assert pool_sizes == [6]  # 3 grid points x 2 seeds
+
+
+def _blas_threads() -> tuple[int, int]:
+    """The thread count of numpy's bundled OpenBLAS, after a product large
+    enough to use its threads, and the threads this process runs."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*.so"))
+    np.ones((300, 300)) @ np.ones((300, 300))
+    return ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_() if libs else -1, len(os.listdir("/proc/self/task"))
+
+
+def test_pool_workers_run_one_blas_thread():
+    if not os.path.isdir("/proc/self/task") or _blas_threads()[0] == -1:
+        pytest.skip("needs numpy's bundled scipy-openblas and /proc")
+    with worker_pool(2, 2) as pool:
+        assert pool.submit(_blas_threads).result(timeout=60) == (1, 1)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -4,18 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from efsim.checks import _seed_stat, momentum_floor, theorem1_bound
 from efsim.compress import identity, top_k
 from efsim.core import derive_stream, norm_sq
 from efsim.harness import (
     RunConfig,
     lyapunov,
-    momentum_floor,
     power_grid,
     read_trace_csv,
     run,
     run_quantiles,
     sweep,
-    theorem1_check,
     trace_diverged,
     write_quantiles_csv,
     write_trace_csv,
@@ -230,33 +229,27 @@ def test_lyapunov_rows_reuse_the_metric_rows_objective(monkeypatch):
 
 
 def test_theorem1_report_values():
-    rep = theorem1_check(1.0, 1.0, 1e-3, 1, 1, rounds=200, seeds=range(8))
-    assert rep.rhs == pytest.approx(1e-4 / 60.0, rel=1e-12)
-    assert rep.lhs > 0
-
-    rep = theorem1_check(1.0, 1.0, 1e-3, 2, 30, rounds=100, seeds=range(4))
-    assert rep.rhs == pytest.approx(min(1.0 / 30, 1e-4) / 60.0, rel=1e-12)
+    assert theorem1_bound(CounterexampleProblem()) == pytest.approx(1e-4 / 60.0, rel=1e-12)
+    bound = theorem1_bound(CounterexampleProblem(variance_batch=30, n_nodes=2))
+    assert bound == pytest.approx(min(1.0 / 30, 1e-4) / 60.0, rel=1e-12)
 
 
 def test_theorem1_noiseless_trivially_passes():
-    rep = theorem1_check(1.0, 0.0, 1e-3, 1, 1, rounds=100, seeds=range(3))
-    assert rep.rhs == 0.0
-    assert rep.passed
-
-
-def test_theorem1_validates_arguments():
-    with pytest.raises(ValueError):
-        theorem1_check(1.0, 1.0, 2.0, 1, 1, rounds=10, seeds=[0])  # gamma > 1/L
-    with pytest.raises(ValueError):
-        theorem1_check(1.0, 1.0, 0.5, 1, 1, rounds=10, seeds=[0], x0=(0.0, 0.5))
+    # any seed mean of squared norms, being >= 0, clears a zero bound
+    assert theorem1_bound(CounterexampleProblem(sigma=0.0)) == 0.0
 
 
 def test_theorem1_batch_boundary():
     # with B >= sigma^2/(60 eps^2), the bound stops forbidding eps-accuracy
     sigma, eps = 1.0, 0.05
     b_crit = math.ceil(sigma**2 / (60 * eps**2))
-    rep = theorem1_check(1.0, sigma, 1e-3, 1, b_crit, rounds=50, seeds=range(3), x0=(0.0, -1.0))
-    assert rep.rhs <= eps**2 + 1e-12
+    assert theorem1_bound(CounterexampleProblem(sigma=sigma, variance_batch=b_crit, x0=(0.0, -1.0))) <= eps**2 + 1e-12
+
+
+def test_seed_stat():
+    se = math.sqrt(14.0 / 3.0) / 2.0  # ddof = 1 over four samples of mean 3
+    assert _seed_stat([1.0, 2.0, 3.0, 6.0], 1.0) == (3.0, se, 2.0 / se)
+    assert _seed_stat([2.5], 1.0) == (2.5, 0.0, math.inf)  # one seed: no standard error
 
 
 # -- closed-form floor of uncompressed momentum ----------------------------------

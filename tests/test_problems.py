@@ -357,7 +357,6 @@ def test_logreg_minibatch_unbiased():
 def test_logreg_smoothness_is_upper_bound():
     prob = _tiny_logreg()
     sm = prob.smoothness()
-    assert not sm.exact
     assert sm.L <= sm.L_tilde <= sm.L_i.max() + 1e-12
     assert sm.ell_tilde >= sm.L_tilde
 
