@@ -332,7 +332,7 @@ def check_storm(seed: int = 0) -> list[CheckResult]:
     draws = 10_000
     samples = np.empty((draws, 5))
     for j in range(draws):
-        sample = [problem.draw(0, derive_stream(seed, 1, j))]  # one draw, evaluated at both iterates
+        sample = problem.draws_of(problem.sample(1).draw(derive_stream(seed, 1, j), 0)[None])  # at both iterates
         sg_new, sg_old = (problem.stoch_grads(node, x, sample)[0] for x in (x_new, x_old))
         samples[j] = sg_new + (1.0 - eta) * (w_old - sg_old)
     expected = full_new + (1.0 - eta) * (w_old - full_old)

@@ -7,17 +7,27 @@ is derived from a counter-based generator (Philox) keyed by
 is independent of evaluation order and two streams with the same key are
 bit-identical.
 
-A stream's first draw of a bounded integer can also be computed for a whole
-array of keys at once (``philox_first_words`` and ``bounded_integers``), by
-the same Philox4x64-10 and the same bounded method numpy applies; the
-engine uses this for batch-1 samples (``StreamFactory.integers``).
+A block of nodes' raw samples (``Sample``: standard normals or bounded
+integers) comes from one call of a C kernel (``StreamFactory.block``) that
+resets the factory's own Philox to each node's key and calls numpy's own C
+samplers in ``libnpyrandom.a``, so every value is the per-node stream's.
+It is compiled with gcc on first use, cached beside the package's bytecode
+and checked against the per-node path once per process; where it cannot
+be built or does not match, the caller draws node by node.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+import hashlib
 import os
+import subprocess
+import sys
+import sysconfig
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +38,11 @@ __all__ = [
     "norm_sq",
     "ensure_finite",
     "derive_stream",
+    "Sample",
     "StreamFactory",
-    "philox_first_words",
-    "bounded_integers",
 ]
 
 _MASK32 = (1 << 32) - 1
-_LOW32 = np.uint64(_MASK32)
-_SHIFT32 = np.uint64(32)
-# Philox4x64 multipliers and Weyl key increments (Salmon et al. 2011)
-_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 SEED_MAX = (1 << 64) - 1  # seeds are the first 64-bit word of the Philox key
 
 
@@ -97,6 +101,22 @@ def derive_stream(seed: int, node: int, round_index: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, node, round_index)))
 
 
+@dataclass(slots=True)
+class Sample:
+    """One node's raw sample for a stochastic gradient: ``count`` standard
+    normals, or, when ``bounds`` (int64, one per node, each at least 1) is
+    set, ``count`` integers, node i's drawn as ``integers(0, bounds[i])``."""
+
+    count: int
+    bounds: np.ndarray | None = None
+
+    def draw(self, rng: np.random.Generator, i: int) -> np.ndarray:
+        """Node i's raw sample, drawn from ``rng``: the per-node path."""
+        if self.bounds is None:
+            return rng.standard_normal(self.count)
+        return rng.integers(0, self.bounds[i], size=self.count)
+
+
 class StreamFactory:
     """Cheap repeated stream derivation for hot loops.
 
@@ -104,9 +124,7 @@ class StreamFactory:
     draws as :func:`derive_stream`, but resets a single reused Philox
     instead of constructing a new one (roughly 4x faster).  The returned
     generator is only valid until the next ``stream`` call, so callers must
-    finish their draws before deriving another stream.  ``integers`` gives
-    the first bounded-integer draw of many streams at once, without
-    resetting any.
+    finish their draws before deriving another stream.
     """
 
     def __init__(self, seed: int):
@@ -122,117 +140,111 @@ class StreamFactory:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._bounds = None  # the chunk of bounded draws cached by ``integers``
-        self._first = 0
-        self._values, self._ok = np.empty((0, 0)), None
+        # ``block``'s output buffer, and the last sample's bounds as int64 (None if one is < 1)
+        self._out, self._out_address = np.empty(0), 0
+        self._bounds = self._int64_bounds = self._bounds_address = None
 
     def stream(self, node: int, round_index: int) -> np.random.Generator:
         _philox_key(self.seed, node, round_index, out=self._key)
         self._bitgen.state = self._state
         return self._gen
 
-    def integers(
-        self, bounds: np.ndarray, rows: slice, round_index: int, last_round: int, max_keys: int
-    ) -> np.ndarray | None:
-        """For each node i of ``rows``, the value of the first draw
-        ``stream(i, round_index).integers(0, bounds[i])``, or None when this
-        path does not apply: a key would enter numpy's rejection loop, a bound
-        lies outside [1, 2^32 - 1], or the vectorized Philox does not match
-        numpy's on this platform.
+    def block(self, rows: slice, round_index: int, sample: Sample) -> np.ndarray | None:
+        """One row per node i of ``rows``: ``sample.draw(stream(i, round_index), i)``
+        bit for bit, from one kernel call, valid until the next ``block`` call.
+        None where the kernel is not available or the bounds are invalid (fewer
+        than the rows, or one below 1): the caller then draws node by node."""
+        kernel = _kernel()
+        return None if kernel is None else self._fill(kernel, rows, round_index, sample)
 
-        The draws of every node for a chunk of rounds, from ``round_index``
-        up to at most ``last_round``, are computed at once and cached (keyed
-        by the ``bounds`` object).  A chunk holds about ``max_keys`` keys,
-        and each temporary of its computation at most ``max_keys`` words.
-        """
-        if not (bounds is self._bounds and self._first <= round_index < self._first + len(self._values)):
-            n = len(bounds)
-            if n - 1 > _MASK32 or round_index > _MASK32 or bounds.min() < 1 or bounds.max() > _MASK32:
-                return None  # the per-node path raises or draws these
-            if not _philox_matches_numpy():
-                return None
-            stop = min(round_index + max(1, max_keys // n), last_round + 1, _MASK32 + 1)
-            self._fill(bounds, round_index, max(round_index + 1, stop), max_keys)
-        row = round_index - self._first
-        if self._ok is not None and not self._ok[row, rows].all():
+    def _fill(self, kernel, rows: slice, round_index: int, sample: Sample) -> np.ndarray | None:
+        _philox_key(self.seed, rows.stop - 1, round_index, out=self._key)  # raises as ``stream`` does
+        if sample.bounds is not self._bounds:
+            self._bounds = sample.bounds
+            bounds = None if sample.bounds is None else np.ascontiguousarray(sample.bounds, dtype=np.int64)
+            self._int64_bounds = None if bounds is None or bounds.min() < 1 else bounds
+            self._bounds_address = None if self._int64_bounds is None else bounds.ctypes.data
+        if sample.bounds is not None and (self._int64_bounds is None or rows.stop > len(self._int64_bounds)):
             return None
-        return self._values[row, rows]
-
-    def _fill(self, bounds: np.ndarray, first: int, stop: int, max_keys: int) -> None:
-        """Cache the draws of rounds ``first`` to ``stop - 1`` for every node."""
-        n = len(bounds)
-        ids = (np.arange(n, dtype=np.uint64) << _SHIFT32) | np.arange(first, stop, dtype=np.uint64)[:, None]
-        ids, wide = ids.ravel(), np.tile(bounds, stop - first)
-        values, ok = np.empty(len(ids), dtype=np.int64), np.empty(len(ids), dtype=bool)
-        step = max(1, max_keys)
-        for lo in range(0, len(ids), step):
-            part = slice(lo, lo + step)
-            values[part], ok[part] = bounded_integers(philox_first_words(self.seed, ids[part]), wide[part])
-        self._bounds, self._first = bounds, first
-        self._values = values.reshape(-1, n)
-        self._ok = None if ok.all() else ok.reshape(-1, n)  # None: no key rejects
+        size, dtype = (rows.stop - rows.start) * sample.count, np.float64 if sample.bounds is None else np.int64
+        if self._out.dtype != dtype or len(self._out) < size:
+            self._out = np.empty(size, dtype=dtype)
+            self._out_address = self._out.ctypes.data
+        address = None if sample.bounds is None else self._bounds_address + 8 * rows.start
+        kernel(self._bitgen.ctypes.bit_generator, self.seed, rows.start, rows.stop - rows.start, round_index,
+               sample.count, address, self._out_address)
+        return self._out[:size].reshape(-1, sample.count)
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b, built from
-    32-bit halves so no uint64 operation overflows."""
-    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
-    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
-    lo_lo = a_lo * b_lo
-    hi_lo = a_hi * b_lo
-    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + a_lo * b_hi  # at most 2^64 - 1
-    hi = a_hi * b_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
-    return hi, (cross << _SHIFT32) | (lo_lo & _LOW32)
+# numpy's philox_state is private (numpy/random/src/philox/philox.h); its
+# layout is declared here and checked at first use by ``_kernel_matches``
+_KERNEL_SOURCE = r"""
+#include "numpy/random/distributions.h"
 
+typedef struct { uint64_t *ctr, *key; int buffer_pos; uint64_t buffer[4]; int has_uint32; uint32_t uinteger; } philox_state;
 
-def philox_first_words(seed: int, ids: np.ndarray) -> np.ndarray:
-    """The first 64-bit output word of Philox4x64-10 keyed ``[seed, ids[j]]``
-    for each j: what ``np.random.Philox(key=[seed, ids[j]]).random_raw()``
-    returns, numpy counting its first block at counter (1, 0, 0, 0)."""
-    if not 0 <= seed <= SEED_MAX:
-        raise ValueError(f"seed must lie in [0, 2^64 - 1], got {seed}")
-    ids = np.asarray(ids, dtype=np.uint64)
-    c0, c1 = np.ones_like(ids), np.zeros_like(ids)
-    c2, c3 = np.zeros_like(ids), np.zeros_like(ids)
-    k0, k1 = seed, ids
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_WEYL[0]) & SEED_MAX
-            k1 = k1 + np.uint64(_PHILOX_WEYL[1])
-        hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return c0
-
-
-def bounded_integers(words: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's 32-bit bounded method on the low halves of ``words``, as
-    numpy's ``integers(0, b)`` applies it to its first 32-bit draw for
-    1 <= b <= 2^32 - 1.
-
-    Returns the values (int64) and ``ok``: False exactly where numpy would
-    enter its rejection loop (leftover < (2^32 - b) % b) and draw again, so
-    the value there is not numpy's.
-    """
-    b = np.asarray(bounds, dtype=np.uint64)
-    m = (words & _LOW32) * b  # < 2^64
-    ok = (m & _LOW32) >= (np.uint64(1 << 32) - b) % b
-    return (m >> _SHIFT32).astype(np.int64), ok
+void draw_block(bitgen_t *bitgen, uint64_t seed, uint64_t node, uint64_t rows, uint64_t round,
+                npy_intp count, const int64_t *bounds, void *out)
+{
+    philox_state *st = bitgen->state;
+    for (uint64_t j = 0; j < rows; j++, node++) {
+        st->key[0] = seed;
+        st->key[1] = node << 32 | round;
+        st->ctr[0] = st->ctr[1] = st->ctr[2] = st->ctr[3] = 0;
+        st->buffer_pos = 4;  /* the buffer is empty, as after a state assignment */
+        st->has_uint32 = st->uinteger = 0;
+        if (bounds == NULL)
+            random_standard_normal_fill(bitgen, count, (double *)out + j * count);
+        else
+            random_bounded_uint64_fill(bitgen, 0, (uint64_t)bounds[j] - 1, count, false, (uint64_t *)out + j * count);
+    }
+}
+"""
+# the compiled kernel is cached beside the package's bytecode
+_CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 
 @functools.cache
-def _philox_matches_numpy() -> bool:
-    """Whether ``philox_first_words`` and ``bounded_integers`` reproduce
-    numpy's generator on a few keys (checked once per process)."""
-    ids = np.array([0, (5 << 32) | 7, (_MASK32 << 32) | _MASK32], dtype=np.uint64)
-    bounds = np.array([3, 1000, (1 << 31) + 1])
-    for seed in (0, 0x0123456789ABCDEF, SEED_MAX):
-        words = philox_first_words(seed, ids)
-        values, ok = bounded_integers(words, bounds)
-        for j, key in enumerate(ids):
-            key = np.array([seed, key], dtype=np.uint64)
-            if np.random.Philox(key=key).random_raw() != words[j]:
-                return False
-            if ok[j] and np.random.Generator(np.random.Philox(key=key)).integers(0, bounds[j]) != values[j]:
+def _kernel():
+    """The compiled block draw, or None where it cannot be built or loaded or
+    does not reproduce the per-node path (decided once per process).  A build
+    writes its own temporary file, then moves it onto the cached name."""
+    tag = hashlib.sha256(_KERNEL_SOURCE.encode()).hexdigest()[:16]
+    path = os.path.join(_CACHE_DIR, f"draw_block.{sys.implementation.cache_tag}-numpy{np.__version__}-{tag}.so")
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    lib = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
+    includes = ["-I", np.get_include(), "-I", sysconfig.get_paths()["include"]]
+    try:
+        if not os.path.exists(path):
+            os.makedirs(_CACHE_DIR, exist_ok=True)
+            subprocess.run(
+                ["gcc", "-O2", "-shared", "-fPIC", *includes, "-x", "c", "-", "-x", "none", lib, "-lm", "-o", tmp],
+                input=_KERNEL_SOURCE, text=True, capture_output=True, check=True, timeout=120,
+            )
+            os.replace(tmp, path)
+        kernel = ctypes.CDLL(path).draw_block
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        with contextlib.suppress(OSError):  # there is no file, or no directory
+            os.remove(tmp)
+    kernel.argtypes = [ctypes.c_void_p, *[ctypes.c_uint64] * 4, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
+    kernel.restype = None
+    return kernel if _kernel_matches(kernel) else None
+
+
+def _kernel_matches(kernel) -> bool:
+    """Whether the kernel gives numpy's draws, from fresh streams (not
+    counted as ``StreamFactory.stream`` calls), on normals and bounded
+    integers, one and several per node, the largest seed, node and round, a
+    bound that enters numpy's rejection loop (2^31 + 1) and bounds >= 2^32."""
+    factory = StreamFactory(SEED_MAX)
+    bounds = np.array([1, 3, 1000, (1 << 31) + 1, _MASK32, 1 << 32, (1 << 33) + 7, (1 << 63) - 1])
+    first, top = slice(0, len(bounds)), slice(_MASK32 + 1 - len(bounds), _MASK32 + 1)
+    for count in (1, 4):
+        for rows, sample in ((first, Sample(count, bounds)), (first, Sample(3 * count)), (top, Sample(3 * count))):
+            got = factory._fill(kernel, rows, rows.stop - 1, sample)  # round 2^32 - 1 in the top block
+            want = [sample.draw(derive_stream(SEED_MAX, i, rows.stop - 1), i) for i in range(rows.start, rows.stop)]
+            if not np.array_equal(got, want):
                 return False
     return True

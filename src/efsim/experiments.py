@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, optim
 from .compress import Compressor, absolute_delta, contraction_alpha
-from .core import SEED_MAX, atomic_write
+from .core import SEED_MAX, _kernel, atomic_write
 from .harness import (
     RunConfig,
     SweepResult,
@@ -315,6 +315,7 @@ def worker_pool(workers: int, runs: int):
     workers = min(workers, runs)
     if workers < 2:
         return contextlib.nullcontext()
+    _kernel()  # the draw path is decided here, once, and forked workers inherit it
     return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
 
 

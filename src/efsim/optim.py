@@ -27,17 +27,18 @@ Node update rules (per node i, fresh sample at the new iterate x'):
 
 ``RULES`` holds these rules as data and one engine runs them all.  Node
 states are (n, d) arrays (``NodeArrays``) walked in blocks of rows, each
-temporary under ``BLOCK_BYTES``.  Per block, every node resets its own
-(seed, node, round) stream and draws its oracle sample, then its RandK
-picks (a batch-1 sample that is one bounded integer comes instead from a
-chunk of rounds the stream factory draws at once, with the same values,
-and a noiseless problem without RandK resets no stream);
-the rest is array operations in the operand order of the formulas above,
-and messages are added row by row in ascending node order, so traces match
-a loop over single nodes bit for bit.  Compressed-state updates write
-the kept coordinates of the target directly into g_i (mathematically
-identical to adding the transmitted residual, and it makes the eta = 1 and
-identity-compressor reductions exact bitwise).
+temporary under ``BLOCK_BYTES``.  Per block, the nodes' raw oracle
+samples, each from its own (seed, node, round) stream, come from one call
+of the stream factory's compiled kernel; with RandK, or where the kernel
+is not available, every node resets its stream and draws its sample, then
+its picks, with the same values (a noiseless problem without RandK resets
+no stream); the rest is array operations in the operand order of the
+formulas above, and messages are added row by row in ascending node
+order, so traces match a loop over single nodes bit for bit.
+Compressed-state updates write the kept coordinates of the target
+directly into g_i (mathematically identical to adding the transmitted
+residual, and it makes the eta = 1 and identity-compressor reductions
+exact bitwise).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ EF21_STORM = "ef21_storm"
 EF21_SGD_IDEAL = "ef21_sgd_ideal"
 EF21_SGDM_IDEAL = "ef21_sgdm_ideal"
 
-# upper bound on the bytes of one (rows, d) float64 temporary of a block
+# upper bound on the bytes of a block's (rows, d) temporaries and (rows, batch * d) raw samples
 BLOCK_BYTES = 64 * 1024
 
 
@@ -208,29 +209,27 @@ def _blocks(n: int, d: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _draw(
-    problem: Problem, comp: Compressor | None, streams: StreamFactory, rows: slice, round_index: int, batch: int,
-    last_round: int,
-):
+def _draw(problem: Problem, comp: Compressor | None, streams: StreamFactory, rows: slice, round_index: int, batch: int):
     """Each node's oracle sample, then its RandK picks, from its own stream.
 
-    A batch-1 sample that is one bounded integer (``problem.draw_bounds``)
-    and is followed by no picks comes from the chunk of rounds the stream
-    factory draws at once, up to ``last_round``; it equals the per-node
-    draw bit for bit, and the per-node path serves whatever it does not.
+    Without picks the block's raw samples come from one kernel call where
+    the kernel is available; otherwise each node resets its stream and draws
+    its raw sample, then its picks.  Both give the same values bit for bit.
     A noiseless problem without picks resets no stream at all."""
-    if problem.noiseless and (comp is None or not comp.is_random):
-        return [None] * (rows.stop - rows.start), None
-    if batch == 1 and problem.draw_bounds is not None and (comp is None or not comp.is_random):
-        k = streams.integers(problem.draw_bounds, rows, round_index, last_round, BLOCK_BYTES // 8)
-        if k is not None:
-            return problem.draws_of(k), None
-    draws, picks = [], []
+    sample = problem.sample(batch)
+    if comp is None or not comp.is_random:
+        if sample is None:
+            return [None] * (rows.stop - rows.start), None
+        raw = streams.block(rows, round_index, sample)
+        if raw is not None:
+            return problem.draws_of(raw), None
+    raws, picks = [], []
     for i in range(rows.start, rows.stop):
         rng = streams.stream(i, round_index)
-        draws.append(problem.draw(i, rng, batch))
+        if sample is not None:
+            raws.append(sample.draw(rng, i))
         picks.append(None if comp is None else draw_picks(comp, rng))
-    return draws, picks
+    return (problem.draws_of(np.array(raws)) if raws else [None] * len(picks)), picks
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray, mask: np.ndarray | None = None) -> None:
@@ -257,8 +256,8 @@ def init(
     x0 = problem.x0.copy()
     batch = hp.batch if rule.message == "ef14" else hp.b_init
     g0 = np.empty((n, d))
-    for rows in _blocks(n, d):
-        draws, _ = _draw(problem, None, streams, rows, 0, batch, hp.rounds)
+    for rows in _blocks(n, d * batch):
+        draws, _ = _draw(problem, None, streams, rows, 0, batch)
         g0[rows] = problem.stoch_grads(rows, x0, draws)
     if rule.message == "ef14":
         nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)), sg_prev=g0)
@@ -292,8 +291,8 @@ def run_round(
 
         acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
         coords = 0
-        for rows in _blocks(n, problem.dim):
-            draws, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch, hp.rounds)
+        for rows in _blocks(n, problem.dim * hp.batch):
+            draws, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
             sg = problem.stoch_grads(rows, x_new, draws)
             g = nodes.g[rows]
             target = sg

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import Sample
+
 __all__ = ["SmoothnessInfo", "Problem", "power_iteration_norm"]
 
 
@@ -41,40 +43,34 @@ class Problem:
     """Oracle bundle; subclasses fill in the oracles.
 
     Gradients are evaluated over blocks of consecutive node rows.  A
-    stochastic gradient splits into a per-node random draw (``draw``, which
-    consumes the node's stream) and a deterministic evaluation of the block
-    given those draws (``stoch_grads``), so a caller can reset each node's
-    stream in turn and then evaluate the whole block at once, or evaluate
-    the same draws at two iterates as recursive variance-reduced estimators
-    do.
+    stochastic gradient splits into a random draw and a deterministic
+    evaluation of the block given the draws (``stoch_grads``), so the same
+    draws can be evaluated at two iterates as recursive variance-reduced
+    estimators do.  A problem declares the raw sample each node draws from
+    its own stream (``sample``) and turns a block of raw samples, one row per
+    node, into the block's draws (``draws_of``); the engine draws the raw
+    block at once or node by node, with the same values.
     """
 
     dim: int
     n_nodes: int
     x0: np.ndarray
     sigma: float
-    # per-node bounds b_i when node i's batch-1 draw is ``draws_of`` of one
-    # ``rng.integers(0, b_i)`` and nothing else, so the engine may compute the
-    # draws of many rounds at once; None when it is not
-    draw_bounds: np.ndarray | None = None
-    # True when the oracle is exact: ``draw`` takes nothing from its stream
-    # and returns None, so the engine need not reset the stream for it
-    noiseless: bool = False
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         """One row grad f_i(x) per node i of the block ``rows``
         (consecutive nodes, ``rows.start`` to ``rows.stop``)."""
         raise NotImplementedError
 
-    def draw(self, i: int, rng: np.random.Generator, batch: int = 1):
-        """The sample of one size-``batch`` stochastic gradient at node i,
-        drawn from ``rng`` (None when the oracle draws nothing)."""
+    def sample(self, batch: int) -> Sample | None:
+        """Each node's raw sample for one size-``batch`` stochastic gradient,
+        or None when the oracle is exact and draws nothing."""
         raise NotImplementedError
 
-    def draws_of(self, k: np.ndarray):
-        """The batch-1 draws of a block whose nodes drew the integers ``k``
-        (only called when ``draw_bounds`` is set)."""
-        raise NotImplementedError
+    def draws_of(self, raw: np.ndarray):
+        """The draws of a block of nodes from their raw samples, one row
+        (``sample(batch).count`` values) per node: by default the rows."""
+        return raw
 
     def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
         """One row per node of the block ``rows``: its stochastic gradient at

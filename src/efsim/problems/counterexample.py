@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import Sample
 from .base import Problem, SmoothnessInfo
 
 __all__ = ["CounterexampleProblem"]
@@ -40,7 +41,6 @@ class CounterexampleProblem(Problem):
         self.dim = 2
         self.l_smooth = float(l_smooth)
         self.sigma = float(sigma)
-        self.noiseless = self.sigma == 0.0
         self.variance_batch = int(variance_batch)
         self.n_nodes = int(n_nodes)
         self.x0 = np.asarray(x0, dtype=np.float64)
@@ -48,26 +48,23 @@ class CounterexampleProblem(Problem):
             raise ValueError("x0 must be 2-dimensional")
         scale = np.sqrt(3.0 * self.sigma**2 / (10.0 * self.variance_batch))
         self.atoms = scale * np.array([[2.0, 0.0], [0.0, 1.0], [-2.0, -1.0]])
-        self.draw_bounds = None if self.sigma == 0.0 else np.full(self.n_nodes, len(self.atoms))
+        self._bounds = np.full(self.n_nodes, len(self.atoms))  # each node draws an atom's index
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         return np.tile(self.l_smooth * x, (rows.stop - rows.start, 1))
 
-    def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray | None:
-        """The noise atom, averaged over the batch."""
-        if self.sigma == 0.0:
-            return None
-        if batch == 1:  # same draw as the batched path, minus the reduction
-            return self.atoms[rng.integers(0, 3)]
-        return self.atoms[rng.integers(0, 3, size=batch)].mean(axis=0)
+    def sample(self, batch: int) -> Sample | None:
+        return None if self.sigma == 0.0 else Sample(batch, self._bounds)
 
-    def draws_of(self, k: np.ndarray) -> np.ndarray:
-        return self.atoms[k]
+    def draws_of(self, raw: np.ndarray) -> np.ndarray:
+        """The noise atom, averaged over the batch."""
+        atoms = self.atoms[raw]
+        return atoms[:, 0] if raw.shape[1] == 1 else atoms.mean(axis=1)
 
     def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
         if self.sigma == 0.0:
             return self.full_grads(rows, x)
-        return self.l_smooth * x + np.array(draws)
+        return self.l_smooth * x + np.asarray(draws)
 
     def value(self, x: np.ndarray) -> float:
         return 0.5 * self.l_smooth * float(x @ x)

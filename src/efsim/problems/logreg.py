@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..core import atomic_write
+from ..core import Sample, atomic_write
 from .base import Problem, SmoothnessInfo, power_iteration_norm
 
 __all__ = [
@@ -55,7 +55,6 @@ class LogRegProblem(Problem):
         self._a_all = np.ones((int(self.m_i.sum()), l + 1))
         np.concatenate(features, out=self._a_all[:, :l])
         self._y_all = np.concatenate(labels) - 1
-        self.draw_bounds = self.m_i  # a batch-1 draw is one example index
         self.sigma = 0.0  # data-driven noise; no closed-form bound is claimed
         # start at zero weights: symmetric softmax, loss log(c)
         self.x0 = np.zeros(self.dim)
@@ -125,12 +124,9 @@ class LogRegProblem(Problem):
             [self._softmax_grads(x, *self._node_batch(i))[1][0] + reg for i in range(rows.start, rows.stop)]
         )
 
-    def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray:
+    def sample(self, batch: int) -> Sample:
         """Example indices, sampled with replacement."""
-        return rng.integers(0, self.m_i[i], size=batch)
-
-    def draws_of(self, k: np.ndarray) -> np.ndarray:
-        return k[:, None]
+        return Sample(batch, self.m_i)
 
     def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
         idx = self._start[rows, None] + np.asarray(draws)  # (r, batch) rows of the stacked data

@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from ..core import atomic_write, derive_stream
+from ..core import Sample, atomic_write, derive_stream
 from .base import Problem, SmoothnessInfo, power_iteration_norm
 
 __all__ = ["QuadraticProblem", "generate_quadratic", "save_quadratic_task", "load_quadratic_task"]
@@ -64,7 +64,6 @@ class QuadraticProblem(Problem):
         self.n_nodes, self.dim = self.b.shape
         self.x0 = np.asarray(x0, dtype=np.float64)
         self.sigma = float(sigma)
-        self.noiseless = self.sigma == 0.0
         self.tri_scale = None if tri_scale is None else np.asarray(tri_scale, dtype=np.float64)
         self.shift = float(shift)
         self.dense = None if dense is None else np.asarray(dense, dtype=np.float64)
@@ -98,18 +97,18 @@ class QuadraticProblem(Problem):
         g -= self.b[rows]
         return g
 
-    def draw(self, i: int, rng: np.random.Generator, batch: int = 1) -> np.ndarray | None:
+    def sample(self, batch: int) -> Sample | None:
+        return None if self.sigma == 0.0 else Sample(batch * self.dim)
+
+    def draws_of(self, raw: np.ndarray) -> np.ndarray:
         """Unscaled Gaussian noise, averaged over the batch."""
-        if self.sigma == 0.0:
-            return None
-        if batch == 1:  # same draws as the batched path, minus the reduction
-            return rng.standard_normal(self.dim)
-        return rng.standard_normal((batch, self.dim)).mean(axis=0)
+        raw = raw.reshape(len(raw), -1, self.dim)
+        return raw[:, 0] if raw.shape[1] == 1 else raw.mean(axis=1)
 
     def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
         g = self.full_grads(rows, x)
         if self.sigma != 0.0:
-            g += self._noise_scale * np.array(draws)
+            g += self._noise_scale * np.asarray(draws)
         return g
 
     def value(self, x: np.ndarray) -> float:

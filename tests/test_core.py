@@ -1,18 +1,15 @@
+import json
+import os
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efsim.core import (
-    SEED_MAX,
-    NumericFailure,
-    StreamFactory,
-    bounded_integers,
-    derive_stream,
-    ensure_finite,
-    norm_sq,
-    philox_first_words,
-)
+from efsim import core
+from efsim.cli import main
+from efsim.core import SEED_MAX, NumericFailure, Sample, StreamFactory, derive_stream, ensure_finite, norm_sq
 
 U32 = (1 << 32) - 1
 
@@ -91,19 +88,30 @@ def _uint32_drawn(state: dict) -> int:
     return 2 * words - state["has_uint32"]
 
 
-def _check_against_numpy(seed: int, ids: list[int], bounds: list[int]) -> np.ndarray:
-    """The vectorized draw gives numpy's first ``integers(0, b)`` wherever
-    ``ok``, and ``ok`` is False exactly where numpy drew more than one 32-bit
-    value, i.e. entered its rejection loop.  Returns ``ok``."""
-    words = philox_first_words(seed, np.array(ids, dtype=np.uint64))
-    values, ok = bounded_integers(words, np.array(bounds))
-    for j, (key, b) in enumerate(zip(ids, bounds)):
+def _kernel():
+    """The compiled block draw; with a C compiler present it must build and
+    pass its guard, and without one the kernel tests are skipped."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler to build the draw kernel")
+    kernel = core._kernel()
+    assert kernel is not None
+    return kernel
+
+
+def _check_against_numpy(seed: int, ids: list[int], bounds: list[int]) -> int:
+    """The kernel gives numpy's first ``integers(0, b)`` at each key, one
+    one-row block per key.  Returns how many keys entered numpy's rejection
+    loop, i.e. drew more than one 32-bit value."""
+    kernel, factory = _kernel(), StreamFactory(seed)
+    rejected = 0
+    for key, b in zip(ids, bounds):
+        node = key >> 32
+        sample = Sample(1, np.full(node + 1, b))
+        got = factory._fill(kernel, slice(node, node + 1), key & U32, sample)
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
-        value = gen.integers(0, b)
-        assert ok[j] == (_uint32_drawn(gen.bit_generator.state) <= 1)
-        if ok[j]:
-            assert values[j] == value
-    return ok
+        assert got[0, 0] == gen.integers(0, b)
+        rejected += _uint32_drawn(gen.bit_generator.state) > 1
+    return rejected
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,9 +119,9 @@ def _check_against_numpy(seed: int, ids: list[int], bounds: list[int]) -> np.nda
     seed=st.one_of(st.sampled_from([0, SEED_MAX]), st.integers(0, SEED_MAX)),
     keys=st.lists(
         st.tuples(
+            st.integers(0, 63),  # the node; nodes up to 2^32 - 1 are drawn with normals below
             st.integers(0, U32),
-            st.integers(0, U32),
-            st.one_of(st.sampled_from([1, 2, 3, (1 << 31) + 1, U32]), st.integers(1, U32)),
+            st.one_of(st.sampled_from([1, 2, 3, (1 << 31) + 1, U32, 1 << 32, (1 << 63) - 1]), st.integers(1, U32)),
         ),
         min_size=1,
         max_size=6,
@@ -125,24 +133,102 @@ def test_vectorized_bounded_draw_matches_numpy(seed, keys):
 
 
 def test_vectorized_bounded_draw_flags_numpys_rejection_loop():
-    # about half of all keys reject at b = 2^31 + 1
+    # about half of all keys reject at b = 2^31 + 1, and the kernel follows
+    # numpy's loop through every one of them
     ids = [(node << 32) | 17 for node in range(200)]
-    ok = _check_against_numpy(SEED_MAX, ids, [(1 << 31) + 1] * len(ids))
-    assert 50 < np.count_nonzero(~ok) < 150
+    assert 50 < _check_against_numpy(SEED_MAX, ids, [(1 << 31) + 1] * len(ids)) < 150
 
 
 def test_stream_factory_integers_are_first_draws():
+    _kernel()
     factory = StreamFactory(5)
     bounds = np.array([3, 1, 1000, (1 << 31) + 1])  # node 3 rejects about half its keys
-    rejected = 0
-    for rnd in range(11):  # chunks of 2 rounds; the one at round 10 stops at the last round
+    for rnd in range(11):
         want = [derive_stream(5, i, rnd).integers(0, bounds[i]) for i in range(4)]
-        assert factory.integers(bounds, slice(0, 3), rnd, 10, 8).tolist() == want[:3]
-        got = factory.integers(bounds, slice(3, 4), rnd, 10, 8)
-        if got is None:
-            rejected += 1
-        else:
-            assert got.tolist() == want[3:]
-    assert factory._first == 10 and len(factory._values) == 1
-    assert 0 < rejected < 11
-    assert factory.integers(np.array([0, 3]), slice(0, 2), 0, 10, 8) is None  # numpy raises for b = 0
+        assert factory.block(slice(0, 3), rnd, Sample(1, bounds)).ravel().tolist() == want[:3]
+        assert factory.block(slice(3, 4), rnd, Sample(1, bounds)).ravel().tolist() == want[3:]
+    # bounds the kernel must not read are left to the per-node path, where numpy raises
+    assert factory.block(slice(0, 2), 0, Sample(1, np.array([0, 3]))) is None
+    assert factory.block(slice(0, 3), 0, Sample(1, np.array([2, 3]))) is None
+    assert factory.block(slice(0, 2), 0, Sample(1, np.array([2, 3]))) is not None
+
+
+@pytest.mark.parametrize("count", [1, 3, 1000])
+@pytest.mark.parametrize("bounded", [False, True], ids=["normal", "bounded"])
+def test_stream_factory_block_equals_per_node_draws(bounded, count):
+    _kernel()
+    bounds = np.array([1, 2, 3, 1000, (1 << 31) + 1, U32, 1 << 32, (1 << 33) + 7, (1 << 63) - 1])
+    n = len(bounds)
+    starts = ((0, 0, 0), (SEED_MAX, 7, 123)) + (() if bounded else ((11, U32 + 1 - n, U32),))
+    for seed, first, rnd in starts:
+        sample = Sample(count, np.concatenate([np.ones(first, dtype=np.int64), bounds]) if bounded else None)
+        got = StreamFactory(seed).block(slice(first, first + n), rnd, sample)
+        want = [sample.draw(derive_stream(seed, i, rnd), i) for i in range(first, first + n)]
+        assert got.dtype == (np.int64 if bounded else np.float64)
+        assert np.array_equal(got, want)
+
+
+def test_block_rejects_the_ids_a_stream_rejects():
+    _kernel()
+    factory = StreamFactory(0)
+    for node, rnd, rows in ((U32 + 1, 0, slice(U32 - 1, U32 + 2)), (0, U32 + 1, slice(0, 2))):
+        with pytest.raises(ValueError) as per_node:
+            factory.stream(node, rnd)
+        with pytest.raises(ValueError) as block:
+            factory.block(rows, rnd, Sample(3))
+        assert str(block.value) == str(per_node.value) == "node/round exceed 32-bit stream id space"
+    with pytest.raises(ValueError, match="seed"):
+        StreamFactory(SEED_MAX + 1).block(slice(0, 1), 0, Sample(3))
+
+
+# -- the fallback: the kernel cannot be built, or does not match -----------------
+
+
+@pytest.fixture
+def fresh_kernel():
+    """``core._kernel`` is decided anew in the test, and again after it."""
+    core._kernel.cache_clear()
+    yield
+    core._kernel.cache_clear()
+
+
+def _run_outputs(tmp_path, capfd) -> tuple[dict[str, bytes], str]:
+    """Every file one small quadratic experiment (Gaussian samples, batch 2)
+    writes, always to the same directory, and what it printed."""
+    exp = {
+        "name": "q",
+        "problem": {"kind": "quadratic", "n": 5, "d": 30, "lam": 0.1, "s": 1.0, "seed": 2, "sigma": 0.1},
+        "algorithms": ["ef21_sgdm", "ef14_sgd"],
+        "compressor": {"kind": "topk", "k": 3},
+        "hyper": {"gamma": 0.05, "eta": 0.3, "rounds": 30, "batch": 2},
+        "seeds": [0, 1],
+        "metric_every": 5,
+    }
+    path, out = tmp_path / "exp.json", tmp_path / "out"
+    path.write_text(json.dumps(exp))
+    shutil.rmtree(out, ignore_errors=True)
+    capfd.readouterr()
+    assert main(["run", str(path), "--out", str(out), "--workers", "1"]) == 0
+    printed = capfd.readouterr()
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}, printed.out + printed.err
+
+
+@pytest.mark.parametrize("failure", ["no_compiler", "unwritable_cache", "guard_mismatch"])
+def test_kernel_failures_fall_back_silently(failure, fresh_kernel, tmp_path, capfd, monkeypatch):
+    _kernel()
+    with_kernel = _run_outputs(tmp_path, capfd)
+    cache = tmp_path / "cache"
+    if failure == "no_compiler":
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    elif failure == "unwritable_cache":
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"  # below a file: no directory can be made
+    else:  # the kernel builds, but keys each stream as (seed, round << 32 | node)
+        plant = core._KERNEL_SOURCE.replace("node << 32 | round", "round << 32 | node")
+        monkeypatch.setattr(core, "_KERNEL_SOURCE", plant)
+    monkeypatch.setattr(core, "_CACHE_DIR", str(cache))
+    core._kernel.cache_clear()
+    assert core._kernel() is None
+    if failure == "guard_mismatch":
+        assert len(os.listdir(cache)) == 1  # it was built and loaded, then refused
+    assert _run_outputs(tmp_path, capfd) == with_kernel

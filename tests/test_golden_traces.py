@@ -9,7 +9,8 @@ column (on the quadratic, the counterexample with f* known, and the blobs
 with f* unknown), a diverging step size, and problems wide enough to span
 several row blocks of the engine (a quadratic, and logistic regression with
 uneven node sizes, d = 2,100 and n = 8).  A refactor of the engine, the
-oracles or the compressors must leave every hash unchanged.
+oracles or the compressors must leave every hash unchanged, on the
+compiled block draws and on the per-node path alike.
 
 Re-record (only when a change of results is intended) with
 
@@ -27,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from efsim import optim
+from efsim import core, optim
 from efsim.compress import hard_threshold, identity, rand_k, top_k
 from efsim.harness import RunConfig, run, write_trace_csv
 from efsim.optim import HyperParams
@@ -178,6 +179,15 @@ def test_every_config_is_pinned():
 def test_trace_matches_golden_hash(name, tmp_path):
     cfg, seed = CONFIGS[name]
     assert trace_hash(cfg, seed, str(tmp_path / "trace.csv")) == _golden()[name]
+
+
+def test_every_hash_matches_on_the_per_node_path(tmp_path, monkeypatch):
+    # the kernel off: every node draws from its own stream, as where the
+    # kernel cannot be built
+    monkeypatch.setattr(core, "_kernel", lambda: None)
+    golden = _golden()
+    path = str(tmp_path / "trace.csv")
+    assert [name for name, (cfg, seed) in sorted(CONFIGS.items()) if trace_hash(cfg, seed, path) != golden[name]] == []
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import math
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from efsim import core, optim
 from efsim.compress import hard_threshold, identity, rand_k, top_k
-from efsim.core import NumericFailure, StreamFactory
+from efsim.core import NumericFailure, Sample, StreamFactory
 from efsim.harness import RunConfig, run, write_trace_csv
 from efsim.optim import HyperParams, schedule_at, theoretical_params, validate_pairing
 from efsim.problems import CounterexampleProblem, LogRegProblem, generate_quadratic, make_blobs, split_examples
@@ -293,7 +294,7 @@ def test_theoretical_params_unsupported_kind():
         theoretical_params("ef21_sgd", prob.smoothness(), 0.5, 0.1, 1, 100, 1.0)
 
 
-# -- chunked bounded draws -----------------------------------------------------
+# -- block draws by the compiled kernel -----------------------------------------
 
 
 def _chunk_problems():
@@ -311,52 +312,106 @@ def _trace_bytes(cfg, seed, path):
         return fh.read()
 
 
+def _require_kernel():
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler to build the draw kernel")
+    assert core._kernel() is not None
+
+
+def _rejecting(problem, monkeypatch, nodes):
+    """``problem`` with the given nodes drawing their index as
+    ``integers(0, 2^31 + 1) % 3``: about half of those keys enter numpy's
+    rejection loop."""
+    sample, draws_of = problem.sample, problem.draws_of
+
+    def rejecting_sample(batch):
+        bounds = sample(batch).bounds.copy()
+        bounds[nodes] = (1 << 31) + 1
+        return Sample(batch, bounds)
+
+    monkeypatch.setattr(problem, "sample", rejecting_sample)
+    monkeypatch.setattr(problem, "draws_of", lambda raw: draws_of(raw % 3))
+
+
+def _kernel_against_fallback(cfg, tmp_path, monkeypatch):
+    """The trace bytes with the kernel, those with the per-node fallback,
+    and each run's (stream resets, rounds of the kernel's blocks)."""
+    resets, blocks = [], []
+    stream, block = StreamFactory.stream, StreamFactory.block
+    monkeypatch.setattr(StreamFactory, "stream", lambda self, i, r: resets.append(i) or stream(self, i, r))
+    monkeypatch.setattr(
+        StreamFactory, "block", lambda self, rows, r, sample: blocks.append(r) or block(self, rows, r, sample)
+    )
+    kernel = _trace_bytes(cfg, 3, tmp_path / "kernel.csv")
+    counts = [(len(resets), list(blocks))]
+    resets.clear()
+    blocks.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_kernel", lambda: None)
+        fallback = _trace_bytes(cfg, 3, tmp_path / "fallback.csv")
+    return kernel, fallback, counts + [(len(resets), list(blocks))]
+
+
 @pytest.mark.parametrize("pname", ["counterexample", "blobs"])
 @pytest.mark.parametrize("kind", ["ef21_sgdm", "ef21_storm", "ef14_sgd"])
 @pytest.mark.parametrize("block_bytes", [1, None], ids=["one_row", "default"])
 @pytest.mark.parametrize("case", ["chunk_of_3", "guard_fails", "node_1_rejects"])
 def test_chunked_draws_equal_per_node_draws_bitwise(case, block_bytes, kind, pname, tmp_path, monkeypatch):
+    """A block's draws from one kernel call (a chunk of 3 samples per node
+    in ``chunk_of_3``) give the traces of per-node draws, and a kernel that
+    fails its guard leaves every node to draw from its own stream."""
+    _require_kernel()
     if block_bytes is not None:
         monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
     problem, gamma = _chunk_problems()[pname]
-    cfg = RunConfig(kind, problem, top_k(1, problem.dim), HyperParams(gamma=gamma, eta=0.3, rounds=10), metric_every=2)
-    draws, draw, bounds = [], problem.draw, problem.draw_bounds
-    monkeypatch.setattr(problem, "draw", lambda i, rng, batch=1: draws.append(i) or draw(i, rng, batch))
-    problem.draw_bounds = None  # the reference: every node draws from its own stream
-    per_node = _trace_bytes(cfg, 3, tmp_path / "per_node.csv")
-    assert len(draws) == 11 * problem.n_nodes
-    problem.draw_bounds = bounds
-    draws.clear()
+    batch = 3 if case == "chunk_of_3" else 1
+    hp = HyperParams(gamma=gamma, eta=0.3, rounds=10, batch=batch, b_init=batch)
+    cfg = RunConfig(kind, problem, top_k(1, problem.dim), hp, metric_every=2)
+    if case == "node_1_rejects":
+        _rejecting(problem, monkeypatch, [1])
+    if case == "guard_fails":
+        monkeypatch.setattr(core, "_kernel_matches", lambda kernel: False)
+        core._kernel.cache_clear()
+    try:
+        kernel, fallback, counts = _kernel_against_fallback(cfg, tmp_path, monkeypatch)
+    finally:
+        core._kernel.cache_clear()
+    assert kernel == fallback
+    n, blocks = problem.n_nodes, len(optim._blocks(problem.n_nodes, problem.dim * batch))
+    per_node = (11 * n, [r for r in range(11) for _ in range(blocks)])  # block called, then per-node draws
+    if case == "guard_fails":
+        assert counts == [per_node, per_node]
+    else:
+        assert counts == [(0, per_node[1]), per_node]
 
-    fills = []
-    fill = StreamFactory._fill
-    integers = StreamFactory.integers
 
-    def spy_fill(self, bounds, first, stop, max_keys):
-        fills.append((first, stop))
-        fill(self, bounds, first, stop, max_keys)
-        if case == "node_1_rejects":
-            self._ok = np.ones(self._values.shape, dtype=bool)
-            self._ok[:, 1] = False
-
-    monkeypatch.setattr(StreamFactory, "_fill", spy_fill)
-    if case == "chunk_of_3":
-        monkeypatch.setattr(
-            StreamFactory, "integers", lambda self, b, rows, r, last, keys: integers(self, b, rows, r, last, 3 * len(b))
-        )
-    elif case == "guard_fails":
-        monkeypatch.setattr(core, "_philox_matches_numpy", lambda: False)
-    assert _trace_bytes(cfg, 3, tmp_path / "chunked.csv") == per_node
-
-    n = problem.n_nodes
-    if case == "chunk_of_3":  # chunk edges fall mid-run; the last stops at round 10
-        assert fills == [(0, 3), (3, 6), (6, 9), (9, 11)] and draws == []
-    elif case == "guard_fails":
-        assert fills == [] and len(draws) == 11 * n
-    elif block_bytes is None:  # node 1's block, here every node, draws per node
-        assert fills == [(0, 11)] and len(draws) == 11 * n
-    else:  # one-row blocks: only node 1 draws per node
-        assert fills == [(0, 1)] + [(r, r + 1) for r in range(1, 11)] and draws == [1] * 11
+@pytest.mark.parametrize("comp", ["topk", "randk"])
+@pytest.mark.parametrize("pname", ["quadratic_d1000", "counterexample", "blobs", "rejecting"])
+@pytest.mark.parametrize("block_bytes", [1, None], ids=["one_row", "default"])
+@pytest.mark.parametrize("batch", [1, 3, 8, 32])
+def test_kernel_draws_equal_per_node_draws_bitwise(batch, block_bytes, pname, comp, tmp_path, monkeypatch):
+    """Batch-size draws of a block from the kernel, averaged over the
+    block's batch axis, give the traces of the per-node fallback, which
+    averages each node's own batch; with RandK the kernel draws only the
+    round-0 samples, which take no picks."""
+    _require_kernel()
+    if block_bytes is not None:
+        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+    if pname == "quadratic_d1000":
+        problem, gamma = generate_quadratic(10, 1000, 0.01, 1.0, seed=4, sigma=0.01), 2.0**-4
+    else:
+        problem, gamma = _chunk_problems()["blobs" if pname == "blobs" else "counterexample"]
+    if pname == "rejecting":
+        _rejecting(problem, monkeypatch, slice(None))
+    compressor = top_k(1, problem.dim) if comp == "topk" else rand_k(1, problem.dim)
+    hp = HyperParams(gamma=gamma, eta=0.3, rounds=10, batch=batch, b_init=batch)
+    kernel, fallback, counts = _kernel_against_fallback(
+        RunConfig("ef21_sgdm", problem, compressor, hp, metric_every=2), tmp_path, monkeypatch
+    )
+    assert kernel == fallback
+    n, blocks = problem.n_nodes, len(optim._blocks(problem.n_nodes, problem.dim * batch))
+    rounds = range(1) if comp == "randk" else range(11)
+    assert counts[0] == ((11 - len(rounds)) * n, [r for r in rounds for _ in range(blocks)])
 
 
 # -- noiseless problems ----------------------------------------------------------

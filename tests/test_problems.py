@@ -26,9 +26,16 @@ def node_grad(prob, i, x):
     return prob.full_grads(slice(i, i + 1), x)[0]
 
 
+def node_draw(prob, i, rng, batch=1):
+    """Node i's draw for one size-``batch`` stochastic gradient, from ``rng``:
+    the engine's per-node path (None when the oracle draws nothing)."""
+    sample = prob.sample(batch)
+    return None if sample is None else prob.draws_of(sample.draw(rng, i)[None])[0]
+
+
 def node_stoch_grad(prob, i, x, rng, batch=1):
     """One size-``batch`` stochastic gradient at node i, drawn from ``rng``."""
-    return prob.stoch_grads(slice(i, i + 1), x, [prob.draw(i, rng, batch)])[0]
+    return prob.stoch_grads(slice(i, i + 1), x, [node_draw(prob, i, rng, batch)])[0]
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -280,7 +287,7 @@ def test_logreg_oracles_equal_explicit_reference_bitwise(batch, block_bytes, mon
     def ref(i, batch_idx=None):
         return _logreg_reference(feats[i], labs[i], prob.classes, prob.reg, x, batch_idx)
 
-    draws = [prob.draw(i, derive_stream(14, i, 0), batch) for i in range(prob.n_nodes)]
+    draws = [node_draw(prob, i, derive_stream(14, i, 0), batch) for i in range(prob.n_nodes)]
     blocks = list(optim._blocks(prob.n_nodes, prob.dim))
     assert len(blocks) == {1: 5, 3 * 8 * 28: 2, None: 1}[block_bytes]
     for rows in blocks:
@@ -475,14 +482,14 @@ def test_block_oracles_equal_per_node_oracles_bitwise(prob, batch):
     x = derive_stream(9, 0, 0).standard_normal(prob.dim)
     x_old = derive_stream(9, 0, 1).standard_normal(prob.dim)
     rows = slice(1, prob.n_nodes)
-    draws = [prob.draw(i, derive_stream(10, i, 1), batch) for i in range(1, prob.n_nodes)]
+    draws = [node_draw(prob, i, derive_stream(10, i, 1), batch) for i in range(1, prob.n_nodes)]
     full = prob.full_grads(rows, x)
     sg = prob.stoch_grads(rows, x, draws)
     sg_old = prob.stoch_grads(rows, x_old, draws)
     assert full.shape == sg.shape == (prob.n_nodes - 1, prob.dim)
     for r, i in enumerate(range(1, prob.n_nodes)):
         # the one-row block of node i, with its own fresh draw from the same stream
-        row, draw = slice(i, i + 1), [prob.draw(i, derive_stream(10, i, 1), batch)]
+        row, draw = slice(i, i + 1), [node_draw(prob, i, derive_stream(10, i, 1), batch)]
         assert np.array_equal(full[r], prob.full_grads(row, x)[0])
         assert np.array_equal(sg[r], prob.stoch_grads(row, x, draw)[0])
         assert np.array_equal(sg_old[r], prob.stoch_grads(row, x_old, draw)[0])
