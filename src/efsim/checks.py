@@ -236,7 +236,7 @@ def check_reductions(seed: int = 0) -> list[CheckResult]:
     x = problem0.x0.copy()
     gd = [x.copy()]
     for _ in range(hp0.rounds):
-        x = x - hp0.gamma * problem0.mean_full_grad(x)
+        x = x - hp0.gamma * problem0.value_and_mean_grad(x)[1]
         gd.append(x.copy())
     gd = np.array(gd)
     out.append(
@@ -332,8 +332,8 @@ def check_storm(seed: int = 0) -> list[CheckResult]:
     draws = 10_000
     samples = np.empty((draws, 5))
     for j in range(draws):
-        sample = problem.draws_of(problem.sample(1).draw(derive_stream(seed, 1, j), 0)[None])  # at both iterates
-        sg_new, sg_old = (problem.stoch_grads(node, x, sample)[0] for x in (x_new, x_old))
+        raw = problem.sample(1).draw(derive_stream(seed, 1, j), 0)[None]  # at both iterates
+        sg_new, sg_old = (problem.stoch_grads(node, x, raw)[0] for x in (x_new, x_old))
         samples[j] = sg_new + (1.0 - eta) * (w_old - sg_old)
     expected = full_new + (1.0 - eta) * (w_old - full_old)
     se = samples.std(axis=0, ddof=1) / math.sqrt(draws)

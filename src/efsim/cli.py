@@ -25,6 +25,7 @@ from . import __version__
 from .checks import SUITES, run_suite
 from .core import atomic_write
 from .experiments import (
+    SCHEMA,
     SchemaError,
     build_problem,
     check_flag,
@@ -137,6 +138,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    section = f"problem.{args.what}"
+    for key in SCHEMA[section]:  # each flag is named after its key in the problem's section
+        if key in vars(args):
+            check_flag(getattr(args, key), f"--{key}", section, key)
     if args.what == "quadratic":
         problem = generate_quadratic(args.n, args.d, args.lam, args.s, args.seed, sigma=args.sigma)
         save_quadratic_task(problem, args.out_path)

@@ -1,11 +1,16 @@
-"""Substrate shared by every module: dense float64 vectors, seeded,
-splittable random streams, and the atomic write of every output file.
+"""Substrate shared by every module: dense float64 vectors, the row layout
+of node states, seeded, splittable random streams, and the atomic write of
+every output file.
 
 Vectors are plain ``numpy.ndarray`` objects with dtype float64.  Randomness
 is derived from a counter-based generator (Philox) keyed by
 ``(master seed, node, round)``, so the draw sequence of any node/round pair
 is independent of evaluation order and two streams with the same key are
 bit-identical.
+
+Node vectors are the rows of (n, d) arrays, walked in ``blocks`` of rows
+and summed over nodes by ``add_rows`` in ascending node order, so no sum
+depends on the blocking and traces match a loop over single nodes bitwise.
 
 A block of nodes' raw samples (``Sample``: standard normals or bounded
 integers) comes from one call of a C kernel (``StreamFactory.block``) that
@@ -34,6 +39,9 @@ import numpy as np
 __all__ = [
     "NumericFailure",
     "SEED_MAX",
+    "BLOCK_BYTES",
+    "blocks",
+    "add_rows",
     "atomic_write",
     "norm_sq",
     "ensure_finite",
@@ -44,6 +52,8 @@ __all__ = [
 
 _MASK32 = (1 << 32) - 1
 SEED_MAX = (1 << 64) - 1  # seeds are the first 64-bit word of the Philox key
+# upper bound on the bytes of a block's (rows, d) temporaries and (rows, batch * d) raw samples
+BLOCK_BYTES = 64 * 1024
 
 
 class NumericFailure(RuntimeError):
@@ -56,6 +66,19 @@ class NumericFailure(RuntimeError):
 
 def norm_sq(a: np.ndarray) -> float:
     return float(a @ a)
+
+
+def blocks(n: int, width: int) -> list[slice]:
+    """Consecutive slices of n rows, each block of (rows, width) float64
+    values under ``BLOCK_BYTES`` (at least one row)."""
+    step = max(1, BLOCK_BYTES // (8 * width))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def add_rows(acc: np.ndarray, rows: np.ndarray, mask: np.ndarray | None = None) -> None:
+    """acc += each row in turn (only its kept coordinates if masked)."""
+    for r in range(len(rows)):
+        np.add(acc, rows[r], out=acc, where=True if mask is None else mask[r])
 
 
 def ensure_finite(a: np.ndarray, context: str = "", round_index: int | None = None) -> np.ndarray:

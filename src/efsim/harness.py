@@ -19,7 +19,7 @@ import numpy as np
 
 from . import optim
 from .compress import Compressor, contraction_alpha
-from .core import NumericFailure, StreamFactory, atomic_write, norm_sq
+from .core import NumericFailure, StreamFactory, add_rows, atomic_write, blocks, norm_sq
 from .optim import HyperParams, NodeArrays, ServerState, schedule_at
 from .problems.base import Problem
 
@@ -111,11 +111,11 @@ def lyapunov(
             + (gamma eta/(alpha^2 n)) sum_i ||v_i - grad f_i(x)||^2
             + (gamma/eta) ||(1/n) sum_i (v_i - grad f_i(x))||^2.
 
-    Uses full-gradient oracles, evaluated over the round engine's blocks of
-    node rows; the sums run in ascending node order.  ``gap`` is the metric
-    row's ``obj_gap``, so the diagnostic makes no objective call of its own;
-    when f* is unknown it is the raw objective value (a shifted version of
-    the same quantity).
+    Uses full-gradient oracles, evaluated over ``blocks`` of node rows; the
+    sums run in ascending node order.  ``gap`` is the metric row's
+    ``obj_gap``, so the diagnostic makes no objective call of its own; when
+    f* is unknown it is the raw objective value (a shifted version of the
+    same quantity).
     """
     if nodes.v is None:
         raise ValueError("algorithm state has no momentum estimator v_i")
@@ -124,11 +124,12 @@ def lyapunov(
     comp_err = 0.0
     mom_err = 0.0
     mean_dev = np.zeros(problem.dim)
-    for rows in optim._blocks(n, problem.dim):
-        for err, dev in zip(nodes.g[rows] - nodes.v[rows], nodes.v[rows] - problem.full_grads(rows, x)):
+    for rows in blocks(n, problem.dim):
+        devs = nodes.v[rows] - problem.full_grads(rows, x)
+        for err, dev in zip(nodes.g[rows] - nodes.v[rows], devs):
             comp_err += norm_sq(err)
             mom_err += norm_sq(dev)
-            mean_dev += dev
+        add_rows(mean_dev, devs)
     mean_dev /= n
     return (
         gap
@@ -256,15 +257,13 @@ def power_grid(k_lo: int, k_hi: int) -> list[float]:
 
 
 def trace_diverged(trace: RunTrace) -> bool:
-    """Sweep notion of divergence: numeric failure, a non-finite metric, or
-    the objective growing past 1e6 times its initial magnitude."""
-    if trace.failure_round is not None or not trace.records:
+    """Sweep notion of divergence: numeric failure (a non-finite metric ends
+    a run as one), or the objective growing past 1e6 times its initial
+    magnitude."""
+    if trace.failure_round is not None:
         return True
     gaps = trace.column("obj_gap")
-    if not np.all(np.isfinite(gaps)) or not np.all(np.isfinite(trace.column("grad_norm"))):
-        return True
-    limit = 1e6 * max(abs(gaps[0]), 1e-12)
-    return bool(np.any(gaps > limit))
+    return bool(np.any(gaps > 1e6 * max(abs(gaps[0]), 1e-12)))
 
 
 @dataclass

@@ -26,15 +26,15 @@ Node update rules (per node i, fresh sample at the new iterate x'):
   they transmit a dense vector every round.
 
 ``RULES`` holds these rules as data and one engine runs them all.  Node
-states are (n, d) arrays (``NodeArrays``) walked in blocks of rows, each
-temporary under ``BLOCK_BYTES``.  Per block, the nodes' raw oracle
-samples, each from its own (seed, node, round) stream, come from one call
-of the stream factory's compiled kernel; with RandK, or where the kernel
-is not available, every node resets its stream and draws its sample, then
-its picks, with the same values (a noiseless problem without RandK resets
-no stream); the rest is array operations in the operand order of the
-formulas above, and messages are added row by row in ascending node
-order, so traces match a loop over single nodes bit for bit.
+states are (n, d) arrays (``NodeArrays``) walked in ``core.blocks`` of
+rows.  Per block, the nodes' raw oracle samples, each from its own (seed,
+node, round) stream, come from one call of the stream factory's compiled
+kernel; with RandK, or where the kernel is not available, every node
+resets its stream and draws its sample, then its picks, with the same
+values (a noiseless problem without RandK resets no stream); the rest is
+array operations in the operand order of the formulas above, and messages
+are summed by ``core.add_rows``, so traces match a loop over single nodes
+bit for bit.
 Compressed-state updates write the kept coordinates of the target
 directly into g_i (mathematically identical to adding the transmitted
 residual, and it makes the eta = 1 and identity-compressor reductions
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compress import Compressor, draw_picks, keep_mask
-from .core import StreamFactory, ensure_finite
+from .core import StreamFactory, add_rows, blocks, ensure_finite
 from .problems.base import Problem, SmoothnessInfo
 
 __all__ = [
@@ -76,9 +76,6 @@ EF21_SGDM_ABS = "ef21_sgdm_abs"
 EF21_STORM = "ef21_storm"
 EF21_SGD_IDEAL = "ef21_sgd_ideal"
 EF21_SGDM_IDEAL = "ef21_sgdm_ideal"
-
-# upper bound on the bytes of a block's (rows, d) temporaries and (rows, batch * d) raw samples
-BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -204,13 +201,9 @@ def validate_pairing(kind: str, comp: Compressor) -> None:
         raise ValueError(f"{kind} requires a contractive compressor")
 
 
-def _blocks(n: int, d: int) -> list[slice]:
-    step = max(1, BLOCK_BYTES // (8 * d))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def _draw(problem: Problem, comp: Compressor | None, streams: StreamFactory, rows: slice, round_index: int, batch: int):
-    """Each node's oracle sample, then its RandK picks, from its own stream.
+    """Each node's raw oracle sample, one row per node (None for a noiseless
+    problem), then its RandK picks, from its own stream.
 
     Without picks the block's raw samples come from one kernel call where
     the kernel is available; otherwise each node resets its stream and draws
@@ -219,23 +212,17 @@ def _draw(problem: Problem, comp: Compressor | None, streams: StreamFactory, row
     sample = problem.sample(batch)
     if comp is None or not comp.is_random:
         if sample is None:
-            return [None] * (rows.stop - rows.start), None
+            return None, None
         raw = streams.block(rows, round_index, sample)
         if raw is not None:
-            return problem.draws_of(raw), None
+            return raw, None
     raws, picks = [], []
     for i in range(rows.start, rows.stop):
         rng = streams.stream(i, round_index)
         if sample is not None:
             raws.append(sample.draw(rng, i))
         picks.append(None if comp is None else draw_picks(comp, rng))
-    return (problem.draws_of(np.array(raws)) if raws else [None] * len(picks)), picks
-
-
-def _add_rows(acc: np.ndarray, rows: np.ndarray, mask: np.ndarray | None = None) -> None:
-    """acc += each row in turn (only its kept coordinates if masked)."""
-    for r in range(len(rows)):
-        np.add(acc, rows[r], out=acc, where=True if mask is None else mask[r])
+    return (np.array(raws) if raws else None), picks
 
 
 def init(
@@ -256,9 +243,9 @@ def init(
     x0 = problem.x0.copy()
     batch = hp.batch if rule.message == "ef14" else hp.b_init
     g0 = np.empty((n, d))
-    for rows in _blocks(n, d * batch):
-        draws, _ = _draw(problem, None, streams, rows, 0, batch)
-        g0[rows] = problem.stoch_grads(rows, x0, draws)
+    for rows in blocks(n, d * batch):
+        raw, _ = _draw(problem, None, streams, rows, 0, batch)
+        g0[rows] = problem.stoch_grads(rows, x0, raw)
     if rule.message == "ef14":
         nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)), sg_prev=g0)
     else:
@@ -266,7 +253,7 @@ def init(
         if "w" in rule.estimators:
             nodes.x_prev = x0.copy()
     gsum = np.zeros(d)
-    _add_rows(gsum, nodes.g)
+    add_rows(gsum, nodes.g)
     return ServerState(x=x0, g=gsum / n, t=0), nodes, RoundLog(coords_sent=0, grad_evals=batch)
 
 
@@ -291,9 +278,9 @@ def run_round(
 
         acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
         coords = 0
-        for rows in _blocks(n, problem.dim * hp.batch):
-            draws, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
-            sg = problem.stoch_grads(rows, x_new, draws)
+        for rows in blocks(n, problem.dim * hp.batch):
+            raw, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
+            sg = problem.stoch_grads(rows, x_new, raw)
             g = nodes.g[rows]
             target = sg
             # in-place updates, each operation in the order of the formulas above
@@ -304,7 +291,7 @@ def run_round(
                     state += eta_t * target
                     target = state
                 elif name == "w":
-                    np.subtract(state, problem.stoch_grads(rows, nodes.x_prev, draws), out=state)
+                    np.subtract(state, problem.stoch_grads(rows, nodes.x_prev, raw), out=state)
                     np.multiply(1.0 - eta_t, state, out=state)
                     np.add(sg, state, out=state)
                     target = state
@@ -319,24 +306,24 @@ def run_round(
                 resid = target - g
                 mask = keep_mask(comp, resid, picks)
                 np.copyto(g, target, where=mask)
-                _add_rows(acc, resid, mask)
+                add_rows(acc, resid, mask)
             elif rule.message == "absolute":
                 unscaled = (target - g) / gamma_t
                 mask = keep_mask(comp, unscaled, picks)
                 scaled = gamma_t * unscaled
                 np.add(g, scaled, out=g, where=mask)
-                _add_rows(acc, scaled, mask)
+                add_rows(acc, scaled, mask)
             elif rule.message == "ef14":
                 mask = keep_mask(comp, target, picks)
                 g[...] = np.where(mask, target, 0.0)
-                _add_rows(acc, g)
+                add_rows(acc, g)
             else:  # ideal: exact gradient plus the compressed noise, sent dense
                 full = problem.full_grads(rows, x_new)
                 noise = sg - full
                 if rule.scale_noise:
                     noise = eta_t * noise
                 mask = keep_mask(comp, noise, picks)
-                _add_rows(acc, full + np.where(mask, noise, 0.0))
+                add_rows(acc, full + np.where(mask, noise, 0.0))
             coords += problem.dim * len(g) if rule.message == "ideal" else int(np.count_nonzero(mask))
 
         server.g = server.g + acc / n if rule.message in ("write", "absolute") else acc / n

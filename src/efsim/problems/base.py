@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Sample
+from ..core import Sample, add_rows, blocks
 
 __all__ = ["SmoothnessInfo", "Problem", "power_iteration_norm"]
 
@@ -47,9 +47,9 @@ class Problem:
     evaluation of the block given the draws (``stoch_grads``), so the same
     draws can be evaluated at two iterates as recursive variance-reduced
     estimators do.  A problem declares the raw sample each node draws from
-    its own stream (``sample``) and turns a block of raw samples, one row per
-    node, into the block's draws (``draws_of``); the engine draws the raw
-    block at once or node by node, with the same values.
+    its own stream (``sample``); the engine draws a block's raw samples at
+    once or node by node, with the same values, and ``stoch_grads`` takes
+    them as they are drawn, one row per node.
     """
 
     dim: int
@@ -67,14 +67,10 @@ class Problem:
         or None when the oracle is exact and draws nothing."""
         raise NotImplementedError
 
-    def draws_of(self, raw: np.ndarray):
-        """The draws of a block of nodes from their raw samples, one row
-        (``sample(batch).count`` values) per node: by default the rows."""
-        return raw
-
-    def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
-        """One row per node of the block ``rows``: its stochastic gradient at
-        x under its draw, ``draws[i - rows.start]``."""
+    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
+        """One row per node i of the block ``rows``: its stochastic gradient
+        at x under its raw sample ``raw[i - rows.start]`` (``sample(batch)``'s
+        values, averaged over the batch here); ``raw`` is None if ``sample`` is."""
         raise NotImplementedError
 
     def value(self, x: np.ndarray) -> float:
@@ -88,21 +84,14 @@ class Problem:
     def f_star(self) -> float | None:
         return self.smoothness().f_star
 
-    def mean_full_grad(self, x: np.ndarray) -> np.ndarray:
-        """(1/n) sum_i grad f_i(x), summed in ascending node order; the
-        gradients are evaluated over the engine's blocks of node rows."""
-        from ..optim import _blocks  # optim imports this module
-
-        grads = (gi for rows in _blocks(self.n_nodes, self.dim) for gi in self.full_grads(rows, x))
-        g = next(grads).copy()
-        for gi in grads:
-            g += gi
-        return g / self.n_nodes
-
     def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """``value(x)`` and ``mean_full_grad(x)``, the two oracle calls of a
-        metric row."""
-        return self.value(x), self.mean_full_grad(x)
+        """``value(x)`` and the mean gradient (1/n) sum_i grad f_i(x), the
+        two oracle calls of a metric row; the gradients are evaluated over
+        ``blocks`` of node rows and summed by ``add_rows``."""
+        g = np.zeros(self.dim)
+        for rows in blocks(self.n_nodes, self.dim):
+            add_rows(g, self.full_grads(rows, x))
+        return self.value(x), g / self.n_nodes
 
 
 def power_iteration_norm(

@@ -56,15 +56,12 @@ class CounterexampleProblem(Problem):
     def sample(self, batch: int) -> Sample | None:
         return None if self.sigma == 0.0 else Sample(batch, self._bounds)
 
-    def draws_of(self, raw: np.ndarray) -> np.ndarray:
-        """The noise atom, averaged over the batch."""
-        atoms = self.atoms[raw]
-        return atoms[:, 0] if raw.shape[1] == 1 else atoms.mean(axis=1)
-
-    def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
+    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
+        """The full gradient plus the noise atom, averaged over the batch."""
         if self.sigma == 0.0:
             return self.full_grads(rows, x)
-        return self.l_smooth * x + np.asarray(draws)
+        atoms = self.atoms[np.asarray(raw)]
+        return self.l_smooth * x + (atoms[:, 0] if atoms.shape[1] == 1 else atoms.mean(axis=1))
 
     def value(self, x: np.ndarray) -> float:
         return 0.5 * self.l_smooth * float(x @ x)

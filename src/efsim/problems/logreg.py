@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..core import Sample, atomic_write
+from ..core import Sample, add_rows, atomic_write
 from .base import Problem, SmoothnessInfo, power_iteration_norm
 
 __all__ = [
@@ -128,8 +128,8 @@ class LogRegProblem(Problem):
         """Example indices, sampled with replacement."""
         return Sample(batch, self.m_i)
 
-    def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
-        idx = self._start[rows, None] + np.asarray(draws)  # (r, batch) rows of the stacked data
+    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
+        idx = self._start[rows, None] + np.asarray(raw)  # (r, batch) rows of the stacked data
         return self._softmax_grads(x, self._a_all[idx], self._y_all[idx])[1] + self._reg_grad(x)
 
     def value(self, x: np.ndarray) -> float:
@@ -138,14 +138,11 @@ class LogRegProblem(Problem):
     def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """One full-data pass per node serves both quantities."""
         reg_value, reg = self._reg_value(x), self._reg_grad(x)
-        values, grads = [], []
+        values, g = [], np.zeros(self.dim)
         for i in range(self.n_nodes):
-            p_true, g = self._softmax_grads(x, *self._node_batch(i))
+            p_true, grad = self._softmax_grads(x, *self._node_batch(i))
             values.append(self._loss(p_true[0]) + reg_value)
-            grads.append(g[0] + reg)
-        g = grads[0].copy()
-        for gi in grads[1:]:
-            g += gi
+            add_rows(g, grad + reg)
         return float(np.mean(values)), g / self.n_nodes
 
     def smoothness(self) -> SmoothnessInfo:

@@ -100,15 +100,13 @@ class QuadraticProblem(Problem):
     def sample(self, batch: int) -> Sample | None:
         return None if self.sigma == 0.0 else Sample(batch * self.dim)
 
-    def draws_of(self, raw: np.ndarray) -> np.ndarray:
-        """Unscaled Gaussian noise, averaged over the batch."""
-        raw = raw.reshape(len(raw), -1, self.dim)
-        return raw[:, 0] if raw.shape[1] == 1 else raw.mean(axis=1)
-
-    def stoch_grads(self, rows: slice, x: np.ndarray, draws) -> np.ndarray:
+    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
+        """The full gradients plus the scaled Gaussian noise, averaged over
+        the batch."""
         g = self.full_grads(rows, x)
         if self.sigma != 0.0:
-            g += self._noise_scale * np.asarray(draws)
+            raw = np.asarray(raw).reshape(len(raw), -1, self.dim)
+            g += self._noise_scale * (raw[:, 0] if raw.shape[1] == 1 else raw.mean(axis=1))
         return g
 
     def value(self, x: np.ndarray) -> float:

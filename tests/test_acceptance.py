@@ -113,8 +113,8 @@ def test_04_reduction_identities():
     assert_passed(run_suite("reductions", seed=1))
 
 
-def test_05_compressor_definitions():
-    assert_passed(run_suite("compressors", seed=0))
+def test_05_compressor_definitions(compressors_suite):
+    assert_passed(compressors_suite(0))
 
 
 def test_06_descent_diagnostic():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efsim import cli
 from efsim.cli import main
 from efsim.experiments import (
     SCHEMA,
@@ -25,6 +26,7 @@ from efsim.experiments import (
 )
 from efsim.harness import _with_gamma, read_trace_csv, run
 from efsim.optim import ALGORITHMS
+from test_compress import PINNED_DETAILS
 
 
 def minimal_experiment(**kw):
@@ -269,10 +271,18 @@ def test_mistyped_real_and_bool_keys_are_rejected_naming_the_key(tmp_path, capsy
         (["reproduce", "fig1", "--workers", "0"], "--workers"),
         (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "0.1", "--s", "1", "--seed", "-1"], "seed"),
         (["sweep", "EXP", "--metric-every", "0"], "experiment.metric_every"),  # used to be ignored
+        # gen used to write a task file that loading rejects, or to die with an IndexError
+        (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "0.1", "--s", "1", "--sigma", "-1"], "--sigma"),
+        (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "nan", "--s", "1"], "--lam"),
+        (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "0.1", "--s", "inf"], "--s"),
+        (["gen", "quadratic", "OUT", "--n", "0", "--d", "5", "--lam", "0.1", "--s", "1"], "--n"),
+        (["gen", "blobs", "OUT", "--classes", "0", "--features", "2", "--examples", "5"], "--classes"),
+        (["gen", "blobs", "OUT", "--classes", "2", "--features", "2", "--examples", "5", "--seed", str(BIG)], "--seed"),
     ],
     ids=["verify_seed_negative", "verify_seed_2_64", "verify_floors_seed_negative", "sweep_k_hi_1024",
          "sweep_k_lo_-1075", "sweep_k_lo_above_k_hi", "sweep_seed_negative", "run_seed_2_64", "run_workers_0",
-         "sweep_workers_-3", "reproduce_workers_0", "gen_seed_negative", "sweep_metric_every_0"],
+         "sweep_workers_-3", "reproduce_workers_0", "gen_seed_negative", "sweep_metric_every_0",
+         "gen_sigma_negative", "gen_lam_nan", "gen_s_inf", "gen_n_0", "gen_blobs_classes_0", "gen_blobs_seed_2_64"],
 )
 def test_bad_flag_is_rejected_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -280,7 +290,9 @@ def test_bad_flag_is_rejected_naming_it(tmp_path, capsys, argv, flag):
     if argv[0] in ("run", "reproduce"):
         argv += ["--out", str(out)]
     assert main(argv) == 1
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -834,8 +846,13 @@ def test_unknown_preset_rejected_by_parser():
         main(["reproduce", "fig99"])
 
 
-def test_verify_compressors_with_seed_flag():
+def test_verify_compressors_with_seed_flag(compressors_suite, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", lambda name, seed: compressors_suite(seed) if name == "compressors" else None)
     assert main(["verify", "compressors", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(PINNED_DETAILS[1])
+    for line, detail in zip(lines, PINNED_DETAILS[1]):
+        assert line.startswith("[PASS] compressors: ") and line.endswith(f"({detail})")
 
 
 # -- the error boundary ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from efsim.checks import contraction_ratios, dropped, run_suite
+from efsim.checks import contraction_ratios, dropped
 from efsim.compress import (
     absolute_delta,
     compress,
@@ -224,15 +224,15 @@ def test_randk_block_draws_match_per_node_compress():
     assert draw_picks(top_k(2, 30), None) is None
 
 
-@pytest.mark.parametrize(
-    "seed, details",
-    [
-        (0, ["max=0.708004 mean=0.567115", "max=0.0", "mean=0.899863", "worst=0.322398 Delta^2=1.000000"]),
-        (1, ["max=0.708585 mean=0.567888", "max=0.0", "mean=0.900209", "worst=0.295216 Delta^2=1.000000"]),
-    ],
-)
-def test_compressors_suite_details_are_pinned(seed, details):
-    # recorded from the suite's former per-vector compress()/densify() code
-    results = run_suite("compressors", seed)
+# the compressors suite's details by seed, recorded from its former per-vector compress()/densify() code
+PINNED_DETAILS = {
+    0: ["max=0.708004 mean=0.567115", "max=0.0", "mean=0.899863", "worst=0.322398 Delta^2=1.000000"],
+    1: ["max=0.708585 mean=0.567888", "max=0.0", "mean=0.900209", "worst=0.295216 Delta^2=1.000000"],
+}
+
+
+@pytest.mark.parametrize("seed, details", list(PINNED_DETAILS.items()))
+def test_compressors_suite_details_are_pinned(seed, details, compressors_suite):
+    results = compressors_suite(seed)
     assert [r.detail for r in results] == details
     assert all(r.passed for r in results)

@@ -202,10 +202,10 @@ def _lyapunov_per_node(prob, x, nodes, gamma, eta, alpha):
 )
 @pytest.mark.parametrize("block_bytes", [1, 200, None], ids=["one_row", "small", "default"])
 def test_lyapunov_blocks_equal_per_node_reference_bitwise(prob, block_bytes, monkeypatch):
-    from efsim import optim
+    from efsim import core
 
     if block_bytes is not None:
-        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
     rng = derive_stream(13, 0, 0)
     shape = (prob.n_nodes, prob.dim)
     server = ServerState(x=rng.standard_normal(prob.dim), g=np.zeros(prob.dim), t=0)

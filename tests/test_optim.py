@@ -322,7 +322,7 @@ def _rejecting(problem, monkeypatch, nodes):
     """``problem`` with the given nodes drawing their index as
     ``integers(0, 2^31 + 1) % 3``: about half of those keys enter numpy's
     rejection loop."""
-    sample, draws_of = problem.sample, problem.draws_of
+    sample, stoch_grads = problem.sample, problem.stoch_grads
 
     def rejecting_sample(batch):
         bounds = sample(batch).bounds.copy()
@@ -330,7 +330,7 @@ def _rejecting(problem, monkeypatch, nodes):
         return Sample(batch, bounds)
 
     monkeypatch.setattr(problem, "sample", rejecting_sample)
-    monkeypatch.setattr(problem, "draws_of", lambda raw: draws_of(raw % 3))
+    monkeypatch.setattr(problem, "stoch_grads", lambda rows, x, raw: stoch_grads(rows, x, raw % 3))
 
 
 def _kernel_against_fallback(cfg, tmp_path, monkeypatch):
@@ -362,7 +362,7 @@ def test_chunked_draws_equal_per_node_draws_bitwise(case, block_bytes, kind, pna
     fails its guard leaves every node to draw from its own stream."""
     _require_kernel()
     if block_bytes is not None:
-        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
     problem, gamma = _chunk_problems()[pname]
     batch = 3 if case == "chunk_of_3" else 1
     hp = HyperParams(gamma=gamma, eta=0.3, rounds=10, batch=batch, b_init=batch)
@@ -377,7 +377,7 @@ def test_chunked_draws_equal_per_node_draws_bitwise(case, block_bytes, kind, pna
     finally:
         core._kernel.cache_clear()
     assert kernel == fallback
-    n, blocks = problem.n_nodes, len(optim._blocks(problem.n_nodes, problem.dim * batch))
+    n, blocks = problem.n_nodes, len(core.blocks(problem.n_nodes, problem.dim * batch))
     per_node = (11 * n, [r for r in range(11) for _ in range(blocks)])  # block called, then per-node draws
     if case == "guard_fails":
         assert counts == [per_node, per_node]
@@ -396,7 +396,7 @@ def test_kernel_draws_equal_per_node_draws_bitwise(batch, block_bytes, pname, co
     round-0 samples, which take no picks."""
     _require_kernel()
     if block_bytes is not None:
-        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
     if pname == "quadratic_d1000":
         problem, gamma = generate_quadratic(10, 1000, 0.01, 1.0, seed=4, sigma=0.01), 2.0**-4
     else:
@@ -409,7 +409,7 @@ def test_kernel_draws_equal_per_node_draws_bitwise(batch, block_bytes, pname, co
         RunConfig("ef21_sgdm", problem, compressor, hp, metric_every=2), tmp_path, monkeypatch
     )
     assert kernel == fallback
-    n, blocks = problem.n_nodes, len(optim._blocks(problem.n_nodes, problem.dim * batch))
+    n, blocks = problem.n_nodes, len(core.blocks(problem.n_nodes, problem.dim * batch))
     rounds = range(1) if comp == "randk" else range(11)
     assert counts[0] == ((11 - len(rounds)) * n, [r for r in rounds for _ in range(blocks)])
 

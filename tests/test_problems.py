@@ -9,6 +9,7 @@ from efsim.core import derive_stream, norm_sq
 from efsim.problems import (
     CounterexampleProblem,
     LogRegProblem,
+    Problem,
     QuadraticProblem,
     generate_quadratic,
     load_libsvm_problem,
@@ -27,10 +28,10 @@ def node_grad(prob, i, x):
 
 
 def node_draw(prob, i, rng, batch=1):
-    """Node i's draw for one size-``batch`` stochastic gradient, from ``rng``:
-    the engine's per-node path (None when the oracle draws nothing)."""
+    """Node i's raw sample for one size-``batch`` stochastic gradient, from
+    ``rng``: the engine's per-node path (None when the oracle draws nothing)."""
     sample = prob.sample(batch)
-    return None if sample is None else prob.draws_of(sample.draw(rng, i)[None])[0]
+    return None if sample is None else sample.draw(rng, i)
 
 
 def node_stoch_grad(prob, i, x, rng, batch=1):
@@ -276,10 +277,10 @@ def _logreg_reference(feat, lab, classes, reg, x, batch_idx=None):
 @pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 28, None], ids=["one_row", "three_rows", "default"])
 @pytest.mark.parametrize("batch", [1, 3, 32])
 def test_logreg_oracles_equal_explicit_reference_bitwise(batch, block_bytes, monkeypatch):
-    from efsim import optim
+    from efsim import core
 
     if block_bytes is not None:
-        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
     prob, feats, labs = _uneven_logreg()  # d = 28
     assert len(set(prob.m_i.tolist())) > 1
     x = 0.5 * derive_stream(13, 0, 0).standard_normal(prob.dim)
@@ -288,7 +289,7 @@ def test_logreg_oracles_equal_explicit_reference_bitwise(batch, block_bytes, mon
         return _logreg_reference(feats[i], labs[i], prob.classes, prob.reg, x, batch_idx)
 
     draws = [node_draw(prob, i, derive_stream(14, i, 0), batch) for i in range(prob.n_nodes)]
-    blocks = list(optim._blocks(prob.n_nodes, prob.dim))
+    blocks = list(core.blocks(prob.n_nodes, prob.dim))
     assert len(blocks) == {1: 5, 3 * 8 * 28: 2, None: 1}[block_bytes]
     for rows in blocks:
         sg, full = prob.stoch_grads(rows, x, draws[rows]), prob.full_grads(rows, x)
@@ -509,15 +510,15 @@ def test_block_oracles_equal_per_node_oracles_bitwise(prob, batch):
 )
 @pytest.mark.parametrize("block_bytes", [1, 200, None], ids=["one_row", "small", "default"])
 def test_mean_full_grad_equals_per_node_sum_bitwise(prob, block_bytes, monkeypatch):
-    from efsim import optim
+    from efsim import core
 
     if block_bytes is not None:
-        monkeypatch.setattr(optim, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
     x = derive_stream(12, 0, 0).standard_normal(prob.dim)
     g = node_grad(prob, 0, x).copy()
     for i in range(1, prob.n_nodes):
         g += node_grad(prob, i, x)
-    assert np.array_equal(prob.mean_full_grad(x), g / prob.n_nodes)
+    assert np.array_equal(prob.value_and_mean_grad(x)[1], g / prob.n_nodes)
 
 
 def test_logreg_gradient_alone_equals_value_and_grad():
@@ -535,4 +536,4 @@ def test_logreg_gradient_alone_equals_value_and_grad():
     assert np.array_equal(node_grad(prob, 0, x), one_node(0).value_and_mean_grad(x)[1])
     value, mean_grad = prob.value_and_mean_grad(x)
     assert value == prob.value(x)
-    assert np.array_equal(mean_grad, prob.mean_full_grad(x))
+    assert np.array_equal(mean_grad, Problem.value_and_mean_grad(prob, x)[1])
