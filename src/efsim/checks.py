@@ -247,17 +247,20 @@ def check_reductions(seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    # error-feedback virtual iterate: xtil' = xtil - gamma * mean cached sample gradient
+    # error-feedback virtual iterate xtil = x - g - mean(e): a round moves it by
+    # -gamma times the mean of its sample gradients, redrawn here at the new iterate
     hp14 = HyperParams(gamma=0.05, rounds=150)
     streams = StreamFactory(seed)
     server, nodes, _ = optim.init(optim.EF14_SGD, problem, hp14, comp, streams)
+    all_nodes = slice(0, problem.n_nodes)
     worst = 0.0
-    for _ in range(hp14.rounds):
-        cached = nodes.sg_prev.mean(axis=0)
-        xtil = server.x - nodes.e.mean(axis=0)
+    for t in range(hp14.rounds):
+        xtil = server.x - server.g - nodes.e.mean(axis=0)
         optim.run_round(optim.EF14_SGD, server, nodes, problem, hp14, comp, streams)
-        expect = xtil - hp14.gamma * cached
-        rel = math.sqrt(norm_sq(server.x - nodes.e.mean(axis=0) - expect)) / (1.0 + math.sqrt(norm_sq(expect)))
+        raw = np.array([problem.sample(1).draw(derive_stream(seed, i, t + 1), i) for i in range(problem.n_nodes)])
+        expect = xtil - hp14.gamma * problem.stoch_grads(all_nodes, server.x, raw).mean(axis=0)
+        err = server.x - server.g - nodes.e.mean(axis=0) - expect
+        rel = math.sqrt(norm_sq(err)) / (1.0 + math.sqrt(norm_sq(expect)))
         worst = max(worst, rel)
     out.append(_result("ef14 virtual-iterate identity <= 1e-10", worst <= 1e-10, f"worst rel err {worst:.3e}"))
     return out
@@ -273,7 +276,7 @@ def check_theorem1(seed: int = 0) -> list[CheckResult]:
     horizons, every = (100, 1000, 10_000), 100
     hp = HyperParams(gamma=1e-3, rounds=horizons[-1])
     cfg = RunConfig(optim.EF21_SGD_IDEAL, problem, top_k(1, 2), hp, tuple(range(seed, seed + 50)), every)
-    traces = list(run_all([cfg]))
+    (traces,) = run_all([cfg])
     rhs = theorem1_bound(problem)
     out = []
     for rounds in horizons:
@@ -302,7 +305,7 @@ def check_lyapunov(seed: int = 0) -> list[CheckResult]:
         delta0 = problem.value(problem.x0) - smooth.f_star
         hp = theoretical_params(optim.EF21_SGDM, smooth, contraction_alpha(comp), sigma, 20, 1000, delta0)
         cfg = RunConfig(optim.EF21_SGDM, problem, comp, hp, seeds, metric_every=10, lyapunov=True, lyapunov_every=10)
-        traces = list(run_all([cfg]))
+        (traces,) = run_all([cfg])
         failed = [tr.seed for tr in traces if tr.failure_round is not None]
         if failed:
             out.append(_result(name, False, f"non-finite at seeds {failed}"))
@@ -388,10 +391,9 @@ def check_floors(seed: int = 0) -> list[CheckResult]:
         for algo, eta in ((optim.EF21_SGD, 1.0), (optim.EF21_SGDM, 1e-3))
         for n in (1, 4, 16)
     ]
-    traces = iter(run_all(cfgs))
     out, medians = [], []
-    for cfg in cfgs:
-        finals = np.array([next(traces).final.grad_norm for _ in cfg.seeds])
+    for cfg, traces in zip(cfgs, run_all(cfgs)):
+        finals = np.array([tr.final.grad_norm for tr in traces])
         med, (z, text) = float(np.median(finals)), _vs_floor(cfg, finals**2, "|grad|^2")
         where = f"counterexample n={cfg.problem.n_nodes}: {cfg.algorithm}"
         if cfg.algorithm == optim.EF21_SGDM:
@@ -412,10 +414,9 @@ def check_floors(seed: int = 0) -> list[CheckResult]:
             hp = HyperParams(gamma=1.0, eta=eta, rounds=8000)
             tune = RunConfig(algo, problem, top_k(5, 100), hp, (seed,), metric_every=hp.rounds)
             best.append(replace(sweep(tune, power_grid(-8, 0)).best_config, seeds=tuple(range(seed, seed + 3))))
-        traces = iter(run_all(best))
         rows = {}
-        for cfg in best:
-            gaps = np.array([next(traces).final.obj_gap for _ in cfg.seeds])
+        for cfg, traces in zip(best, run_all(best)):
+            gaps = np.array([tr.final.obj_gap for tr in traces])
             z, text = _vs_floor(cfg, gaps, "gap")
             text += f" ({'sgd' if cfg.hyper.eta == 1.0 else 'sgdm'} at tuned gamma {cfg.hyper.gamma:.3g})"
             rows[cfg.algorithm] = (cfg.hyper.gamma, float(np.median(gaps)), text)

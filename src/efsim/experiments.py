@@ -101,7 +101,7 @@ SCHEMA = {
         "n": (1, int, 1), "x0": ([0.0, -0.01], [float]),
     },
     "problem.quadratic": {
-        "kind": _KIND, "n": _COUNT, "d": _COUNT, "lam": (..., float, 0.0), "s": (..., float, 0.0), "seed": _SEED,
+        "kind": _KIND, "n": _COUNT, "d": (..., int, 2), "lam": (..., float, 0.0), "s": (..., float, 0.0), "seed": _SEED,
         "sigma": (0.0, float, 0.0),
     },
     "problem.quadratic_file": {"kind": _KIND, "path": (..., str), "sigma": (None, float, 0.0)},
@@ -358,8 +358,7 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict
             for a in algorithms:
                 configs[a] = _with_gamma(configs[a], tune_gamma(exp, a, problem, tune, pool).best_gamma)
         # with a pool, every final run is submitted before any is collected
-        results = run_all([configs[a] for a in algorithms], pool)
-        traces = {a: [next(results) for _ in seeds] for a in algorithms}
+        traces = dict(zip(algorithms, run_all([configs[a] for a in algorithms], pool)))
 
     outputs = []
     summary = {}

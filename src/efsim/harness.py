@@ -199,13 +199,14 @@ def run(cfg: RunConfig, seed: int) -> RunTrace:
     return trace
 
 
-def run_all(cfgs, pool=None):
-    """The traces of ``run(cfg, seed)`` for each config of ``cfgs`` and
-    each of its own ``seeds``, config by config: lazily in this process
-    without a pool, else through ``pool.map``, which submits every run at
-    once, one task per run."""
+def run_all(cfgs, pool=None) -> list[list[RunTrace]]:
+    """The traces of ``run(cfg, seed)``, one list per config of ``cfgs`` in
+    the order of its own ``seeds``: run in this process without a pool,
+    else through ``pool.map``, which submits every run at once, one task
+    per run."""
     jobs = [(cfg, seed) for cfg in cfgs for seed in cfg.seeds]
-    return (map if pool is None else pool.map)(run, [cfg for cfg, _ in jobs], [seed for _, seed in jobs])
+    traces = iter((map if pool is None else pool.map)(run, [cfg for cfg, _ in jobs], [seed for _, seed in jobs]))
+    return [[next(traces) for _ in cfg.seeds] for cfg in cfgs]
 
 
 def _record_finite(rec: MetricsRecord) -> bool:
@@ -299,8 +300,7 @@ def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss", pool=N
     traces = run_all([_with_gamma(cfg_template, gamma) for gamma in gammas], pool)
     table = []
     best = None
-    for gamma in gammas:
-        runs = [next(traces) for _ in cfg_template.seeds]
+    for gamma, runs in zip(gammas, traces):
         finals = [getattr(tr.final, col) for tr in runs if not trace_diverged(tr)]
         diverged = len(finals) == 0
         score = float(np.mean(finals)) if finals else math.inf

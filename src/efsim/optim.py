@@ -16,11 +16,11 @@ Node update rules (per node i, fresh sample at the new iterate x'):
 * ef21_sgd2m:      v_i as above;  u_i <- (1-eta) u_i + eta v_i;
                    g_i <- g_i + C(u_i - g_i)
 * ef21_sgdm_abs:   v_i as above;  g_i <- g_i + gamma * C((v_i - g_i)/gamma)
-* ef21_storm:      one sample evaluated at both x' and the previous iterate,
-                   w_i <- grad f_i(x', xi) + (1-eta)(w_i - grad f_i(x, xi));
+* ef21_storm:      one sample evaluated at both x' and the server's previous
+                   iterate x, w_i <- grad f_i(x', xi) + (1-eta)(w_i - grad f_i(x, xi));
                    g_i <- g_i + C(w_i - g_i)
-* ef14_sgd:        e_i <- e_i + gamma grad f_i(x, xi_old) - g_i;
-                   g_i <- C(e_i + gamma grad f_i(x', xi))
+* ef14_sgd:        g_i <- C(e_i + gamma grad f_i(x', xi));
+                   e_i <- e_i + gamma grad f_i(x', xi) - g_i  (what was not sent)
 * ef21_sgd_ideal / ef21_sgdm_ideal: diagnostic variants that replace the
   stored states by exact gradients, g_i <- grad f_i(x') + C(eta * noise);
   they transmit a dense vector every round.
@@ -81,13 +81,14 @@ EF21_SGDM_IDEAL = "ef21_sgdm_ideal"
 @dataclass(frozen=True)
 class Rule:
     """How one kind updates a node: the (n, d) estimators it keeps besides
-    g_i, advanced in this order (v, u: momentum, u averaging v; w: STORM; e
-    and sg_prev: error feedback), and the message rule that turns the target
-    (the last of v, u, w, else the fresh sample gradient) into g_i:
+    g_i, advanced in this order (v, u: momentum, u averaging v; w: STORM; e:
+    error feedback), and the message rule that turns the target (the last
+    of v, u, w, else the fresh sample gradient; for e, e_i + gamma * sample
+    gradient) into g_i:
 
     * write:    g_i takes the kept coordinates of the target, C(target - g_i)
     * absolute: g_i += gamma * C((target - g_i) / gamma)
-    * ef14:     g_i = C(e_i + gamma * sample gradient)
+    * ef14:     g_i = C(target), and e_i becomes target - g_i
     * ideal:    g_i = exact gradient + C(noise), the noise times eta if
                 ``scale_noise``
     """
@@ -100,7 +101,7 @@ class Rule:
 RULES = {
     SGD: Rule((), "write"),
     SGDM: Rule(("v",), "write"),
-    EF14_SGD: Rule(("e", "sg_prev"), "ef14"),
+    EF14_SGD: Rule(("e",), "ef14"),
     EF21_SGD: Rule((), "write"),
     EF21_SGDM: Rule(("v",), "write"),
     EF21_SGD2M: Rule(("v", "u"), "write"),
@@ -156,11 +157,9 @@ def schedule_at(hp: HyperParams, t: int) -> tuple[float, float]:
 
 @dataclass
 class NodeArrays:
-    """The states of all n nodes: row i of each (n, d) array is node i's.
-
-    ``sg_prev`` is the cached sample gradient of plain error feedback, and
-    ``x_prev`` the previous iterate of STORM, one vector shared by every
-    node.  Fields a kind does not keep are None.
+    """The states of all n nodes: row i of each (n, d) array is node i's
+    message state g_i or one of the estimators of ``RULES``.  Fields a kind
+    does not keep are None.
     """
 
     g: np.ndarray
@@ -168,8 +167,6 @@ class NodeArrays:
     u: np.ndarray | None = None
     w: np.ndarray | None = None
     e: np.ndarray | None = None
-    sg_prev: np.ndarray | None = None
-    x_prev: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.g)
@@ -232,8 +229,9 @@ def init(
 
     All kinds except plain error feedback start their estimators from a
     size-``b_init`` mini-batch gradient at x0 (v = u = w = g there);
-    ef14_sgd starts from zero error and zero state but draws and caches its
-    first sample gradient.  Stream (i, 0) is reserved for initialization.
+    ef14_sgd starts from g = 0, its error holding the first step not yet
+    sent, e = gamma_0 g0 with g0 a size-``batch`` sample gradient at x0.
+    Stream (i, 0) is reserved for initialization.
     """
     validate_pairing(kind, comp)
     if comp.dim != problem.dim:
@@ -247,11 +245,10 @@ def init(
         raw, _ = _draw(problem, None, streams, rows, 0, batch)
         g0[rows] = problem.stoch_grads(rows, x0, raw)
     if rule.message == "ef14":
-        nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)), sg_prev=g0)
+        nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)))
+        nodes.e += schedule_at(hp, 0)[0] * g0
     else:
         nodes = NodeArrays(g=g0, **{f: g0.copy() for f in rule.estimators})
-        if "w" in rule.estimators:
-            nodes.x_prev = x0.copy()
     gsum = np.zeros(d)
     add_rows(gsum, nodes.g)
     return ServerState(x=x0, g=gsum / n, t=0), nodes, RoundLog(coords_sent=0, grad_evals=batch)
@@ -290,17 +287,13 @@ def run_round(
                     np.multiply(1.0 - eta_t, state, out=state)
                     state += eta_t * target
                     target = state
-                elif name == "w":
-                    np.subtract(state, problem.stoch_grads(rows, nodes.x_prev, raw), out=state)
+                elif name == "w":  # server.x is still the previous iterate
+                    np.subtract(state, problem.stoch_grads(rows, server.x, raw), out=state)
                     np.multiply(1.0 - eta_t, state, out=state)
                     np.add(sg, state, out=state)
                     target = state
-                elif name == "e":
-                    state += gamma_t * nodes.sg_prev[rows]
-                    state -= g
+                else:  # "e": the error plus this round's scaled sample gradient
                     target = state + gamma_t * sg
-                else:  # "sg_prev": cache this round's sample gradient
-                    state[...] = sg
 
             if rule.message == "write":
                 resid = target - g
@@ -316,6 +309,7 @@ def run_round(
             elif rule.message == "ef14":
                 mask = keep_mask(comp, target, picks)
                 g[...] = np.where(mask, target, 0.0)
+                np.subtract(target, g, out=nodes.e[rows])  # the error keeps what was not sent
                 add_rows(acc, g)
             else:  # ideal: exact gradient plus the compressed noise, sent dense
                 full = problem.full_grads(rows, x_new)
@@ -328,8 +322,6 @@ def run_round(
 
         server.g = server.g + acc / n if rule.message in ("write", "absolute") else acc / n
         ensure_finite(server.g, "aggregated state", t)
-        if nodes.x_prev is not None:
-            nodes.x_prev = x_new
         server.x = x_new
         server.t = t + 1
         evals = 2 * hp.batch if "w" in rule.estimators else hp.batch

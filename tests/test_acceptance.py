@@ -145,7 +145,7 @@ def test_08_time_varying_momentum_bound():
     hp = HyperParams(gamma=gamma0, eta=1.0, batch=1, b_init=1, rounds=rounds, schedule="inv_sqrt_t")
     cfg = RunConfig("sgdm", prob, identity(20), hp, seeds=tuple(range(20)), metric_every=1)
     etas = 1.0 / np.sqrt(np.arange(rounds) + 1.0)
-    mean_gsq = np.stack([tr.column("grad_norm")[:rounds] ** 2 for tr in run_all([cfg])]).mean(axis=0)
+    mean_gsq = np.stack([tr.column("grad_norm")[:rounds] ** 2 for tr in run_all([cfg])[0]]).mean(axis=0)
     weighted = float((etas * mean_gsq).sum() / etas.sum())
     lam0 = delta0 + gamma0 * prob.sigma**2 / hp.b_init
     bound = (2.0 * lam0 / gamma0 + 2.0 * prob.sigma**2 * float((etas**2).sum())) / float(etas.sum())

@@ -276,13 +276,15 @@ def test_mistyped_real_and_bool_keys_are_rejected_naming_the_key(tmp_path, capsy
         (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "nan", "--s", "1"], "--lam"),
         (["gen", "quadratic", "OUT", "--n", "2", "--d", "5", "--lam", "0.1", "--s", "inf"], "--s"),
         (["gen", "quadratic", "OUT", "--n", "0", "--d", "5", "--lam", "0.1", "--s", "1"], "--n"),
+        (["gen", "quadratic", "OUT", "--n", "2", "--d", "1", "--lam", "0.1", "--s", "1"], "--d"),
         (["gen", "blobs", "OUT", "--classes", "0", "--features", "2", "--examples", "5"], "--classes"),
         (["gen", "blobs", "OUT", "--classes", "2", "--features", "2", "--examples", "5", "--seed", str(BIG)], "--seed"),
     ],
     ids=["verify_seed_negative", "verify_seed_2_64", "verify_floors_seed_negative", "sweep_k_hi_1024",
          "sweep_k_lo_-1075", "sweep_k_lo_above_k_hi", "sweep_seed_negative", "run_seed_2_64", "run_workers_0",
          "sweep_workers_-3", "reproduce_workers_0", "gen_seed_negative", "sweep_metric_every_0",
-         "gen_sigma_negative", "gen_lam_nan", "gen_s_inf", "gen_n_0", "gen_blobs_classes_0", "gen_blobs_seed_2_64"],
+         "gen_sigma_negative", "gen_lam_nan", "gen_s_inf", "gen_n_0", "gen_d_1", "gen_blobs_classes_0",
+         "gen_blobs_seed_2_64"],
 )
 def test_bad_flag_is_rejected_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -761,7 +763,7 @@ def test_cmd_sweep(tmp_path, capsys):
 @pytest.mark.parametrize(
     "problem, compressor, message",
     [
-        ({"kind": "quadratic", "n": 2, "d": 1, "lam": 0.1, "s": 1.0}, {"kind": "identity"}, "need n >= 1 and d >= 2"),
+        ({"kind": "quadratic", "n": 2, "d": 1, "lam": 0.1, "s": 1.0}, {"kind": "identity"}, "experiment.problem.d: must be >= 2"),
         ({"kind": "quadratic", "n": 2, "d": 10, "lam": 0.1, "s": 1.0}, {"kind": "topk", "k": 11}, "1 <= k <= d"),
     ],
     ids=["d_is_1", "k_above_d"],

@@ -1,13 +1,13 @@
 import math
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from efsim import core, optim
 from efsim.compress import hard_threshold, identity, rand_k, top_k
-from efsim.core import NumericFailure, Sample, StreamFactory
+from efsim.core import NumericFailure, Sample, StreamFactory, derive_stream
 from efsim.harness import RunConfig, run, write_trace_csv
 from efsim.optim import HyperParams, schedule_at, theoretical_params, validate_pairing
 from efsim.problems import CounterexampleProblem, LogRegProblem, generate_quadratic, make_blobs, split_examples
@@ -87,17 +87,20 @@ def test_init_noiseless_equals_full_gradient():
 
 
 def test_init_state_fields_per_kind():
+    # node state is g_i and the estimators of RULES, nothing else
+    names = {f.name for f in fields(optim.NodeArrays)}
+    assert names == {"g"}.union(*(rule.estimators for rule in optim.RULES.values()))
     prob = make_problem()
     hp = HyperParams(gamma=0.1, rounds=1)
     want = {
         "sgd": {"g"},
         "sgdm": {"g", "v"},
-        "ef14_sgd": {"g", "e", "sg_prev"},
+        "ef14_sgd": {"g", "e"},
         "ef21_sgd": {"g"},
         "ef21_sgdm": {"g", "v"},
         "ef21_sgd2m": {"g", "v", "u"},
         "ef21_sgdm_abs": {"g", "v"},
-        "ef21_storm": {"g", "w", "x_prev"},
+        "ef21_storm": {"g", "w"},
         "ef21_sgd_ideal": {"g"},
         "ef21_sgdm_ideal": {"g"},
     }
@@ -107,18 +110,24 @@ def test_init_state_fields_per_kind():
             identity(20) if kind in ("sgd", "sgdm") else top_k(2, 20)
         )
         _, nodes, _ = optim.init(kind, prob, hp, comp, StreamFactory(0))
-        have = {f for f in ("g", "v", "u", "w", "e", "sg_prev", "x_prev") if getattr(nodes, f) is not None}
+        have = {f for f in names if getattr(nodes, f) is not None}
         assert have == want[kind], kind
-        for f in have - {"x_prev"}:
+        for f in have:
             assert getattr(nodes, f).shape == (prob.n_nodes, prob.dim), (kind, f)
 
 
 def test_init_error_feedback_starts_from_zero():
+    # nothing is sent yet: g = 0, and the error holds the first step gamma_0 * g0,
+    # g0 a batch-size sample gradient at x0 from each node's round-0 stream
     prob = make_problem()
-    _, nodes, log = optim.init("ef14_sgd", prob, HyperParams(gamma=0.1, rounds=1, batch=3), top_k(2, 20), StreamFactory(0))
-    assert np.all(nodes.e == 0.0)
+    hp = HyperParams(gamma=0.1, eta=0.5, rounds=8, batch=3, schedule="inv_sqrt_T")
+    _, nodes, log = optim.init("ef14_sgd", prob, hp, top_k(2, 20), StreamFactory(0))
     assert np.all(nodes.g == 0.0)
-    assert nodes.sg_prev is not None
+    gamma_0 = schedule_at(hp, 0)[0]
+    for i in range(prob.n_nodes):
+        raw = prob.sample(3).draw(derive_stream(0, i, 0), i)
+        g0 = prob.stoch_grads(slice(i, i + 1), prob.x0, raw[None])[0]
+        assert np.array_equal(nodes.e[i], gamma_0 * g0)
     assert log.grad_evals == 3
 
 
@@ -169,6 +178,31 @@ def test_error_feedback_server_step_has_no_stepsize():
     optim.run_round("ef14_sgd", server, nodes, prob, hp, comp, streams)
     # second round: g_i^1 = e_i^1 + gamma * grad = gamma * 2 * grad(x0)... nonzero
     assert not np.array_equal(server.x, x0)
+
+
+@pytest.mark.parametrize("schedule", ["constant", "inv_sqrt_t"])
+def test_error_feedback_error_is_what_was_not_sent(schedule):
+    # every scaled sample gradient is either sent or held in the error:
+    # sum_t sum_i g_i + sum_i e_i = sum_i gamma_0 g0_i + sum_t gamma_t sum_i grad f_i(x_t+1, xi),
+    # also when gamma_t changes from round to round
+    prob = make_problem()
+    hp = HyperParams(gamma=0.05, rounds=50, schedule=schedule)
+    seed = 4
+
+    def sample_grads(x, round_index):
+        raw = np.array([prob.sample(1).draw(derive_stream(seed, i, round_index), i) for i in range(prob.n_nodes)])
+        return prob.stoch_grads(slice(0, prob.n_nodes), x, raw).sum(axis=0)
+
+    owed = [schedule_at(hp, 0)[0] * sample_grads(prob.x0, 0)]
+    sent = []
+
+    def collect(server, nodes, log):
+        owed.append(schedule_at(hp, server.t - 1)[0] * sample_grads(server.x, server.t))
+        sent.append(nodes.g.sum(axis=0))
+
+    _, _, nodes = roll("ef14_sgd", prob, top_k(3, 20), hp, seed, hp.rounds, collect)
+    owed = np.sum(owed, axis=0)
+    assert np.linalg.norm(np.sum(sent, axis=0) + nodes.e.sum(axis=0) - owed) <= 1e-12 * np.linalg.norm(owed)
 
 
 def test_sample_accounting():
