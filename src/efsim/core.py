@@ -14,11 +14,16 @@ depends on the blocking and traces match a loop over single nodes bitwise.
 
 A block of nodes' raw samples (``Sample``: standard normals or bounded
 integers) comes from one call of a C kernel (``StreamFactory.block``) that
-resets the factory's own Philox to each node's key and calls numpy's own C
-samplers in ``libnpyrandom.a``, so every value is the per-node stream's.
-It is compiled with gcc on first use, cached beside the package's bytecode
-and checked against the per-node path once per process; where it cannot
-be built or does not match, the caller draws node by node.
+computes each node's Philox4x64-10 words itself, with numpy's stream
+semantics, and so depends on no private numpy layout.  Bounded integers
+come from numpy's own C sampler in ``libnpyrandom.a``, handed a public
+``bitgen_t`` over that stream.  A normal takes numpy's ziggurat fast path
+inline, from tables probed from numpy's sampler when the kernel loads, and
+hands every word the fast path refuses to numpy's sampler, which reads it
+again and runs its own wedge and tail.  So every value is the per-node
+stream's.  The kernel is compiled with gcc on first use, cached beside the
+package's bytecode and checked against the per-node path once per process;
+where it cannot be built or does not match, the caller draws node by node.
 """
 
 from __future__ import annotations
@@ -140,6 +145,14 @@ class Sample:
         return rng.integers(0, self.bounds[i], size=self.count)
 
 
+class _BlockArgs(ctypes.Structure):
+    """The kernel's ``args_t``: rows ``node`` .. ``node + rows - 1`` of round
+    ``round``, ``count`` draws each, bounded by ``bounds`` (NULL: normals)."""
+
+    _fields_ = [(name, ctypes.c_uint64) for name in ("seed", "node", "rows", "round")] + [
+        ("count", ctypes.c_ssize_t), ("bounds", ctypes.c_void_p), ("out", ctypes.c_void_p)]
+
+
 class StreamFactory:
     """Cheap repeated stream derivation for hot loops.
 
@@ -163,9 +176,12 @@ class StreamFactory:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        # ``block``'s output buffer, and the last sample's bounds as int64 (None if one is < 1)
-        self._out, self._out_address = np.empty(0), 0
+        # ``block``'s output buffer, the last sample's bounds as int64 (None if one is < 1),
+        # and the kernel's arguments, updated in place before each call
+        self._out = np.empty(0)
         self._bounds = self._int64_bounds = self._bounds_address = None
+        self._args = _BlockArgs(seed=self.seed)
+        self._args_ref = ctypes.byref(self._args)
 
     def stream(self, node: int, round_index: int) -> np.random.Generator:
         _philox_key(self.seed, node, round_index, out=self._key)
@@ -174,9 +190,11 @@ class StreamFactory:
 
     def block(self, rows: slice, round_index: int, sample: Sample) -> np.ndarray | None:
         """One row per node i of ``rows``: ``sample.draw(stream(i, round_index), i)``
-        bit for bit, from one kernel call, valid until the next ``block`` call.
-        None where the kernel is not available or the bounds are invalid (fewer
-        than the rows, or one below 1): the caller then draws node by node."""
+        bit for bit, valid until the next ``block`` call.  One kernel call
+        computes every row's Philox words itself; its arguments are one
+        struct kept on the factory and updated in place.  None where the kernel
+        is not available or the bounds are invalid (fewer than the rows, or one
+        below 1): the caller then draws node by node."""
         kernel = _kernel()
         return None if kernel is None else self._fill(kernel, rows, round_index, sample)
 
@@ -189,37 +207,139 @@ class StreamFactory:
             self._bounds_address = None if self._int64_bounds is None else bounds.ctypes.data
         if sample.bounds is not None and (self._int64_bounds is None or rows.stop > len(self._int64_bounds)):
             return None
-        size, dtype = (rows.stop - rows.start) * sample.count, np.float64 if sample.bounds is None else np.int64
+        args, size = self._args, (rows.stop - rows.start) * sample.count
+        dtype = np.float64 if sample.bounds is None else np.int64
         if self._out.dtype != dtype or len(self._out) < size:
             self._out = np.empty(size, dtype=dtype)
-            self._out_address = self._out.ctypes.data
-        address = None if sample.bounds is None else self._bounds_address + 8 * rows.start
-        kernel(self._bitgen.ctypes.bit_generator, self.seed, rows.start, rows.stop - rows.start, round_index,
-               sample.count, address, self._out_address)
+            args.out = self._out.ctypes.data
+        args.node, args.rows, args.round, args.count = rows.start, rows.stop - rows.start, round_index, sample.count
+        args.bounds = None if sample.bounds is None else self._bounds_address + 8 * rows.start
+        kernel(self._args_ref)
         return self._out[:size].reshape(-1, sample.count)
 
 
-# numpy's philox_state is private (numpy/random/src/philox/philox.h); its
-# layout is declared here and checked at first use by ``_kernel_matches``
+# Philox4x64-10 (Salmon et al., SC'11) with numpy's stream semantics, and
+# numpy's ziggurat fast path inline; its tables are probed from numpy's own
+# sampler when the library loads, and ``_kernel_matches`` checks the result
 _KERNEL_SOURCE = r"""
 #include "numpy/random/distributions.h"
 
-typedef struct { uint64_t *ctr, *key; int buffer_pos; uint64_t buffer[4]; int has_uint32; uint32_t uinteger; } philox_state;
+/* one node's stream: numpy's Philox raises the counter before each block of
+   four words, which are read in order (a row reads far fewer than 2^64 blocks
+   from counter 0, so the counter's upper three words stay 0); a 32-bit draw
+   is a word's low half, then its high half */
+typedef struct { uint64_t key[2], ctr, buffer[4]; int pos, has_uint32; uint32_t uinteger; } stream_t;
 
-void draw_block(bitgen_t *bitgen, uint64_t seed, uint64_t node, uint64_t rows, uint64_t round,
-                npy_intp count, const int64_t *bounds, void *out)
+static void philox_block(stream_t *s)
 {
-    philox_state *st = bitgen->state;
-    for (uint64_t j = 0; j < rows; j++, node++) {
-        st->key[0] = seed;
-        st->key[1] = node << 32 | round;
-        st->ctr[0] = st->ctr[1] = st->ctr[2] = st->ctr[3] = 0;
-        st->buffer_pos = 4;  /* the buffer is empty, as after a state assignment */
-        st->has_uint32 = st->uinteger = 0;
-        if (bounds == NULL)
-            random_standard_normal_fill(bitgen, count, (double *)out + j * count);
+    uint64_t c0 = ++s->ctr, c1 = 0, c2 = 0, c3 = 0, k0 = s->key[0], k1 = s->key[1];
+#pragma GCC unroll 10
+    for (int i = 0; i < 10; i++) {
+        __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93u * c0, p1 = (__uint128_t)0xCA5A826395121157u * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0, c1 = (uint64_t)p1, c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1, c3 = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15u, k1 += 0xBB67AE8584CAA73Bu;
+    }
+    s->buffer[0] = c0, s->buffer[1] = c1, s->buffer[2] = c2, s->buffer[3] = c3, s->pos = 0;
+}
+
+static inline uint64_t next64(stream_t *s)
+{
+    if (s->pos == 4)
+        philox_block(s);
+    return s->buffer[s->pos++];
+}
+
+static uint64_t stream_uint64(void *s) { return next64(s); }
+static double stream_double(void *s) { return (next64(s) >> 11) * (1.0 / 9007199254740992.0); }
+
+static uint32_t stream_uint32(void *st)
+{
+    stream_t *s = st;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    uint64_t w = next64(s);
+    s->has_uint32 = 1, s->uinteger = (uint32_t)(w >> 32);
+    return (uint32_t)w;
+}
+
+/* numpy's ziggurat takes a word r as idx = r & 0xff, a sign (bit 8) and
+   rabs = r >> 9 (52 bits), and returns +-rabs * wi[idx] at once when
+   rabs < ki[idx]; both tables are probed below (ki is read by the guard) */
+static double wi[256];
+uint64_t ki[256];
+
+static void normals(stream_t *s, bitgen_t *bitgen, npy_intp count, double *out)
+{
+    for (npy_intp i = 0; i < count; i++) {
+        uint64_t r = next64(s), rabs = r >> 9 & 0xFFFFFFFFFFFFFu;
+        if (rabs < ki[r & 0xff]) {
+            union { double x; uint64_t bits; } v = {rabs * wi[r & 0xff]};
+            v.bits ^= (r & 0x100) << 55;  /* the sign bit */
+            out[i] = v.x;
+        } else {
+            s->pos--;  /* numpy's sampler reads this word again, then its wedge or tail */
+            out[i] = random_standard_normal(bitgen);
+        }
+    }
+}
+
+typedef struct { uint64_t seed, node, rows, round; npy_intp count; const int64_t *bounds; void *out; } args_t;
+
+void draw_block(const args_t *a)
+{
+    stream_t s = {{a->seed}};
+    bitgen_t bitgen = {&s, stream_uint64, stream_uint32, stream_double, stream_uint64};
+    for (uint64_t j = 0, node = a->node, round = a->round; j < a->rows; j++, node++) {
+        s.key[1] = node << 32 | round;
+        s.ctr = 0, s.pos = 4, s.has_uint32 = 0, s.uinteger = 0;
+        if (a->bounds == NULL)
+            normals(&s, &bitgen, a->count, (double *)a->out + j * a->count);
         else
-            random_bounded_uint64_fill(bitgen, 0, (uint64_t)bounds[j] - 1, count, false, (uint64_t *)out + j * count);
+            random_bounded_uint64_fill(&bitgen, 0, (uint64_t)a->bounds[j] - 1, a->count, false, (uint64_t *)a->out + j * a->count);
+    }
+}
+
+/* the guard's entry: count normals from each stream keyed (seed, j << 32),
+   j < rows, whose next words are words[4j .. 4j + 3], then its blocks from counter 1 */
+void draw_after(uint64_t seed, uint64_t rows, const uint64_t *words, npy_intp count, double *out)
+{
+    for (uint64_t j = 0; j < rows; j++, words += 4) {
+        stream_t s = {{seed, j << 32}, 0, {words[0], words[1], words[2], words[3]}, 0};
+        bitgen_t bitgen = {&s, stream_uint64, stream_uint32, stream_double, stream_uint64};
+        normals(&s, &bitgen, count, (double *)out + j * count);
+    }
+}
+
+/* the probe hands numpy's sampler one word, then 2^63 (0.5 as a double, and
+   a word the fast path takes), so a word is accepted iff it is the only read */
+typedef struct { uint64_t word; int reads; } probe_t;
+static uint64_t probe_next(void *st) { probe_t *p = st; return p->reads++ ? (uint64_t)1 << 63 : p->word; }
+static double probe_double(void *st) { return (probe_next(st) >> 11) * (1.0 / 9007199254740992.0); }
+
+static int accepted(uint64_t word, double *x)
+{
+    probe_t p = {word, 0};
+    bitgen_t bitgen = {&p, probe_next, NULL, probe_double, probe_next};
+    *x = random_standard_normal(&bitgen);
+    return p.reads == 1;
+}
+
+__attribute__((constructor)) static void probe_tables(void)
+{
+    double x;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = (uint64_t)1 << 52;  /* ki[idx] is the smallest rabs numpy rejects */
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            if (accepted(idx | mid << 9, &x))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        ki[idx] = lo;
+        accepted(idx | 1 << 9, &wi[idx]);
     }
 }
 """
@@ -230,38 +350,44 @@ _CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache
 @functools.cache
 def _kernel():
     """The compiled block draw, or None where it cannot be built or loaded or
-    does not reproduce the per-node path (decided once per process).  A build
-    writes its own temporary file, then moves it onto the cached name."""
+    does not reproduce the per-node path (decided once per process).  It
+    uses only numpy's public ``bitgen_t`` and samplers, and its library
+    probes numpy's ziggurat tables when it loads.  A build writes its own
+    temporary file, then moves it onto the cached name."""
     tag = hashlib.sha256(_KERNEL_SOURCE.encode()).hexdigest()[:16]
     path = os.path.join(_CACHE_DIR, f"draw_block.{sys.implementation.cache_tag}-numpy{np.__version__}-{tag}.so")
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
-    lib = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
+    npyrandom = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
     includes = ["-I", np.get_include(), "-I", sysconfig.get_paths()["include"]]
     try:
         if not os.path.exists(path):
             os.makedirs(_CACHE_DIR, exist_ok=True)
             subprocess.run(
-                ["gcc", "-O2", "-shared", "-fPIC", *includes, "-x", "c", "-", "-x", "none", lib, "-lm", "-o", tmp],
+                ["gcc", "-O2", "-shared", "-fPIC", *includes, "-x", "c", "-", "-x", "none", npyrandom, "-lm", "-o", tmp],
                 input=_KERNEL_SOURCE, text=True, capture_output=True, check=True, timeout=120,
             )
             os.replace(tmp, path)
-        kernel = ctypes.CDLL(path).draw_block
+        lib = ctypes.CDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None
     finally:
         with contextlib.suppress(OSError):  # there is no file, or no directory
             os.remove(tmp)
-    kernel.argtypes = [ctypes.c_void_p, *[ctypes.c_uint64] * 4, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
-    kernel.restype = None
-    return kernel if _kernel_matches(kernel) else None
+    lib.draw_block.argtypes, lib.draw_block.restype = [ctypes.POINTER(_BlockArgs)], None
+    lib.draw_after.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p]
+    lib.draw_after.restype = None
+    return lib.draw_block if _kernel_matches(lib) else None
 
 
-def _kernel_matches(kernel) -> bool:
+def _kernel_matches(lib) -> bool:
     """Whether the kernel gives numpy's draws, from fresh streams (not
     counted as ``StreamFactory.stream`` calls), on normals and bounded
     integers, one and several per node, the largest seed, node and round, a
-    bound that enters numpy's rejection loop (2^31 + 1) and bounds >= 2^32."""
-    factory = StreamFactory(SEED_MAX)
+    bound that enters numpy's rejection loop (2^31 + 1) and bounds >= 2^32;
+    and, at each ziggurat layer's edge, the normals numpy's own Philox gives
+    after the word the fast path takes last (sign bit set) and the word it
+    sends to numpy's wedge or tail first."""
+    kernel, factory = lib.draw_block, StreamFactory(SEED_MAX)
     bounds = np.array([1, 3, 1000, (1 << 31) + 1, _MASK32, 1 << 32, (1 << 33) + 7, (1 << 63) - 1])
     first, top = slice(0, len(bounds)), slice(_MASK32 + 1 - len(bounds), _MASK32 + 1)
     for count in (1, 4):
@@ -270,4 +396,16 @@ def _kernel_matches(kernel) -> bool:
             want = [sample.draw(derive_stream(SEED_MAX, i, rows.stop - 1), i) for i in range(rows.start, rows.stop)]
             if not np.array_equal(got, want):
                 return False
-    return True
+    ki = np.ctypeslib.as_array((ctypes.c_uint64 * 256).in_dll(lib, "ki"))
+    words, idx = np.empty((256, 4), dtype=np.uint64), np.arange(256, dtype=np.uint64)
+    words[:, 0], words[:, 1] = idx | (np.maximum(ki, 1) - 1) << 9 | 0x100, idx | ki << 9
+    words[:, 2:] = derive_stream(SEED_MAX, 0, 0).bit_generator.random_raw(2)
+    got, want, state = np.empty((256, 3)), np.empty((256, 3)), factory._state
+    lib.draw_after(SEED_MAX, 256, words.ctypes.data, 3, got.ctypes.data)
+    state["buffer_pos"] = 0
+    for i in range(256):
+        state["buffer"] = words[i]
+        _philox_key(SEED_MAX, i, 0, out=factory._key)
+        factory._bitgen.state = state
+        want[i] = factory._gen.standard_normal(3)
+    return np.array_equal(got, want)

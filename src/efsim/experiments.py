@@ -11,8 +11,6 @@ bitwise.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import glob
 import json
 import math
 import os
@@ -294,29 +292,15 @@ def _build_config(exp: dict, algorithm: str, problem: Problem) -> RunConfig:
     )
 
 
-def _one_blas_thread() -> None:
-    """Limit numpy's bundled OpenBLAS to one thread in this process, so a
-    pool of k workers runs k BLAS threads; nothing where that library or
-    its thread count is missing.
-
-    It sets the count, ``blas_cpu_number``, itself: in a forked worker the
-    library's setter first restarts the thread server that the fork
-    stopped, and the restarted thread spins on a core for about 0.1 s."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*.so")):
-        with contextlib.suppress(ValueError):
-            ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number").value = 1
-
-
 def worker_pool(workers: int, runs: int):
     """A process pool of at most ``workers`` workers and one per run (a
-    forking pool starts every worker at its first submit), each worker on
-    one BLAS thread, or a null context yielding None when that is a single
-    worker."""
+    forking pool starts every worker at its first submit), or a null context
+    yielding None when that is a single worker."""
     workers = min(workers, runs)
     if workers < 2:
         return contextlib.nullcontext()
     _kernel()  # the draw path is decided here, once, and forked workers inherit it
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def tune_gamma(exp: dict, algorithm: str, problem: Problem, tune: dict, pool=None) -> SweepResult:

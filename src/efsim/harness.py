@@ -11,8 +11,13 @@ every round and every ten rounds agree bitwise at shared rounds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -199,13 +204,40 @@ def run(cfg: RunConfig, seed: int) -> RunTrace:
     return trace
 
 
+@functools.cache
+def _blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, its ``blas_cpu_number``,
+    or None where that library or symbol is missing."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*.so")):
+        with contextlib.suppress(ValueError):
+            return ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")
+    return None
+
+
+def _run_on_one_blas_thread(cfg: RunConfig, seed: int) -> RunTrace:
+    """``run(cfg, seed)`` with OpenBLAS on one thread, then its count as it
+    was.  A product's bits can depend on the thread count, so every run uses
+    one, serial or pooled, whatever the host's cores.  The count is written
+    directly: in a forked worker the library's setter first restarts the
+    thread server that the fork stopped, which then spins on a core."""
+    threads = _blas_threads()
+    if threads is None:
+        return run(cfg, seed)
+    previous, threads.value = threads.value, 1
+    try:
+        return run(cfg, seed)
+    finally:
+        threads.value = previous
+
+
 def run_all(cfgs, pool=None) -> list[list[RunTrace]]:
-    """The traces of ``run(cfg, seed)``, one list per config of ``cfgs`` in
-    the order of its own ``seeds``: run in this process without a pool,
-    else through ``pool.map``, which submits every run at once, one task
-    per run."""
+    """The traces of ``run(cfg, seed)``, each on one BLAS thread, one list per
+    config of ``cfgs`` in the order of its own ``seeds``: run in this process
+    without a pool, else through ``pool.map``, which submits every run at
+    once, one task per run."""
     jobs = [(cfg, seed) for cfg in cfgs for seed in cfg.seeds]
-    traces = iter((map if pool is None else pool.map)(run, [cfg for cfg, _ in jobs], [seed for _, seed in jobs]))
+    runs = [cfg for cfg, _ in jobs], [seed for _, seed in jobs]
+    traces = iter((map if pool is None else pool.map)(_run_on_one_blas_thread, *runs))
     return [[next(traces) for _ in cfg.seeds] for cfg in cfgs]
 
 

@@ -3,15 +3,18 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efsim import cli
+from efsim import cli, harness
 from efsim.cli import main
 from efsim.experiments import (
     SCHEMA,
@@ -543,7 +546,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers, initializer):  # the BLAS initializer would act on this process
+        def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
@@ -578,11 +581,56 @@ def _blas_threads() -> tuple[int, int]:
     return ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_() if libs else -1, len(os.listdir("/proc/self/task"))
 
 
-def test_pool_workers_run_one_blas_thread():
+def _require_bundled_blas():
     if not os.path.isdir("/proc/self/task") or _blas_threads()[0] == -1:
         pytest.skip("needs numpy's bundled scipy-openblas and /proc")
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    # a forked worker's runs see the ``run`` patched here; each runs on one
+    # BLAS thread and starts no other
+    _require_bundled_blas()
+    monkeypatch.setattr(harness, "run", lambda cfg, seed: _blas_threads())
     with worker_pool(2, 2) as pool:
-        assert pool.submit(_blas_threads).result(timeout=60) == (1, 1)
+        assert harness.run_all([SimpleNamespace(seeds=(0, 1))], pool) == [[(1, 1), (1, 1)]]
+
+
+def test_serial_runs_use_one_blas_thread_and_restore_the_count(monkeypatch):
+    _require_bundled_blas()
+    monkeypatch.setattr(harness, "run", lambda cfg, seed: _blas_threads()[0])
+    before = _blas_threads()[0]
+    assert harness.run_all([SimpleNamespace(seeds=(0, 1))]) == [[1, 1]]
+    assert _blas_threads()[0] == before
+
+
+def _blas_sensitive_experiment():
+    """A logistic regression whose full-data gradient product gives other
+    bits at 1 and 2 OpenBLAS threads: its traces differ from t = 3 when runs
+    use the library's default count."""
+    return minimal_experiment(
+        name="blas",
+        problem={"kind": "blobs", "classes": 10, "features": 100, "examples": 10_000, "n": 4, "split": "uniform"},
+        algorithms=["ef21_sgd_ideal"],
+        compressor={"kind": "topk", "k": 100},
+        hyper={"gamma": 0.5, "rounds": 5},
+        metric_every=1,
+    )
+
+
+def test_trace_bytes_do_not_depend_on_the_blas_thread_default(tmp_path):
+    _require_bundled_blas()
+    path, outputs = write_exp(tmp_path, _blas_sensitive_experiment()), []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-m", "efsim.cli", "run", path, "--out", str(out), "--workers", "1"],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+
+
+def test_parallel_workers_match_serial_on_a_blas_sensitive_problem(tmp_path):
+    _assert_workers_match(tmp_path, _blas_sensitive_experiment() | {"seeds": [0, 1]})
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

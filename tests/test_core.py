@@ -168,6 +168,20 @@ def test_stream_factory_block_equals_per_node_draws(bounded, count):
         assert np.array_equal(got, want)
 
 
+def test_long_normal_row_takes_numpys_wedge_and_tail_paths():
+    # 10^6 normals at one key: the kernel hands numpy's sampler every word its
+    # fast path refuses, among them every idx-1 word (numpy's ki[1] is 0, so
+    # its wedge decides them all) and the tail's values beyond the ziggurat's r
+    _kernel()
+    seed, node, rnd, count = SEED_MAX, 5, 11, 1_000_000
+    got = StreamFactory(seed).block(slice(node, node + 1), rnd, Sample(count))[0]
+    want = derive_stream(seed, node, rnd).standard_normal(count)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (np.abs(got) > 3.6541528853610088).sum() > 100
+    words = derive_stream(seed, node, rnd).bit_generator.random_raw(count)
+    assert ((words & 0xFF) == 1).sum() > 1000
+
+
 def test_block_rejects_the_ids_a_stream_rejects():
     _kernel()
     factory = StreamFactory(0)
@@ -213,7 +227,19 @@ def _run_outputs(tmp_path, capfd) -> tuple[dict[str, bytes], str]:
     return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}, printed.out + printed.err
 
 
-@pytest.mark.parametrize("failure", ["no_compiler", "unwritable_cache", "guard_mismatch"])
+# faults planted in the kernel's source, which builds but must fail its guard
+_PLANTS = {
+    # keys each stream as (seed, round << 32 | node)
+    "guard_mismatch": ("node << 32 | round", "round << 32 | node"),
+    # the fast path reads its sign from bit 9 instead of bit 8
+    "sign_skips_bit_8": ("(r & 0x100) << 55", "(r & 0x200) << 54"),
+    # the fast path also takes layer 77's smallest rejected rabs, which numpy
+    # sends to its wedge: the value may agree, the next draws do not
+    "ki_one_off": ("ki[idx] = lo;", "ki[idx] = lo + (idx == 77);"),
+}
+
+
+@pytest.mark.parametrize("failure", ["no_compiler", "unwritable_cache", *_PLANTS])
 def test_kernel_failures_fall_back_silently(failure, fresh_kernel, tmp_path, capfd, monkeypatch):
     _kernel()
     with_kernel = _run_outputs(tmp_path, capfd)
@@ -223,12 +249,13 @@ def test_kernel_failures_fall_back_silently(failure, fresh_kernel, tmp_path, cap
     elif failure == "unwritable_cache":
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache"  # below a file: no directory can be made
-    else:  # the kernel builds, but keys each stream as (seed, round << 32 | node)
-        plant = core._KERNEL_SOURCE.replace("node << 32 | round", "round << 32 | node")
-        monkeypatch.setattr(core, "_KERNEL_SOURCE", plant)
+    else:
+        text, fault = _PLANTS[failure]
+        assert core._KERNEL_SOURCE.count(text) == 1
+        monkeypatch.setattr(core, "_KERNEL_SOURCE", core._KERNEL_SOURCE.replace(text, fault))
     monkeypatch.setattr(core, "_CACHE_DIR", str(cache))
     core._kernel.cache_clear()
     assert core._kernel() is None
-    if failure == "guard_mismatch":
+    if failure in _PLANTS:
         assert len(os.listdir(cache)) == 1  # it was built and loaded, then refused
     assert _run_outputs(tmp_path, capfd) == with_kernel
