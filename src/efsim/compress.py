@@ -130,15 +130,15 @@ def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
     size = np.abs(rows)
     np.fmax(size, -1.0, out=size)  # NaN -> -1: ranked after every number
     kth = np.partition(size, spec.dim - spec.k, axis=1)[:, spec.dim - spec.k, None]  # k-th largest
-    mask = size > kth
-    tied = size == kth
-    # each row has at most k-1 entries above its k-th largest and at least k
-    # down to it, so the total is k per row exactly when no row has surplus
-    # ties; otherwise the lowest-index tied entries fill each row up to k
-    if np.count_nonzero(mask) + np.count_nonzero(tied) != spec.k * len(rows):
-        need = spec.k - np.count_nonzero(mask, axis=1, keepdims=True)
-        tied &= np.cumsum(tied, axis=1) <= need
-    mask |= tied
+    mask = size >= kth
+    # each row has at least k entries down to its k-th largest, so the total
+    # is k per row exactly when no row has surplus ties; otherwise the
+    # lowest-index tied entries fill each row up to k
+    if np.count_nonzero(mask) != spec.k * len(rows):
+        above = size > kth
+        tied = size == kth
+        tied &= np.cumsum(tied, axis=1) <= spec.k - np.count_nonzero(above, axis=1, keepdims=True)
+        mask = above | tied
     return mask
 
 

@@ -9,8 +9,9 @@ is independent of evaluation order and two streams with the same key are
 bit-identical.
 
 Node vectors are the rows of (n, d) arrays, walked in ``blocks`` of rows
-and summed over nodes by ``add_rows`` in ascending node order, so no sum
-depends on the blocking and traces match a loop over single nodes bitwise.
+and summed over nodes by ``add_rows``, one ``np.add.reduce`` that adds the
+rows in ascending node order, so no sum depends on the blocking and traces
+match a loop over single nodes bitwise.
 
 A block of nodes' raw samples (``Sample``: standard normals or bounded
 integers) comes from one call of a C kernel (``StreamFactory.block``) that
@@ -81,9 +82,29 @@ def blocks(n: int, width: int) -> list[slice]:
 
 
 def add_rows(acc: np.ndarray, rows: np.ndarray, mask: np.ndarray | None = None) -> None:
-    """acc += each row in turn (only its kept coordinates if masked)."""
-    for r in range(len(rows)):
-        np.add(acc, rows[r], out=acc, where=True if mask is None else mask[r])
+    """acc += each row in turn (only its kept coordinates if masked), bit for
+    bit, provided no entry of ``acc`` is -0.0.
+
+    One ``np.add.reduce`` over axis 0 of a fresh stack: ``acc``, then the
+    rows with every masked-out entry set to -0.0, since x + (-0.0) is x for
+    every x, NaN and +-inf included.  numpy reduces axis 0 of a C-contiguous
+    array one row at a time, so the sum runs in ascending row order.  The
+    reduce starts from +0.0, which turns an ``acc`` entry of -0.0 into +0.0;
+    a sum started from ``np.zeros`` never holds -0.0.  numpy sums a single
+    column pairwise, so at d = 1 the rows are added by a loop.
+    """
+    if len(acc) == 1:
+        for r in range(len(rows)):
+            np.add(acc, rows[r], out=acc, where=True if mask is None else mask[r])
+        return
+    stack = np.empty((len(rows) + 1, len(acc)))
+    stack[0] = acc
+    if mask is None:
+        stack[1:] = rows
+    else:
+        stack[1:] = -0.0
+        np.copyto(stack[1:], rows, where=mask)
+    np.add.reduce(stack, axis=0, out=acc)
 
 
 def ensure_finite(a: np.ndarray, context: str = "", round_index: int | None = None) -> np.ndarray:
@@ -107,13 +128,18 @@ def atomic_write(path: str, newline: str | None = None):
             os.remove(tmp)
 
 
-def _philox_key(seed: int, node: int, round_index: int, out: np.ndarray | None = None) -> np.ndarray:
+def _check_ids(seed: int, node: int, round_index: int) -> None:
+    """Raise ``ValueError`` unless (seed, node, round) keys a stream."""
     if not 0 <= seed <= SEED_MAX:
         raise ValueError(f"seed must lie in [0, 2^64 - 1], got {seed}")
     if node < 0 or round_index < 0:
         raise ValueError("node and round must be nonnegative")
     if node > _MASK32 or round_index > _MASK32:
         raise ValueError("node/round exceed 32-bit stream id space")
+
+
+def _philox_key(seed: int, node: int, round_index: int, out: np.ndarray | None = None) -> np.ndarray:
+    _check_ids(seed, node, round_index)
     key = np.empty(2, dtype=np.uint64) if out is None else out
     key[0] = seed
     key[1] = (node << 32) | round_index
@@ -199,7 +225,7 @@ class StreamFactory:
         return None if kernel is None else self._fill(kernel, rows, round_index, sample)
 
     def _fill(self, kernel, rows: slice, round_index: int, sample: Sample) -> np.ndarray | None:
-        _philox_key(self.seed, rows.stop - 1, round_index, out=self._key)  # raises as ``stream`` does
+        _check_ids(self.seed, rows.stop - 1, round_index)  # raises as ``stream`` does
         if sample.bounds is not self._bounds:
             self._bounds = sample.bounds
             bounds = None if sample.bounds is None else np.ascontiguousarray(sample.bounds, dtype=np.int64)

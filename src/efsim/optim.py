@@ -32,9 +32,9 @@ node, round) stream, come from one call of the stream factory's compiled
 kernel; with RandK, or where the kernel is not available, every node
 resets its stream and draws its sample, then its picks, with the same
 values (a noiseless problem without RandK resets no stream); the rest is
-array operations in the operand order of the formulas above, and messages
-are summed by ``core.add_rows``, so traces match a loop over single nodes
-bit for bit.
+array operations in the operand order of the formulas above, and a block's
+messages are summed by one ``core.add_rows`` call, which adds them in
+ascending node order, so traces match a loop over single nodes bit for bit.
 Compressed-state updates write the kept coordinates of the target
 directly into g_i (mathematically identical to adding the transmitted
 residual, and it makes the eta = 1 and identity-compressor reductions
@@ -250,7 +250,8 @@ def init(
     else:
         nodes = NodeArrays(g=g0, **{f: g0.copy() for f in rule.estimators})
     gsum = np.zeros(d)
-    add_rows(gsum, nodes.g)
+    for rows in blocks(n, d):  # ``add_rows`` copies its rows, so keep that copy block-sized
+        add_rows(gsum, nodes.g[rows])
     return ServerState(x=x0, g=gsum / n, t=0), nodes, RoundLog(coords_sent=0, grad_evals=batch)
 
 

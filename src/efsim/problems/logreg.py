@@ -92,8 +92,8 @@ class LogRegProblem(Problem):
             raise ValueError("empty batch")
         logits = a @ self._weights(x).T  # (r, m, c)
         logits -= logits.max(axis=2, keepdims=True)
-        expz = np.exp(logits)
-        probs = expz / expz.sum(axis=2, keepdims=True)
+        probs = np.exp(logits, out=logits)  # in place: a stack over every node is the largest temporary
+        probs /= probs.sum(axis=2, keepdims=True)
         true = (np.arange(r)[:, None], np.arange(m), y)
         p_true = probs[true]
         probs[true] -= 1.0  # the residual, in place
@@ -106,10 +106,21 @@ class LogRegProblem(Problem):
         rows = slice(self._start[i], self._start[i] + self.m_i[i])
         return self._a_all[rows], self._y_all[rows]
 
-    def _node_batch(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node i's full local dataset as a stack of one batch."""
-        a, y = self._node_data(i)
-        return a[None], y[None]
+    def _full_pass(self, rows: slice, x: np.ndarray) -> tuple[list[np.ndarray] | np.ndarray, np.ndarray]:
+        """``_softmax_grads`` over the full local datasets of nodes ``rows``:
+        each node's true-label probabilities and its data-gradient row.  When
+        the nodes hold m examples each, one call reads an (r, m, l+1) view of
+        the stacked data, whose stacked products are the same BLAS calls per
+        node as a call per node; otherwise each node is a stack of its own."""
+        m = self.m_i[rows]
+        if (m == m[0]).all():
+            lo = self._start[rows.start]
+            data = slice(lo, lo + int(m.sum()))
+            a, y = self._a_all[data].reshape(len(m), m[0], -1), self._y_all[data].reshape(len(m), m[0])
+            return self._softmax_grads(x, a, y)
+        nodes = map(self._node_data, range(rows.start, rows.stop))
+        parts = [self._softmax_grads(x, a[None], y[None]) for a, y in nodes]
+        return [p_true[0] for p_true, _ in parts], np.concatenate([grad for _, grad in parts])
 
     @staticmethod
     def _loss(p_true: np.ndarray) -> float:
@@ -118,11 +129,7 @@ class LogRegProblem(Problem):
     # -- Problem interface -------------------------------------------------
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
-        reg = self._reg_grad(x)
-        # one stack per node: node sizes may differ
-        return np.array(
-            [self._softmax_grads(x, *self._node_batch(i))[1][0] + reg for i in range(rows.start, rows.stop)]
-        )
+        return self._full_pass(rows, x)[1] + self._reg_grad(x)
 
     def sample(self, batch: int) -> Sample:
         """Example indices, sampled with replacement."""
@@ -136,14 +143,12 @@ class LogRegProblem(Problem):
         return self.value_and_mean_grad(x)[0]
 
     def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """One full-data pass per node serves both quantities."""
-        reg_value, reg = self._reg_value(x), self._reg_grad(x)
-        values, g = [], np.zeros(self.dim)
-        for i in range(self.n_nodes):
-            p_true, grad = self._softmax_grads(x, *self._node_batch(i))
-            values.append(self._loss(p_true[0]) + reg_value)
-            add_rows(g, grad + reg)
-        return float(np.mean(values)), g / self.n_nodes
+        """One full-data pass over every node serves both quantities."""
+        p_true, grads = self._full_pass(slice(0, self.n_nodes), x)
+        reg_value = self._reg_value(x)
+        g = np.zeros(self.dim)
+        add_rows(g, grads + self._reg_grad(x))
+        return float(np.mean([self._loss(p) + reg_value for p in p_true])), g / self.n_nodes
 
     def smoothness(self) -> SmoothnessInfo:
         """Analytic upper bounds: softmax curvature dominated by

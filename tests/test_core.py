@@ -80,6 +80,56 @@ def test_ensure_finite():
     assert exc.value.round_index == 12
 
 
+def _add_rows_loop(acc, rows, mask=None):
+    """The reference sum: one ``np.add`` per row, in ascending row order,
+    skipping each row's masked-out coordinates."""
+    for r in range(len(rows)):
+        np.add(acc, rows[r], out=acc, where=True if mask is None else mask[r])
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 100])
+def test_add_rows_equals_the_row_loop_bitwise(d, masked):
+    """Random blocks with NaN, +-inf and -0.0 entries and whole rows, summed
+    over several calls from zero as every caller starts, and one block of as
+    many rows as fit ``BLOCK_BYTES``.  At d = 1 numpy would sum the column
+    pairwise, which misses the loop's bits on most such blocks."""
+    rng = np.random.Generator(np.random.Philox(key=31 * d + masked))
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    sizes = [int(rng.integers(1, 40)) for _ in range(60)] + [core.BLOCK_BYTES // (8 * d) - 1]
+    for n in sizes:
+        rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+        special = rng.random((n, d)) < 0.05
+        rows[special] = rng.choice(specials, size=int(special.sum()))
+        rows[rng.random(n) < 0.05] = rng.choice(specials)
+        mask = rng.random((n, d)) < 0.3 if masked else None
+        cuts = np.unique(np.concatenate(([0, n], rng.integers(0, n + 1, size=int(rng.integers(0, 4))))))
+        got, want = np.zeros(d), np.zeros(d)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part_mask = None if mask is None else mask[lo:hi]
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                core.add_rows(got, rows[lo:hi], part_mask)
+                _add_rows_loop(want, rows[lo:hi], part_mask)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_add_rows_needs_an_acc_without_negative_zero():
+    """numpy's reduce starts from +0.0, so an ``acc`` entry of -0.0 that the
+    loop would keep comes out +0.0; from ``np.zeros`` both stay +0.0, since
+    x + y is -0.0 only when x and y both are."""
+    rows = np.array([[-0.0, -0.0, 0.0], [-0.0, 1.0, -0.0]])
+    mask = np.array([[True, False, True], [True, False, False]])
+    for m in (None, mask):
+        got, want = np.full(3, -0.0), np.full(3, -0.0)
+        core.add_rows(got, rows, m)
+        _add_rows_loop(want, rows, m)
+        assert np.signbit(want[0]) and not np.signbit(got[0])
+        got, want = np.zeros(3), np.zeros(3)
+        core.add_rows(got, rows, m)
+        _add_rows_loop(want, rows, m)
+        assert got.tobytes() == want.tobytes() and not np.signbit(got).any()
+
+
 def _uint32_drawn(state: dict) -> int:
     """How many 32-bit values a fresh Philox has handed out: numpy counts
     its first block at counter 1 and halves a 64-bit word per two draws."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from efsim import harness
 from efsim.core import derive_stream, norm_sq
 from efsim.problems import (
     CounterexampleProblem,
@@ -303,6 +304,52 @@ def test_logreg_oracles_equal_explicit_reference_bitwise(batch, block_bytes, mon
     value, mean_grad = prob.value_and_mean_grad(x)
     assert value == float(np.mean(values))
     assert np.array_equal(mean_grad, g / prob.n_nodes)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread, as every run has it, then its count as
+    it was."""
+    threads = harness._blas_threads()
+    if threads is None:
+        yield
+        return
+    previous, threads.value = threads.value, 1
+    yield
+    threads.value = previous
+
+
+@pytest.mark.parametrize("examples", [50, 47], ids=["equal", "uneven"])
+def test_logreg_stacked_full_pass_equals_per_node_calls_bitwise(examples, one_blas_thread, monkeypatch):
+    """A uniform split of 50 examples over 5 nodes gives every node 10, and
+    the full-data pass is one ``_softmax_grads`` call over all of them; 47
+    give 9 or 10, and it is one call per node.  Either way the value, the
+    mean gradient and every ``full_grads`` row are the per-node calls'."""
+    prob = _uneven_logreg(examples=examples)[0]
+    n = prob.n_nodes
+    x = 0.5 * derive_stream(16, 0, 0).standard_normal(prob.dim)
+    reg_value, reg = prob._reg_value(x), prob._reg_grad(x)
+    losses, grads = [], []
+    for i in range(n):
+        a, y = prob._node_data(i)
+        p_true, grad = prob._softmax_grads(x, a[None], y[None])
+        losses.append(prob._loss(p_true[0]) + reg_value)
+        grads.append(grad[0] + reg)
+    calls = []
+    softmax = prob._softmax_grads
+    monkeypatch.setattr(prob, "_softmax_grads", lambda x, a, y: calls.append(len(a)) or softmax(x, a, y))
+    for rows in (slice(0, n), slice(1, n - 1)):
+        calls.clear()
+        full = prob.full_grads(rows, x)
+        assert calls == ([rows.stop - rows.start] if examples % n == 0 else [1] * (rows.stop - rows.start))
+        for r, i in enumerate(range(rows.start, rows.stop)):
+            assert full[r].tobytes() == grads[i].tobytes()
+    g = grads[0].copy()
+    for grad in grads[1:]:
+        g += grad
+    value, mean_grad = prob.value_and_mean_grad(x)
+    assert value == float(np.mean(losses))
+    assert mean_grad.tobytes() == (g / n).tobytes()
 
 
 def test_logreg_pickles_its_data_once():
