@@ -336,7 +336,7 @@ def check_storm(seed: int = 0) -> list[CheckResult]:
     samples = np.empty((draws, 5))
     for j in range(draws):
         raw = problem.sample(1).draw(derive_stream(seed, 1, j), 0)[None]  # at both iterates
-        sg_new, sg_old = (problem.stoch_grads(node, x, raw)[0] for x in (x_new, x_old))
+        sg_new, sg_old = (g[0] for g in problem.stoch_grads_at(node, (x_new, x_old), raw))
         samples[j] = sg_new + (1.0 - eta) * (w_old - sg_old)
     expected = full_new + (1.0 - eta) * (w_old - full_old)
     se = samples.std(axis=0, ddof=1) / math.sqrt(draws)

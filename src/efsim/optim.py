@@ -276,9 +276,12 @@ def run_round(
 
         acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
         coords = 0
+        # STORM's w also takes each sample gradient at the previous iterate, server.x
+        iterates = (x_new, server.x) if "w" in rule.estimators else (x_new,)
         for rows in blocks(n, problem.dim * hp.batch):
             raw, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
-            sg = problem.stoch_grads(rows, x_new, raw)
+            grads = problem.stoch_grads_at(rows, iterates, raw)
+            sg = grads[0]
             g = nodes.g[rows]
             target = sg
             # in-place updates, each operation in the order of the formulas above
@@ -288,8 +291,8 @@ def run_round(
                     np.multiply(1.0 - eta_t, state, out=state)
                     state += eta_t * target
                     target = state
-                elif name == "w":  # server.x is still the previous iterate
-                    np.subtract(state, problem.stoch_grads(rows, server.x, raw), out=state)
+                elif name == "w":
+                    np.subtract(state, grads[1], out=state)
                     np.multiply(1.0 - eta_t, state, out=state)
                     np.add(sg, state, out=state)
                     target = state

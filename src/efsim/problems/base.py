@@ -44,11 +44,11 @@ class Problem:
 
     Gradients are evaluated over blocks of consecutive node rows.  A
     stochastic gradient splits into a random draw and a deterministic
-    evaluation of the block given the draws (``stoch_grads``), so the same
-    draws can be evaluated at two iterates as recursive variance-reduced
+    evaluation of the block given the draws (``stoch_grads_at``), so the
+    same draws can be evaluated at two iterates as recursive variance-reduced
     estimators do.  A problem declares the raw sample each node draws from
     its own stream (``sample``); the engine draws a block's raw samples at
-    once or node by node, with the same values, and ``stoch_grads`` takes
+    once or node by node, with the same values, and ``stoch_grads_at`` takes
     them as they are drawn, one row per node.
     """
 
@@ -67,11 +67,16 @@ class Problem:
         or None when the oracle is exact and draws nothing."""
         raise NotImplementedError
 
-    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
-        """One row per node i of the block ``rows``: its stochastic gradient
-        at x under its raw sample ``raw[i - rows.start]`` (``sample(batch)``'s
-        values, averaged over the batch here); ``raw`` is None if ``sample`` is."""
+    def stoch_grads_at(self, rows: slice, xs, raw) -> list[np.ndarray]:
+        """For each iterate x of ``xs``: one row per node i of the block
+        ``rows``, its stochastic gradient at x under its raw sample
+        ``raw[i - rows.start]`` (``sample(batch)``'s values, averaged over the
+        batch here, once for all iterates); ``raw`` is None if ``sample`` is."""
         raise NotImplementedError
+
+    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
+        """``stoch_grads_at`` at the one iterate x."""
+        return self.stoch_grads_at(rows, (x,), raw)[0]
 
     def value(self, x: np.ndarray) -> float:
         """Global objective f(x) = (1/n) sum_i f_i(x)."""

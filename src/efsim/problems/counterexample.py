@@ -56,12 +56,13 @@ class CounterexampleProblem(Problem):
     def sample(self, batch: int) -> Sample | None:
         return None if self.sigma == 0.0 else Sample(batch, self._bounds)
 
-    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
+    def stoch_grads_at(self, rows: slice, xs, raw) -> list[np.ndarray]:
         """The full gradient plus the noise atom, averaged over the batch."""
         if self.sigma == 0.0:
-            return self.full_grads(rows, x)
+            return [self.full_grads(rows, x) for x in xs]
         atoms = self.atoms[np.asarray(raw)]
-        return self.l_smooth * x + (atoms[:, 0] if atoms.shape[1] == 1 else atoms.mean(axis=1))
+        noise = atoms[:, 0] if atoms.shape[1] == 1 else atoms.mean(axis=1)
+        return [self.l_smooth * x + noise for x in xs]
 
     def value(self, x: np.ndarray) -> float:
         return 0.5 * self.l_smooth * float(x @ x)

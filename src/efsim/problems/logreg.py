@@ -108,19 +108,21 @@ class LogRegProblem(Problem):
 
     def _full_pass(self, rows: slice, x: np.ndarray) -> tuple[list[np.ndarray] | np.ndarray, np.ndarray]:
         """``_softmax_grads`` over the full local datasets of nodes ``rows``:
-        each node's true-label probabilities and its data-gradient row.  When
-        the nodes hold m examples each, one call reads an (r, m, l+1) view of
-        the stacked data, whose stacked products are the same BLAS calls per
-        node as a call per node; otherwise each node is a stack of its own."""
+        each node's true-label probabilities and its data-gradient row.  Each
+        maximal run of consecutive nodes that hold m examples each is one
+        call, on an (r, m, l+1) view of the stacked data, whose stacked
+        products are the same BLAS calls per node as a call per node."""
         m = self.m_i[rows]
-        if (m == m[0]).all():
-            lo = self._start[rows.start]
-            data = slice(lo, lo + int(m.sum()))
-            a, y = self._a_all[data].reshape(len(m), m[0], -1), self._y_all[data].reshape(len(m), m[0])
-            return self._softmax_grads(x, a, y)
-        nodes = map(self._node_data, range(rows.start, rows.stop))
-        parts = [self._softmax_grads(x, a[None], y[None]) for a, y in nodes]
-        return [p_true[0] for p_true, _ in parts], np.concatenate([grad for _, grad in parts])
+        cuts = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1), len(m)]
+        parts = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            start = self._start[rows.start + lo]
+            data = slice(start, start + int(m[lo]) * (hi - lo))
+            a, y = self._a_all[data].reshape(hi - lo, m[lo], -1), self._y_all[data].reshape(hi - lo, m[lo])
+            parts.append(self._softmax_grads(x, a, y))
+        if len(parts) == 1:
+            return parts[0]
+        return [p for p_true, _ in parts for p in p_true], np.concatenate([grad for _, grad in parts])
 
     @staticmethod
     def _loss(p_true: np.ndarray) -> float:
@@ -135,9 +137,10 @@ class LogRegProblem(Problem):
         """Example indices, sampled with replacement."""
         return Sample(batch, self.m_i)
 
-    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
+    def stoch_grads_at(self, rows: slice, xs, raw) -> list[np.ndarray]:
         idx = self._start[rows, None] + np.asarray(raw)  # (r, batch) rows of the stacked data
-        return self._softmax_grads(x, self._a_all[idx], self._y_all[idx])[1] + self._reg_grad(x)
+        a, y = self._a_all[idx], self._y_all[idx]
+        return [self._softmax_grads(x, a, y)[1] + self._reg_grad(x) for x in xs]
 
     def value(self, x: np.ndarray) -> float:
         return self.value_and_mean_grad(x)[0]

@@ -100,14 +100,16 @@ class QuadraticProblem(Problem):
     def sample(self, batch: int) -> Sample | None:
         return None if self.sigma == 0.0 else Sample(batch * self.dim)
 
-    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
+    def stoch_grads_at(self, rows: slice, xs, raw) -> list[np.ndarray]:
         """The full gradients plus the scaled Gaussian noise, averaged over
         the batch."""
-        g = self.full_grads(rows, x)
+        grads = [self.full_grads(rows, x) for x in xs]
         if self.sigma != 0.0:
             raw = np.asarray(raw).reshape(len(raw), -1, self.dim)
-            g += self._noise_scale * (raw[:, 0] if raw.shape[1] == 1 else raw.mean(axis=1))
-        return g
+            noise = self._noise_scale * (raw[:, 0] if raw.shape[1] == 1 else raw.mean(axis=1))
+            for g in grads:
+                g += noise
+        return grads
 
     def value(self, x: np.ndarray) -> float:
         bbar = self.b.mean(axis=0)

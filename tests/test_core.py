@@ -1,6 +1,9 @@
 import json
+import multiprocessing
 import os
 import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -243,6 +246,132 @@ def test_block_rejects_the_ids_a_stream_rejects():
         assert str(block.value) == str(per_node.value) == "node/round exceed 32-bit stream id space"
     with pytest.raises(ValueError, match="seed"):
         StreamFactory(SEED_MAX + 1).block(slice(0, 1), 0, Sample(3))
+
+
+# -- drawing ahead on the kernel's helper thread ----------------------------------
+
+
+def _normals(seed: int, rows: slice, round_index: int, count: int) -> bytes:
+    """The per-node draws of a block of normals, as bytes."""
+    return np.array([derive_stream(seed, i, round_index).standard_normal(count) for i in range(rows.start, rows.stop)]).tobytes()
+
+
+def _ahead_factory(seed: int) -> StreamFactory:
+    """A factory that draws ahead whatever this host's CPUs."""
+    _kernel()
+    factory = StreamFactory(seed)
+    factory._draws_ahead = True
+    return factory
+
+
+def _engine_walk(n: int, rounds) -> list[tuple[slice, int, int]]:
+    """(rows, round, count) of every block an engine with n nodes and d = 300
+    asks for, in its order, over (round, batch) pairs."""
+    return [(rows, r, 300 * batch) for r, batch in rounds for rows in core.blocks(n, 300 * batch)]
+
+
+@pytest.mark.parametrize("block_bytes", [1, None], ids=["one_row", "default"])
+@pytest.mark.parametrize("order", ["engine", "shuffled"])
+def test_draw_ahead_equals_per_node_draws_bitwise(order, block_bytes, monkeypatch):
+    """Blocks of normals in the engine's order, with rounds skipped, the batch
+    changing, a last block shorter than the others and the last round a
+    stream can have, asked for twice; then the same requests shuffled, so
+    most guesses miss.
+    Every block is the per-node draws.  In the engine's order, after the
+    first round, each block that follows its predecessor in the walk
+    ``blocks(n, count)`` (or is the next round's first block) was drawn
+    ahead."""
+    if block_bytes is not None:
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+    seed, n = SEED_MAX - 1, 11
+    walk = _engine_walk(n, [(0, 1), (1, 3), (2, 3), (3, 3), (5, 3), (9, 1), (U32 - 1, 1), (U32, 1), (U32, 1)])
+    if order == "shuffled":
+        np.random.default_rng(3).shuffle(walk)
+    factory = _ahead_factory(seed)
+    ahead = []
+    for rows, r, count in walk:
+        ahead.append(factory._ahead_key == (rows.start, rows.stop, r, count))
+        assert factory.block(rows, r, Sample(count)).tobytes() == _normals(seed, rows, r, count)
+    # the block drawn ahead, asked for as bounded integers, is drawn as those
+    first, last = core.blocks(n, 300)[0], core.blocks(n, 300)[-1]
+    factory.block(last, 7, Sample(300))
+    assert factory._ahead_key == (first.start, first.stop, 8, 300)
+    integers = [derive_stream(seed, i, 8).integers(0, 1000, size=300) for i in range(first.start, first.stop)]
+    assert np.array_equal(factory.block(first, 8, Sample(300, np.full(n, 1000))), integers)
+    if order == "engine":
+        first_round = len(core.blocks(n, 300))
+        successors = []
+        for (rows, r, count), (after, r_after, count_after) in zip(walk, walk[1:]):
+            blocks = core.blocks(n, count)
+            i = blocks.index(rows) + 1
+            successors.append(count_after == count and (after, r_after) == ((blocks[i], r) if i < len(blocks) else (blocks[0], r + 1)))
+        assert ahead[first_round:] == successors[first_round - 1 :]
+        assert sum(ahead) >= 5
+
+
+def test_interleaved_factories_draw_as_each_alone():
+    """Two factories taking turns, each with its draw ahead in flight while
+    the other starts its own, and then four threads (more than this host's
+    cores) each walking its own factory, with the interpreter switching
+    threads every 10 us."""
+    n, count, rounds = 10, 2000, range(1, 6)  # blocks of 4, 4 and 2 rows
+    walk = [(rows, r) for r in rounds for rows in core.blocks(n, count)]
+    want = {seed: [_normals(seed, rows, r, count) for rows, r in walk] for seed in range(4)}
+    alone = {}
+    for seed in (0, 1):
+        factory = _ahead_factory(seed)
+        alone[seed] = [factory.block(rows, r, Sample(count)).tobytes() for rows, r in walk]
+        assert alone[seed] == want[seed]
+    pair = _ahead_factory(0), _ahead_factory(1)
+    for k, (rows, r) in enumerate(walk):
+        for seed, factory in enumerate(pair):
+            assert factory.block(rows, r, Sample(count)).tobytes() == alone[seed][k]
+
+    got = {}
+
+    def walk_with(seed):
+        factory = _ahead_factory(seed)
+        got[seed] = [factory.block(rows, r, Sample(count)).tobytes() for rows, r in walk]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=walk_with, args=(seed,)) for seed in want]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+def test_forked_child_draws_the_same_values():
+    """A fork while the helper draws the parent's next block (a row of 3e5
+    normals, about 2 ms): the child has no helper, and its copy of the
+    factory draws that block itself, then draws ahead on a helper of its
+    own; the parent goes on as before."""
+    n, count, seed = 3, 300_000, 4
+    walk = [(rows, r) for r in range(4) for rows in core.blocks(n, count)]
+    want = [_normals(seed, rows, r, count) for rows, r in walk]
+    factory = _ahead_factory(seed)
+    for k in range(n + 1):  # a round, so that the factory knows n, then round 1's first block
+        assert factory.block(*walk[k], Sample(count)).tobytes() == want[k]
+    walk, want = walk[n:], want[n:]
+    assert factory._ahead_key == (1, 2, 1, count)
+
+    def child():
+        got = [factory.block(rows, r, Sample(count)).tobytes() for rows, r in walk[1:]]
+        sys.exit(0 if got == want[1:] and factory._ticket else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(60)
+    if proc.is_alive():
+        proc.kill()
+    assert proc.exitcode == 0
+    assert [factory.block(rows, r, Sample(count)).tobytes() for rows, r in walk[1:]] == want[1:]
 
 
 # -- the fallback: the kernel cannot be built, or does not match -----------------

@@ -152,6 +152,23 @@ def test_storm_noiseless_state_is_exact_gradient():
     roll("ef21_storm", prob, comp, hp, seed=6, rounds=10, collect=check)
 
 
+@pytest.mark.parametrize("pname", ["quadratic", "counterexample", "blobs"])
+def test_storm_batch_mean_taken_once_gives_the_same_bits(pname, monkeypatch):
+    """B = 8 STORM rounds evaluate each block's raw samples at both iterates
+    in one oracle call, which averages the batch once; the states are those
+    of one call per iterate, each taking the batch mean itself."""
+    problem, gamma = {"quadratic": (make_problem(), 0.05), **_chunk_problems()}[pname]
+    hp = HyperParams(gamma=gamma, eta=0.3, rounds=3, batch=8, b_init=8)
+    comp = top_k(1, problem.dim)
+    once = roll("ef21_storm", problem, comp, hp, seed=5, rounds=3)
+    stoch_grads_at = problem.stoch_grads_at
+    monkeypatch.setattr(problem, "stoch_grads_at", lambda rows, xs, raw: [stoch_grads_at(rows, (x,), raw)[0] for x in xs])
+    per_iterate = roll("ef21_storm", problem, comp, hp, seed=5, rounds=3)
+    assert once[0].tobytes() == per_iterate[0].tobytes()
+    for field in ("g", "w"):
+        assert getattr(once[2], field).tobytes() == getattr(per_iterate[2], field).tobytes()
+
+
 def test_server_state_tracks_node_average():
     prob = make_problem(sigma=0.2)
     comp = top_k(2, 20)
@@ -356,7 +373,7 @@ def _rejecting(problem, monkeypatch, nodes):
     """``problem`` with the given nodes drawing their index as
     ``integers(0, 2^31 + 1) % 3``: about half of those keys enter numpy's
     rejection loop."""
-    sample, stoch_grads = problem.sample, problem.stoch_grads
+    sample, stoch_grads_at = problem.sample, problem.stoch_grads_at
 
     def rejecting_sample(batch):
         bounds = sample(batch).bounds.copy()
@@ -364,7 +381,7 @@ def _rejecting(problem, monkeypatch, nodes):
         return Sample(batch, bounds)
 
     monkeypatch.setattr(problem, "sample", rejecting_sample)
-    monkeypatch.setattr(problem, "stoch_grads", lambda rows, x, raw: stoch_grads(rows, x, raw % 3))
+    monkeypatch.setattr(problem, "stoch_grads_at", lambda rows, xs, raw: stoch_grads_at(rows, xs, raw % 3))
 
 
 def _kernel_against_fallback(cfg, tmp_path, monkeypatch):

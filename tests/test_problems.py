@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -319,12 +320,14 @@ def one_blas_thread():
     threads.value = previous
 
 
-@pytest.mark.parametrize("examples", [50, 47], ids=["equal", "uneven"])
+@pytest.mark.parametrize("examples", [50, 47, 2001], ids=["equal", "uneven", "2001"])
 def test_logreg_stacked_full_pass_equals_per_node_calls_bitwise(examples, one_blas_thread, monkeypatch):
     """A uniform split of 50 examples over 5 nodes gives every node 10, and
     the full-data pass is one ``_softmax_grads`` call over all of them; 47
-    give 9 or 10, and it is one call per node.  Either way the value, the
-    mean gradient and every ``full_grads`` row are the per-node calls'."""
+    give 9, 9, 10, 9, 10 and 2,001 give 400 to four nodes and 401 to the
+    last, and it is one call per run of consecutive nodes of one size.
+    Either way the value, the mean gradient and every ``full_grads`` row are
+    the per-node calls'."""
     prob = _uneven_logreg(examples=examples)[0]
     n = prob.n_nodes
     x = 0.5 * derive_stream(16, 0, 0).standard_normal(prob.dim)
@@ -341,7 +344,7 @@ def test_logreg_stacked_full_pass_equals_per_node_calls_bitwise(examples, one_bl
     for rows in (slice(0, n), slice(1, n - 1)):
         calls.clear()
         full = prob.full_grads(rows, x)
-        assert calls == ([rows.stop - rows.start] if examples % n == 0 else [1] * (rows.stop - rows.start))
+        assert calls == [len(list(run)) for _, run in itertools.groupby(prob.m_i[rows])]
         for r, i in enumerate(range(rows.start, rows.stop)):
             assert full[r].tobytes() == grads[i].tobytes()
     g = grads[0].copy()
