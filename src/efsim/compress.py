@@ -105,7 +105,8 @@ def draw_picks(spec: Compressor, rng: np.random.Generator | None) -> np.ndarray 
 
 def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
     """Boolean mask of the coordinates the operator keeps in each row of
-    ``rows`` (shape (m, d)); ``picks`` holds each row's ``draw_picks``.
+    ``rows`` (shape (m, d)); ``picks`` holds RandK's k indices per row, an
+    (m, k) array or a list of each row's ``draw_picks``.
 
     TopK keeps the k largest magnitudes with ties broken toward the lowest
     index (determinism is required for bitwise replay), exactly the first k
@@ -120,8 +121,7 @@ def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
         return np.abs(rows) >= spec.tau
     if spec.kind == "randk":
         mask = np.zeros(rows.shape, dtype=bool)
-        for r, idx in enumerate(picks):
-            mask[r, idx] = True
+        np.put_along_axis(mask, np.asarray(picks), True, axis=1)
         return mask
     if spec.k == 1:
         mask = np.zeros(rows.shape, dtype=bool)

@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -39,8 +40,8 @@ from .problems import (
     LogRegProblem,
     Problem,
     generate_quadratic,
-    load_libsvm_problem,
     load_quadratic_task,
+    logreg,
     make_blobs,
     split_examples,
 )
@@ -221,31 +222,41 @@ def validate_experiment(doc: dict) -> dict:
     return exp
 
 
+@contextlib.contextmanager
+def _naming(section: str, *keys: str):
+    """Re-raise a constructor's ``ValueError`` (its checks the table cannot
+    state) as a ``SchemaError`` naming ``experiment.<section>.<key>``: the
+    first of ``keys`` its message names, else the only key given."""
+    try:
+        yield
+    except ValueError as exc:
+        named = [key for key in keys if re.search(rf"\b{key}\b", str(exc))]
+        if named or len(keys) == 1:
+            raise SchemaError(f"experiment.{section}.{(named or keys)[0]}: {exc}") from exc
+        raise
+
+
 def build_problem(spec: dict) -> Problem:
     kind = spec["kind"]
     if kind == "counterexample":
-        return CounterexampleProblem(
-            l_smooth=spec["l_smooth"],
-            sigma=spec["sigma"],
-            variance_batch=spec["variance_batch"],
-            n_nodes=spec["n"],
-            x0=spec["x0"],
-        )
+        with _naming("problem", "l_smooth", "variance_batch", "x0"):
+            return CounterexampleProblem(spec["l_smooth"], spec["sigma"], spec["variance_batch"], spec["n"], spec["x0"])
     if kind == "quadratic":
         return generate_quadratic(spec["n"], spec["d"], spec["lam"], spec["s"], spec["seed"], sigma=spec["sigma"])
     if kind == "quadratic_file":
         return load_quadratic_task(spec["path"], sigma=spec["sigma"])
     if kind == "logreg_file":
-        return load_libsvm_problem(
-            spec["path"], spec["classes"], spec["features"], spec["n"], spec["split"], spec["split_seed"], spec["reg"]
-        )
-    x, y = make_blobs(spec["classes"], spec["features"], spec["examples"], spec["seed"])  # blobs, the last kind
-    feats, labs = split_examples(x, y, spec["n"], spec["split"], spec["split_seed"])
+        x, y = logreg.parse_libsvm(spec["path"], spec["classes"], spec["features"])
+    else:  # blobs, the last kind
+        x, y = make_blobs(spec["classes"], spec["features"], spec["examples"], spec["seed"])
+    with _naming("problem", "n"):  # more nodes than examples
+        feats, labs = split_examples(x, y, spec["n"], spec["split"], spec["split_seed"])
     return LogRegProblem(feats, labs, spec["classes"], reg=spec["reg"])
 
 
 def build_compressor(spec: dict, dim: int) -> Compressor:
-    return Compressor(spec["kind"], dim, k=spec["k"] or 0, tau=spec["tau"] or 0.0)
+    with _naming("compressor", "k", "tau"):
+        return Compressor(spec["kind"], dim, k=spec["k"] or 0, tau=spec["tau"] or 0.0)
 
 
 def resolve_hyper(exp: dict, algorithm: str, problem: Problem, comp: Compressor) -> HyperParams:
@@ -267,14 +278,9 @@ def resolve_hyper(exp: dict, algorithm: str, problem: Problem, comp: Compressor)
             delta_abs=absolute_delta(comp),
             batch=h["batch"],
         )
-    return HyperParams(
-        gamma=h["gamma"] if h["gamma"] is not None else 1.0,
-        rounds=h["rounds"],
-        eta=h["eta"],
-        batch=h["batch"],
-        b_init=h["b_init"],
-        schedule=h["schedule"],
-    )
+    gamma = h["gamma"] if h["gamma"] is not None else 1.0
+    with _naming("hyper", "gamma", "eta"):
+        return HyperParams(gamma, h["rounds"], h["eta"], h["batch"], h["b_init"], h["schedule"])
 
 
 def _build_config(exp: dict, algorithm: str, problem: Problem) -> RunConfig:

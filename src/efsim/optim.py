@@ -27,14 +27,12 @@ Node update rules (per node i, fresh sample at the new iterate x'):
 
 ``RULES`` holds these rules as data and one engine runs them all.  Node
 states are (n, d) arrays (``NodeArrays``) walked in ``core.blocks`` of
-rows.  Per block, the nodes' raw oracle samples, each from its own (seed,
-node, round) stream, come from one call of the stream factory's compiled
-kernel; with RandK, or where the kernel is not available, every node
-resets its stream and draws its sample, then its picks, with the same
-values (a noiseless problem without RandK resets no stream); the rest is
-array operations in the operand order of the formulas above, and a block's
-messages are summed by one ``core.add_rows`` call, which adds them in
-ascending node order, so traces match a loop over single nodes bit for bit.
+rows.  Per block, the nodes' raw oracle samples and RandK picks, each
+node's from its own (seed, node, round) stream, come from one
+``StreamFactory.block`` call (see ``core``); the rest is array operations
+in the operand order of the formulas above, and a block's messages are
+summed by one ``core.add_rows`` call, which adds them in ascending node
+order, so traces match a loop over single nodes bit for bit.
 Compressed-state updates write the kept coordinates of the target
 directly into g_i (mathematically identical to adding the transmitted
 residual, and it makes the eta = 1 and identity-compressor reductions
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compress import Compressor, draw_picks, keep_mask
+from .compress import Compressor, keep_mask
 from .core import StreamFactory, add_rows, blocks, ensure_finite
 from .problems.base import Problem, SmoothnessInfo
 
@@ -198,30 +196,6 @@ def validate_pairing(kind: str, comp: Compressor) -> None:
         raise ValueError(f"{kind} requires a contractive compressor")
 
 
-def _draw(problem: Problem, comp: Compressor | None, streams: StreamFactory, rows: slice, round_index: int, batch: int):
-    """Each node's raw oracle sample, one row per node (None for a noiseless
-    problem), then its RandK picks, from its own stream.
-
-    Without picks the block's raw samples come from one kernel call where
-    the kernel is available; otherwise each node resets its stream and draws
-    its raw sample, then its picks.  Both give the same values bit for bit.
-    A noiseless problem without picks resets no stream at all."""
-    sample = problem.sample(batch)
-    if comp is None or not comp.is_random:
-        if sample is None:
-            return None, None
-        raw = streams.block(rows, round_index, sample)
-        if raw is not None:
-            return raw, None
-    raws, picks = [], []
-    for i in range(rows.start, rows.stop):
-        rng = streams.stream(i, round_index)
-        if sample is not None:
-            raws.append(sample.draw(rng, i))
-        picks.append(None if comp is None else draw_picks(comp, rng))
-    return (np.array(raws) if raws else None), picks
-
-
 def init(
     kind: str, problem: Problem, hp: HyperParams, comp: Compressor, streams: StreamFactory
 ) -> tuple[ServerState, NodeArrays, RoundLog]:
@@ -240,10 +214,9 @@ def init(
     n, d = problem.n_nodes, problem.dim
     x0 = problem.x0.copy()
     batch = hp.batch if rule.message == "ef14" else hp.b_init
-    g0 = np.empty((n, d))
+    g0, sample = np.empty((n, d)), problem.sample(batch)
     for rows in blocks(n, d * batch):
-        raw, _ = _draw(problem, None, streams, rows, 0, batch)
-        g0[rows] = problem.stoch_grads(rows, x0, raw)
+        g0[rows] = problem.stoch_grads(rows, x0, streams.block(rows, 0, sample)[0])
     if rule.message == "ef14":
         nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)))
         nodes.e += schedule_at(hp, 0)[0] * g0
@@ -278,8 +251,9 @@ def run_round(
         coords = 0
         # STORM's w also takes each sample gradient at the previous iterate, server.x
         iterates = (x_new, server.x) if "w" in rule.estimators else (x_new,)
+        sample, randk = problem.sample(hp.batch), ((comp.dim, comp.k) if comp.is_random else None)
         for rows in blocks(n, problem.dim * hp.batch):
-            raw, picks = _draw(problem, comp, streams, rows, t + 1, hp.batch)
+            raw, picks = streams.block(rows, t + 1, sample, randk)
             grads = problem.stoch_grads_at(rows, iterates, raw)
             sg = grads[0]
             g = nodes.g[rows]

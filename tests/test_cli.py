@@ -196,6 +196,43 @@ def test_reproduce_zero_nodes_is_usage_error(tmp_path, capsys):
     assert "experiment.problem.n" in capsys.readouterr().err
 
 
+_BLOBS_20_NODES = '{"kind": "blobs", "classes": 2, "features": 3, "examples": 10, "n": 20}'
+
+
+@pytest.mark.parametrize("command", ["run", "reproduce", "sweep"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["hyper.eta=2"], "experiment.hyper.eta: eta must lie in (0, 1]"),
+        (["hyper.eta=0"], "experiment.hyper.eta: eta must lie in (0, 1]"),
+        (["hyper.gamma=-1"], "experiment.hyper.gamma: gamma must be positive"),
+        (["hyper.gamma=0"], "experiment.hyper.gamma: gamma must be positive"),
+        (["compressor.k=500"], "experiment.compressor.k: topk requires 1 <= k <= d, got k=500, d=2"),
+        (["problem.x0=[1,2,3]"], "experiment.problem.x0: x0 must be 2-dimensional"),
+        (["problem.l_smooth=0"], "experiment.problem.l_smooth: l_smooth must be > 0, got 0"),
+        (
+            ['compressor={"kind": "hard_threshold", "tau": 0.0}', 'algorithms=["ef21_sgdm_abs"]'],
+            "experiment.compressor.tau: hard_threshold requires tau > 0",
+        ),
+        ([f"problem={_BLOBS_20_NODES}"], "experiment.problem.n: cannot split 10 examples across 20 nodes"),
+    ],
+    ids=["eta_2", "eta_0", "gamma_neg", "gamma_0", "k_above_d", "x0_3d", "l_smooth_0", "tau_0", "n_above_examples"],
+)
+def test_value_only_a_constructor_checks_is_rejected_naming_the_key(tmp_path, capsys, command, overrides, message):
+    # these used to exit 1 with the constructor's message alone
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", write_exp(tmp_path, minimal_experiment()), "--out", str(out)],
+        "reproduce": ["reproduce", "fig1", "--rounds", "5", "--out", str(out)],
+        "sweep": ["sweep", write_exp(tmp_path, minimal_experiment()), "--k-lo", "-2", "--k-hi", "-1"],
+    }[command]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main([*argv, "--workers", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 BIG = 2**64  # one past the largest seed
 
 

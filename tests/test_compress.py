@@ -18,7 +18,7 @@ from efsim.compress import (
     rand_k,
     top_k,
 )
-from efsim.core import derive_stream
+from efsim.core import StreamFactory, derive_stream
 
 
 def test_top1_picks_largest_magnitude():
@@ -222,6 +222,19 @@ def test_randk_block_draws_match_per_node_compress():
         assert np.array_equal(c.indices, expected[i])
         assert np.array_equal(c.values, rows[i][expected[i]])
     assert draw_picks(top_k(2, 30), None) is None
+
+
+def test_randk_mask_from_a_picks_array_equals_the_per_row_loop():
+    """``keep_mask`` on the (rows, k) picks array ``StreamFactory.block``
+    draws keeps what a loop setting each row's picks keeps."""
+    for d, k, rows in ((30, 4, 6), (5, 5, 3), (9, 1, 1)):
+        spec, x = rand_k(k, d), derive_stream(6, 0, 0).standard_normal((rows, d))
+        picks = StreamFactory(7).block(slice(0, rows), 1, None, (d, k))[1]
+        want = np.zeros((rows, d), dtype=bool)
+        for r, idx in enumerate(picks):
+            want[r, idx] = True
+        assert isinstance(picks, np.ndarray) and np.array_equal(keep_mask(spec, x, picks), want)
+        assert np.array_equal(keep_mask(spec, x, list(picks)), want)
 
 
 # the compressors suite's details by seed, recorded from its former per-vector compress()/densify() code

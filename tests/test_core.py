@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import sys
 import threading
@@ -198,12 +199,17 @@ def test_stream_factory_integers_are_first_draws():
     bounds = np.array([3, 1, 1000, (1 << 31) + 1])  # node 3 rejects about half its keys
     for rnd in range(11):
         want = [derive_stream(5, i, rnd).integers(0, bounds[i]) for i in range(4)]
-        assert factory.block(slice(0, 3), rnd, Sample(1, bounds)).ravel().tolist() == want[:3]
-        assert factory.block(slice(3, 4), rnd, Sample(1, bounds)).ravel().tolist() == want[3:]
-    # bounds the kernel must not read are left to the per-node path, where numpy raises
-    assert factory.block(slice(0, 2), 0, Sample(1, np.array([0, 3]))) is None
-    assert factory.block(slice(0, 3), 0, Sample(1, np.array([2, 3]))) is None
-    assert factory.block(slice(0, 2), 0, Sample(1, np.array([2, 3]))) is not None
+        assert factory.block(slice(0, 3), rnd, Sample(1, bounds))[0].ravel().tolist() == want[:3]
+        assert factory.block(slice(3, 4), rnd, Sample(1, bounds))[0].ravel().tolist() == want[3:]
+    # bounds the kernel must not read are left to the per-node path, which raises numpy's error
+    for rows, bounds, error in ((slice(0, 2), [0, 3], ValueError), (slice(0, 3), [2, 3], IndexError)):
+        sample = Sample(1, np.array(bounds))
+        with pytest.raises(error) as per_node:
+            for i in range(rows.start, rows.stop):
+                sample.draw(derive_stream(5, i, 0), i)
+        with pytest.raises(error, match=f"^{re.escape(str(per_node.value))}$"):
+            factory.block(rows, 0, sample)
+    assert factory.block(slice(0, 2), 0, Sample(1, np.array([2, 3])))[0] is not None
 
 
 @pytest.mark.parametrize("count", [1, 3, 1000])
@@ -215,7 +221,7 @@ def test_stream_factory_block_equals_per_node_draws(bounded, count):
     starts = ((0, 0, 0), (SEED_MAX, 7, 123)) + (() if bounded else ((11, U32 + 1 - n, U32),))
     for seed, first, rnd in starts:
         sample = Sample(count, np.concatenate([np.ones(first, dtype=np.int64), bounds]) if bounded else None)
-        got = StreamFactory(seed).block(slice(first, first + n), rnd, sample)
+        got = StreamFactory(seed).block(slice(first, first + n), rnd, sample)[0]
         want = [sample.draw(derive_stream(seed, i, rnd), i) for i in range(first, first + n)]
         assert got.dtype == (np.int64 if bounded else np.float64)
         assert np.array_equal(got, want)
@@ -227,7 +233,7 @@ def test_long_normal_row_takes_numpys_wedge_and_tail_paths():
     # its wedge decides them all) and the tail's values beyond the ziggurat's r
     _kernel()
     seed, node, rnd, count = SEED_MAX, 5, 11, 1_000_000
-    got = StreamFactory(seed).block(slice(node, node + 1), rnd, Sample(count))[0]
+    got = StreamFactory(seed).block(slice(node, node + 1), rnd, Sample(count))[0][0]
     want = derive_stream(seed, node, rnd).standard_normal(count)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert (np.abs(got) > 3.6541528853610088).sum() > 100
@@ -246,6 +252,80 @@ def test_block_rejects_the_ids_a_stream_rejects():
         assert str(block.value) == str(per_node.value) == "node/round exceed 32-bit stream id space"
     with pytest.raises(ValueError, match="seed"):
         StreamFactory(SEED_MAX + 1).block(slice(0, 1), 0, Sample(3))
+
+
+# -- RandK picks, drawn by ``block`` after each node's sample ---------------------
+
+
+_PICK_SAMPLES = {
+    "normal": lambda n: Sample(5),
+    "bounded": lambda n: Sample(3, np.array([1, 3, 1000, (1 << 31) + 1, U32, 1 << 32, 7])[np.arange(n) % 7]),
+    "noiseless": lambda n: None,
+}
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no_kernel"])
+@pytest.mark.parametrize("block_bytes", [1, None], ids=["one_row", "default"])
+@pytest.mark.parametrize("kind", list(_PICK_SAMPLES))
+def test_block_with_picks_equals_per_node_draws_then_choice(kind, block_bytes, kernel, monkeypatch):
+    """With picks, every block of a walk is each node's sample, then its
+    ``choice(d, k, replace=False)`` on that same stream; k = 1, k = d and
+    one in between."""
+    if kernel:
+        _kernel()
+    else:
+        monkeypatch.setattr(core, "_kernel", lambda: None)
+    if block_bytes is not None:
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+    seed, n = 9, 11
+    sample = _PICK_SAMPLES[kind](n)
+    factory = StreamFactory(seed)
+    for d, k in ((7, 1), (7, 7), (50, 4)):
+        for r in (1, U32):
+            for rows in core.blocks(n, 7 * 5):
+                raw, chosen = factory.block(rows, r, sample, (d, k))
+                want_raw, want_chosen = [], []
+                for i in range(rows.start, rows.stop):
+                    rng = derive_stream(seed, i, r)
+                    want_raw.append(None if sample is None else sample.draw(rng, i))
+                    want_chosen.append(rng.choice(d, k, replace=False))
+                assert raw is None if sample is None else np.array_equal(raw, want_raw)
+                assert chosen.shape == (rows.stop - rows.start, k) and np.array_equal(chosen, want_chosen)
+
+
+def test_noiseless_block_resets_each_stream_once_for_picks(monkeypatch):
+    resets, stream = [], StreamFactory.stream
+    monkeypatch.setattr(StreamFactory, "stream", lambda self, i, r: resets.append((i, r)) or stream(self, i, r))
+    factory = StreamFactory(2)
+    assert factory.block(slice(3, 7), 5, None) == (None, None)
+    assert resets == []
+    raw, chosen = factory.block(slice(3, 7), 5, None, (10, 2))
+    assert raw is None and chosen.shape == (4, 2)
+    assert resets == [(i, 5) for i in range(3, 7)]
+
+
+def test_stale_kernel_builds_are_removed_after_a_build(tmp_path, monkeypatch):
+    """A build removes the cached builds of other sources for the same
+    Python and numpy, and keeps every other file."""
+    _kernel()
+    prefix = f"draw_block.{sys.implementation.cache_tag}-numpy{np.__version__}-"
+    stale = [f"{prefix}0123456789abcdef.so", f"{prefix}fedcba9876543210.so"]
+    kept = [f"draw_block.cpython-00-numpy{np.__version__}-0123456789abcdef.so", f"{prefix}0123456789abcdef.so.1.tmp", "other.so"]
+    for name in stale + kept:
+        (tmp_path / name).write_bytes(b"old")
+    monkeypatch.setattr(core, "_CACHE_DIR", str(tmp_path))
+    core._kernel.cache_clear()
+    try:
+        assert core._kernel() is not None
+        built = [name for name in os.listdir(tmp_path) if name.startswith(prefix) and name.endswith(".so")]
+        assert len(built) == 1 and built[0] not in stale
+        assert sorted(os.listdir(tmp_path)) == sorted(built + kept)
+        core._kernel.cache_clear()
+        (tmp_path / stale[0]).write_bytes(b"old")
+        assert core._kernel() is not None  # loaded, not built: nothing is removed
+        assert sorted(os.listdir(tmp_path)) == sorted(built + kept + stale[:1])
+    finally:
+        core._kernel.cache_clear()
 
 
 # -- drawing ahead on the kernel's helper thread ----------------------------------
@@ -291,13 +371,13 @@ def test_draw_ahead_equals_per_node_draws_bitwise(order, block_bytes, monkeypatc
     ahead = []
     for rows, r, count in walk:
         ahead.append(factory._ahead_key == (rows.start, rows.stop, r, count))
-        assert factory.block(rows, r, Sample(count)).tobytes() == _normals(seed, rows, r, count)
+        assert factory.block(rows, r, Sample(count))[0].tobytes() == _normals(seed, rows, r, count)
     # the block drawn ahead, asked for as bounded integers, is drawn as those
     first, last = core.blocks(n, 300)[0], core.blocks(n, 300)[-1]
     factory.block(last, 7, Sample(300))
     assert factory._ahead_key == (first.start, first.stop, 8, 300)
     integers = [derive_stream(seed, i, 8).integers(0, 1000, size=300) for i in range(first.start, first.stop)]
-    assert np.array_equal(factory.block(first, 8, Sample(300, np.full(n, 1000))), integers)
+    assert np.array_equal(factory.block(first, 8, Sample(300, np.full(n, 1000)))[0], integers)
     if order == "engine":
         first_round = len(core.blocks(n, 300))
         successors = []
@@ -320,18 +400,18 @@ def test_interleaved_factories_draw_as_each_alone():
     alone = {}
     for seed in (0, 1):
         factory = _ahead_factory(seed)
-        alone[seed] = [factory.block(rows, r, Sample(count)).tobytes() for rows, r in walk]
+        alone[seed] = [factory.block(rows, r, Sample(count))[0].tobytes() for rows, r in walk]
         assert alone[seed] == want[seed]
     pair = _ahead_factory(0), _ahead_factory(1)
     for k, (rows, r) in enumerate(walk):
         for seed, factory in enumerate(pair):
-            assert factory.block(rows, r, Sample(count)).tobytes() == alone[seed][k]
+            assert factory.block(rows, r, Sample(count))[0].tobytes() == alone[seed][k]
 
     got = {}
 
     def walk_with(seed):
         factory = _ahead_factory(seed)
-        got[seed] = [factory.block(rows, r, Sample(count)).tobytes() for rows, r in walk]
+        got[seed] = [factory.block(rows, r, Sample(count))[0].tobytes() for rows, r in walk]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -357,12 +437,12 @@ def test_forked_child_draws_the_same_values():
     want = [_normals(seed, rows, r, count) for rows, r in walk]
     factory = _ahead_factory(seed)
     for k in range(n + 1):  # a round, so that the factory knows n, then round 1's first block
-        assert factory.block(*walk[k], Sample(count)).tobytes() == want[k]
+        assert factory.block(*walk[k], Sample(count))[0].tobytes() == want[k]
     walk, want = walk[n:], want[n:]
     assert factory._ahead_key == (1, 2, 1, count)
 
     def child():
-        got = [factory.block(rows, r, Sample(count)).tobytes() for rows, r in walk[1:]]
+        got = [factory.block(rows, r, Sample(count))[0].tobytes() for rows, r in walk[1:]]
         sys.exit(0 if got == want[1:] and factory._ticket else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
@@ -371,7 +451,7 @@ def test_forked_child_draws_the_same_values():
     if proc.is_alive():
         proc.kill()
     assert proc.exitcode == 0
-    assert [factory.block(rows, r, Sample(count)).tobytes() for rows, r in walk[1:]] == want[1:]
+    assert [factory.block(rows, r, Sample(count))[0].tobytes() for rows, r in walk[1:]] == want[1:]
 
 
 # -- the fallback: the kernel cannot be built, or does not match -----------------

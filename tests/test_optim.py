@@ -386,12 +386,13 @@ def _rejecting(problem, monkeypatch, nodes):
 
 def _kernel_against_fallback(cfg, tmp_path, monkeypatch):
     """The trace bytes with the kernel, those with the per-node fallback,
-    and each run's (stream resets, rounds of the kernel's blocks)."""
+    and each run's (stream resets, rounds of the kernel's blocks), counting
+    the kernel's calls (``_fill``), so that list is empty where no kernel runs."""
     resets, blocks = [], []
-    stream, block = StreamFactory.stream, StreamFactory.block
+    stream, fill = StreamFactory.stream, StreamFactory._fill
     monkeypatch.setattr(StreamFactory, "stream", lambda self, i, r: resets.append(i) or stream(self, i, r))
     monkeypatch.setattr(
-        StreamFactory, "block", lambda self, rows, r, sample: blocks.append(r) or block(self, rows, r, sample)
+        StreamFactory, "_fill", lambda self, lib, rows, r, sample: blocks.append(r) or fill(self, lib, rows, r, sample)
     )
     kernel = _trace_bytes(cfg, 3, tmp_path / "kernel.csv")
     counts = [(len(resets), list(blocks))]
@@ -429,11 +430,11 @@ def test_chunked_draws_equal_per_node_draws_bitwise(case, block_bytes, kind, pna
         core._kernel.cache_clear()
     assert kernel == fallback
     n, blocks = problem.n_nodes, len(core.blocks(problem.n_nodes, problem.dim * batch))
-    per_node = (11 * n, [r for r in range(11) for _ in range(blocks)])  # block called, then per-node draws
+    per_node = (11 * n, [])  # every node draws from its own stream, no kernel call
     if case == "guard_fails":
         assert counts == [per_node, per_node]
     else:
-        assert counts == [(0, per_node[1]), per_node]
+        assert counts == [(0, [r for r in range(11) for _ in range(blocks)]), per_node]
 
 
 @pytest.mark.parametrize("comp", ["topk", "randk"])
@@ -462,7 +463,7 @@ def test_kernel_draws_equal_per_node_draws_bitwise(batch, block_bytes, pname, co
     assert kernel == fallback
     n, blocks = problem.n_nodes, len(core.blocks(problem.n_nodes, problem.dim * batch))
     rounds = range(1) if comp == "randk" else range(11)
-    assert counts[0] == ((11 - len(rounds)) * n, [r for r in rounds for _ in range(blocks)])
+    assert counts == [((11 - len(rounds)) * n, [r for r in rounds for _ in range(blocks)]), (11 * n, [])]
 
 
 # -- noiseless problems ----------------------------------------------------------
