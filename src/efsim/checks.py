@@ -24,7 +24,6 @@ from .compress import (
     Compressor,
     absolute_delta,
     contraction_alpha,
-    draw_picks,
     hard_threshold,
     identity,
     keep_mask,
@@ -80,7 +79,7 @@ def contraction_ratios(spec: Compressor, trials: int, rng: np.random.Generator, 
     ratios = np.empty(trials)
     for t in range(trials):
         x = rng.standard_normal(spec.dim)
-        picks = [draw_picks(spec, rng) for _ in range(resamplings)]
+        picks = [rng.choice(spec.dim, size=spec.k, replace=False) for _ in range(resamplings)]
         acc = 0.0
         for err in dropped(spec, np.tile(x, (resamplings, 1)), picks):
             acc += norm_sq(err)
@@ -258,7 +257,7 @@ def check_reductions(seed: int = 0) -> list[CheckResult]:
         xtil = server.x - server.g - nodes.e.mean(axis=0)
         optim.run_round(optim.EF14_SGD, server, nodes, problem, hp14, comp, streams)
         raw = np.array([problem.sample(1).draw(derive_stream(seed, i, t + 1), i) for i in range(problem.n_nodes)])
-        expect = xtil - hp14.gamma * problem.stoch_grads(all_nodes, server.x, raw).mean(axis=0)
+        expect = xtil - hp14.gamma * problem.stoch_grads_at(all_nodes, (server.x,), raw)[0].mean(axis=0)
         err = server.x - server.g - nodes.e.mean(axis=0) - expect
         rel = math.sqrt(norm_sq(err)) / (1.0 + math.sqrt(norm_sq(expect)))
         worst = max(worst, rel)
@@ -301,9 +300,8 @@ def check_lyapunov(seed: int = 0) -> list[CheckResult]:
     for sigma, seeds, max_up in ((0.0, (seed,), 0.0), (0.01, tuple(range(seed, seed + 20)), 0.05)):
         name = f"descent diagnostic, sigma={sigma}, mean of {len(seeds)} seed(s): <= {max_up:.0%} upward, end < start"
         problem = generate_quadratic(20, 100, 0.01, 1.0, seed=0, sigma=sigma)
-        smooth = problem.smoothness()
-        delta0 = problem.value(problem.x0) - smooth.f_star
-        hp = theoretical_params(optim.EF21_SGDM, smooth, contraction_alpha(comp), sigma, 20, 1000, delta0)
+        delta0 = problem.value(problem.x0) - problem.f_star
+        hp = theoretical_params(optim.EF21_SGDM, problem.smoothness(), contraction_alpha(comp), sigma, 20, 1000, delta0)
         cfg = RunConfig(optim.EF21_SGDM, problem, comp, hp, seeds, metric_every=10, lyapunov=True, lyapunov_every=10)
         (traces,) = run_all([cfg])
         failed = [tr.seed for tr in traces if tr.failure_round is not None]

@@ -27,7 +27,6 @@ __all__ = [
     "rand_k",
     "identity",
     "hard_threshold",
-    "draw_picks",
     "keep_mask",
     "compress",
     "contraction_alpha",
@@ -93,20 +92,11 @@ class CompressedVector:
     dim: int
 
 
-def draw_picks(spec: Compressor, rng: np.random.Generator | None) -> np.ndarray | None:
-    """RandK's random coordinates, drawn from ``rng`` (None for the
-    deterministic operators, which draw nothing)."""
-    if not spec.is_random:
-        return None
-    if rng is None:
-        raise ValueError("randk requires a random stream")
-    return rng.choice(spec.dim, size=spec.k, replace=False)
-
-
 def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
     """Boolean mask of the coordinates the operator keeps in each row of
     ``rows`` (shape (m, d)); ``picks`` holds RandK's k indices per row, an
-    (m, k) array or a list of each row's ``draw_picks``.
+    (m, k) array or a list of m length-k arrays (each row's
+    ``rng.choice(d, k, replace=False)``).
 
     TopK keeps the k largest magnitudes with ties broken toward the lowest
     index (determinism is required for bitwise replay), exactly the first k
@@ -142,13 +132,19 @@ def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
     return mask
 
 
-# no efsim code calls this; it stays because perfbench/tracing.py imports it by name
+# the engine calls ``keep_mask`` on blocks of rows; this one-vector form is
+# kept for perfbench/tracing.py, which imports it by name, and the tests
 def compress(spec: Compressor, x: np.ndarray, rng: np.random.Generator | None = None) -> CompressedVector:
     """Apply the operator to x, returning the kept coordinates (see
     ``keep_mask``); RandK draws its coordinates from ``rng``."""
     if x.shape != (spec.dim,):
         raise ValueError(f"dimension mismatch: compressor dim {spec.dim}, vector shape {x.shape}")
-    idx = np.flatnonzero(keep_mask(spec, x[None, :], [draw_picks(spec, rng)])[0])
+    picks = None
+    if spec.is_random:
+        if rng is None:
+            raise ValueError("randk requires a random stream")
+        picks = [rng.choice(spec.dim, size=spec.k, replace=False)]
+    idx = np.flatnonzero(keep_mask(spec, x[None, :], picks)[0])
     return CompressedVector(idx, x[idx], spec.dim)
 
 

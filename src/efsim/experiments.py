@@ -263,13 +263,12 @@ def resolve_hyper(exp: dict, algorithm: str, problem: Problem, comp: Compressor)
     """Concrete hyperparameters for one algorithm of the experiment."""
     h = exp["hyper"]
     if h["theoretical"]:
-        smooth = problem.smoothness()
-        if smooth.f_star is None:
+        if problem.f_star is None:
             raise SchemaError("theoretical step sizes need a problem with a known optimal value")
-        delta0 = problem.value(problem.x0) - smooth.f_star
+        delta0 = problem.value(problem.x0) - problem.f_star
         return theoretical_params(
             algorithm,
-            smooth,
+            problem.smoothness(),
             contraction_alpha(comp),
             problem.sigma,
             problem.n_nodes,

@@ -216,7 +216,7 @@ def init(
     batch = hp.batch if rule.message == "ef14" else hp.b_init
     g0, sample = np.empty((n, d)), problem.sample(batch)
     for rows in blocks(n, d * batch):
-        g0[rows] = problem.stoch_grads(rows, x0, streams.block(rows, 0, sample)[0])
+        g0[rows] = problem.stoch_grads_at(rows, (x0,), streams.block(rows, 0, sample)[0])[0]
     if rule.message == "ef14":
         nodes = NodeArrays(g=np.zeros((n, d)), e=np.zeros((n, d)))
         nodes.e += schedule_at(hp, 0)[0] * g0

@@ -2,7 +2,6 @@ from .base import Problem, SmoothnessInfo
 from .counterexample import CounterexampleProblem
 from .logreg import (
     LogRegProblem,
-    load_libsvm_problem,
     make_blobs,
     parse_libsvm,
     split_examples,
@@ -15,7 +14,6 @@ __all__ = [
     "SmoothnessInfo",
     "CounterexampleProblem",
     "LogRegProblem",
-    "load_libsvm_problem",
     "make_blobs",
     "parse_libsvm",
     "split_examples",

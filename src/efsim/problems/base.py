@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import Sample, add_rows, blocks
 
-__all__ = ["SmoothnessInfo", "Problem", "power_iteration_norm"]
+__all__ = ["SmoothnessInfo", "Problem"]
 
 
 @dataclass
@@ -29,14 +29,14 @@ class SmoothnessInfo:
     ``L_i`` of each node objective, ``L_tilde`` is the quadratic mean
     sqrt((1/n) sum L_i^2).  ``ell_tilde`` is the analogous quantity for
     single-sample gradients when each realization is itself smooth (needed
-    by variance-reduced estimators).
+    by variance-reduced estimators).  The optimal value f* is not here:
+    it is the problem's own ``f_star``.
     """
 
     L: float
     L_i: np.ndarray
     L_tilde: float
     ell_tilde: float | None = None
-    f_star: float | None = None
 
 
 class Problem:
@@ -50,12 +50,16 @@ class Problem:
     its own stream (``sample``); the engine draws a block's raw samples at
     once or node by node, with the same values, and ``stoch_grads_at`` takes
     them as they are drawn, one row per node.
+
+    ``f_star`` is the optimal value min f, or None where it is not known;
+    each problem sets it.
     """
 
     dim: int
     n_nodes: int
     x0: np.ndarray
     sigma: float
+    f_star: float | None
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
         """One row grad f_i(x) per node i of the block ``rows``
@@ -74,20 +78,14 @@ class Problem:
         batch here, once for all iterates); ``raw`` is None if ``sample`` is."""
         raise NotImplementedError
 
-    def stoch_grads(self, rows: slice, x: np.ndarray, raw) -> np.ndarray:
-        """``stoch_grads_at`` at the one iterate x."""
-        return self.stoch_grads_at(rows, (x,), raw)[0]
-
     def value(self, x: np.ndarray) -> float:
         """Global objective f(x) = (1/n) sum_i f_i(x)."""
         raise NotImplementedError
 
     def smoothness(self) -> SmoothnessInfo:
+        """The constants of the theoretical step sizes, which need f* too:
+        only problems with a known ``f_star`` define it."""
         raise NotImplementedError
-
-    @property
-    def f_star(self) -> float | None:
-        return self.smoothness().f_star
 
     def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """``value(x)`` and the mean gradient (1/n) sum_i grad f_i(x), the
@@ -97,32 +95,3 @@ class Problem:
         for rows in blocks(self.n_nodes, self.dim):
             add_rows(g, self.full_grads(rows, x))
         return self.value(x), g / self.n_nodes
-
-
-def power_iteration_norm(
-    matvec,
-    dim: int,
-    tol: float = 1e-8,
-    max_iter: int = 20000,
-    seed: int = 7,
-) -> float:
-    """Spectral norm of a symmetric operator given through its matvec.
-
-    Plain power iteration on a seeded random start vector; stops when the
-    Rayleigh quotient magnitude changes by less than ``tol`` relatively.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam = abs(float(v @ matvec(v)))
-        if abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return lam
-        lam_prev = lam
-    return lam_prev

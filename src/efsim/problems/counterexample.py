@@ -26,6 +26,8 @@ __all__ = ["CounterexampleProblem"]
 
 
 class CounterexampleProblem(Problem):
+    f_star = 0.0
+
     def __init__(
         self,
         l_smooth: float = 1.0,
@@ -74,5 +76,4 @@ class CounterexampleProblem(Problem):
             L_i=l_i,
             L_tilde=self.l_smooth,
             ell_tilde=self.l_smooth,
-            f_star=0.0,
         )

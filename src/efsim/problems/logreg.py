@@ -16,19 +16,24 @@ import math
 import numpy as np
 
 from ..core import Sample, add_rows, atomic_write
-from .base import Problem, SmoothnessInfo, power_iteration_norm
+from .base import Problem
 
 __all__ = [
     "LogRegProblem",
     "parse_libsvm",
     "write_libsvm",
     "split_examples",
-    "load_libsvm_problem",
     "make_blobs",
 ]
 
 
 class LogRegProblem(Problem):
+    """Multiclass logistic regression over each node's examples.  Its optimal
+    value is unknown (``f_star`` is None), so it defines no smoothness
+    constants and takes no theoretical step sizes."""
+
+    f_star = None
+
     def __init__(self, features: list[np.ndarray], labels: list[np.ndarray], classes: int, reg: float = 1e-3):
         """features[i]: (m_i, l) raw node examples; labels[i]: ints in [1, c]."""
         if len(features) != len(labels) or not features:
@@ -58,7 +63,6 @@ class LogRegProblem(Problem):
         self.sigma = 0.0  # data-driven noise; no closed-form bound is claimed
         # start at zero weights: symmetric softmax, loss log(c)
         self.x0 = np.zeros(self.dim)
-        self._smooth: SmoothnessInfo | None = None
 
     # -- objective pieces --------------------------------------------------
 
@@ -99,12 +103,6 @@ class LogRegProblem(Problem):
         probs[true] -= 1.0  # the residual, in place
         grads = (probs.transpose(0, 2, 1) @ a) / m  # (r, c, l+1)
         return p_true, grads.reshape(r, self.dim)
-
-    def _node_data(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node i's examples (m_i, l+1) and zero-based labels: views into the
-        stacked data, which is all a pickled problem carries."""
-        rows = slice(self._start[i], self._start[i] + self.m_i[i])
-        return self._a_all[rows], self._y_all[rows]
 
     def _full_pass(self, rows: slice, x: np.ndarray) -> tuple[list[np.ndarray] | np.ndarray, np.ndarray]:
         """``_softmax_grads`` over the full local datasets of nodes ``rows``:
@@ -152,27 +150,6 @@ class LogRegProblem(Problem):
         g = np.zeros(self.dim)
         add_rows(g, grads + self._reg_grad(x))
         return float(np.mean([self._loss(p) + reg_value for p in p_true])), g / self.n_nodes
-
-    def smoothness(self) -> SmoothnessInfo:
-        """Analytic upper bounds: softmax curvature dominated by
-        ||A^T A||_2 / (4 m) and the regularizer's curvature peak 2*reg."""
-        if self._smooth is not None:
-            return self._smooth
-        l_i = np.empty(self.n_nodes)
-        ell_i = np.empty(self.n_nodes)
-        for i in range(self.n_nodes):
-            a = self._node_data(i)[0]
-            gram_norm = power_iteration_norm(lambda v, a=a: a.T @ (a @ v), a.shape[1])
-            l_i[i] = gram_norm / (4.0 * a.shape[0]) + 2.0 * self.reg
-            ell_i[i] = float(np.max(np.sum(a**2, axis=1))) / 4.0 + 2.0 * self.reg
-        self._smooth = SmoothnessInfo(
-            L=float(np.mean(l_i)),
-            L_i=l_i,
-            L_tilde=float(np.sqrt(np.mean(l_i**2))),
-            ell_tilde=float(np.sqrt(np.mean(ell_i**2))),
-            f_star=None,
-        )
-        return self._smooth
 
 
 # -- dataset handling -------------------------------------------------------
@@ -259,20 +236,6 @@ def split_examples(
         feats.append(features[part])
         labs.append(labels[part])
     return feats, labs
-
-
-def load_libsvm_problem(
-    path: str,
-    classes: int,
-    n_features: int,
-    n_nodes: int,
-    policy: str = "by_label",
-    seed: int = 0,
-    reg: float = 1e-3,
-) -> LogRegProblem:
-    x, y = parse_libsvm(path, classes, n_features)
-    feats, labs = split_examples(x, y, n_nodes, policy, seed)
-    return LogRegProblem(feats, labs, classes, reg=reg)
 
 
 def make_blobs(classes: int, n_features: int, examples: int, seed: int = 0, spread: float = 3.0):

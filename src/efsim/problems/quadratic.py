@@ -9,23 +9,24 @@ generation every matrix is shifted by ``(lam - lambda_min(mean Q)) * I`` so
 the mean matrix has minimum eigenvalue exactly ``lam``, and the start point
 is ``x0 = (sqrt(d), 0, ..., 0)``.
 
-Generated problems keep the tridiagonal-plus-shift structure (matvecs are
-O(d), which keeps d = 1000 runs cheap); arbitrary dense matrices are also
-accepted for hand-built test cases.  Stochastic gradients add Gaussian
-noise with per-coordinate variance sigma^2 / d, so the vector-level second
-moment is sigma^2, matching how the variance bound is stated.
+A problem is held as that structure, the node scales and the shift, so
+matvecs are O(d), which keeps d = 1000 runs cheap.  Stochastic gradients
+add Gaussian noise with per-coordinate variance sigma^2 / d, so the
+vector-level second moment is sigma^2, matching how the variance bound is
+stated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
 from ..core import Sample, atomic_write, derive_stream
-from .base import Problem, SmoothnessInfo, power_iteration_norm
+from .base import Problem, SmoothnessInfo
 
 __all__ = ["QuadraticProblem", "generate_quadratic", "save_quadratic_task", "load_quadratic_task"]
 
@@ -46,52 +47,33 @@ def _tridiag_matvec(x: np.ndarray) -> np.ndarray:
 
 
 class QuadraticProblem(Problem):
-    """f_i(x) = 0.5 x^T Q_i x - b_i^T x with additive Gaussian noise."""
+    """f_i(x) = 0.5 x^T Q_i x - b_i^T x with additive Gaussian noise, where
+    Q_i = tri_scale[i] * T + shift * I."""
 
     def __init__(
         self,
         b: np.ndarray,
         x0: np.ndarray,
-        sigma: float = 0.0,
-        tri_scale: np.ndarray | None = None,
-        shift: float = 0.0,
-        dense: np.ndarray | None = None,
+        sigma: float,
+        tri_scale: np.ndarray,
+        shift: float,
         meta: dict | None = None,
     ):
-        if (tri_scale is None) == (dense is None):
-            raise ValueError("provide exactly one of tri_scale (structured) or dense matrices")
         self.b = np.asarray(b, dtype=np.float64)
         self.n_nodes, self.dim = self.b.shape
         self.x0 = np.asarray(x0, dtype=np.float64)
         self.sigma = float(sigma)
-        self.tri_scale = None if tri_scale is None else np.asarray(tri_scale, dtype=np.float64)
+        self.tri_scale = np.asarray(tri_scale, dtype=np.float64)
         self.shift = float(shift)
-        self.dense = None if dense is None else np.asarray(dense, dtype=np.float64)
         self.meta = meta or {}
-        self._smooth: SmoothnessInfo | None = None
         self._noise_scale = self.sigma / math.sqrt(self.dim)
 
-    @classmethod
-    def from_matrices(cls, qmats, bs, x0, sigma: float = 0.0) -> "QuadraticProblem":
-        return cls(b=np.asarray(bs, dtype=np.float64), x0=x0, sigma=sigma, dense=np.asarray(qmats, dtype=np.float64))
-
-    # -- matvecs ---------------------------------------------------------
-
-    def matvec(self, i: int, x: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense[i] @ x
-        return self.tri_scale[i] * _tridiag_matvec(x) + self.shift * x
-
     def mean_matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            return np.mean(self.dense, axis=0) @ x
         return float(np.mean(self.tri_scale)) * _tridiag_matvec(x) + self.shift * x
 
     # -- oracles ---------------------------------------------------------
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
-        if self.dense is not None:  # one matvec per row
-            return np.array([q @ x for q in self.dense[rows]]) - self.b[rows]
         g = self.tri_scale[rows, None] * _tridiag_matvec(x)
         g += self.shift * x
         g -= self.b[rows]
@@ -117,52 +99,35 @@ class QuadraticProblem(Problem):
 
     # -- metadata --------------------------------------------------------
 
-    def _spectral_range_structured(self, scale: float) -> tuple[float, float]:
+    def _spectral_range(self, scale: float) -> tuple[float, float]:
         lo, hi = _tridiag_eigenvalues_range(self.dim)
         ends = (scale * lo + self.shift, scale * hi + self.shift)
         return min(ends), max(ends)
 
     def mean_lambda_min(self) -> float:
-        if self.dense is not None:
-            return float(np.linalg.eigvalsh(np.mean(self.dense, axis=0)).min())
-        return self._spectral_range_structured(float(np.mean(self.tri_scale)))[0]
+        return self._spectral_range(float(np.mean(self.tri_scale)))[0]
 
     def smoothness(self) -> SmoothnessInfo:
-        if self._smooth is not None:
-            return self._smooth
-        if self.dense is not None:
-            l_i = np.array(
-                [power_iteration_norm(lambda v, i=i: self.matvec(i, v), self.dim) for i in range(self.n_nodes)]
-            )
-            l_mean = power_iteration_norm(self.mean_matvec, self.dim)
-        else:
-            # eigenvalues of scale*T + shift*I are linear in T's, so the
-            # spectral norm sits at one of the two extreme eigenvalues
-            l_i = np.array(
-                [max(abs(e) for e in self._spectral_range_structured(float(s))) for s in self.tri_scale]
-            )
-            l_mean = max(abs(e) for e in self._spectral_range_structured(float(np.mean(self.tri_scale))))
-        self._smooth = SmoothnessInfo(
-            L=float(l_mean),
-            L_i=l_i,
-            L_tilde=float(np.sqrt(np.mean(l_i**2))),
-            ell_tilde=float(np.sqrt(np.mean(l_i**2))),  # additive noise keeps per-sample Lipschitz constants
-            f_star=self._compute_f_star(),
-        )
-        return self._smooth
+        # eigenvalues of scale*T + shift*I are linear in T's, so the
+        # spectral norm sits at one of the two extreme eigenvalues
+        l_i = np.array([max(abs(e) for e in self._spectral_range(float(s))) for s in self.tri_scale])
+        l_tilde = float(np.sqrt(np.mean(l_i**2)))
+        l_mean = max(abs(e) for e in self._spectral_range(float(np.mean(self.tri_scale))))
+        # additive noise keeps per-sample Lipschitz constants: ell_tilde = L_tilde
+        return SmoothnessInfo(L=float(l_mean), L_i=l_i, L_tilde=l_tilde, ell_tilde=l_tilde)
 
-    def _compute_f_star(self) -> float | None:
+    @cached_property
+    def f_star(self) -> float | None:
+        """min f, from one banded solve of the mean matrix; None unless that
+        matrix is positive definite."""
         if self.mean_lambda_min() <= 0.0:
             return None
         bbar = self.b.mean(axis=0)
-        if self.dense is not None:
-            xstar = np.linalg.solve(np.mean(self.dense, axis=0), bbar)
-        else:
-            scale = float(np.mean(self.tri_scale))
-            ab = np.zeros((2, self.dim))
-            ab[0, 1:] = -scale
-            ab[1, :] = 2.0 * scale + self.shift
-            xstar = solveh_banded(ab, bbar)
+        scale = float(np.mean(self.tri_scale))
+        ab = np.zeros((2, self.dim))
+        ab[0, 1:] = -scale
+        ab[1, :] = 2.0 * scale + self.shift
+        xstar = solveh_banded(ab, bbar)
         return 0.5 * float(xstar @ self.mean_matvec(xstar)) - float(bbar @ xstar)
 
 
@@ -201,8 +166,6 @@ def save_quadratic_task(problem: QuadraticProblem, path: str) -> None:
     re-running the generator, and the generation parameters are kept for
     provenance.
     """
-    if problem.tri_scale is None:
-        raise ValueError("only generated (structured) tasks can be serialized")
     doc = {
         "format": "efsim-quadratic-task",
         "version": 1,
@@ -242,6 +205,9 @@ def load_quadratic_task(path: str, sigma: float | None = None) -> QuadraticProbl
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "efsim-quadratic-task":
         raise ValueError(f"{path} is not a quadratic task file (a JSON object with format 'efsim-quadratic-task')")
+    unknown = sorted(set(doc) - {"format", *_TASK_KEYS})
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown}")
     for key, (ok, expected) in _TASK_KEYS.items():
         if key not in doc or not ok(doc[key]):
             got = f"got {doc[key]!r}" if key in doc else "missing"

@@ -139,7 +139,7 @@ def test_07_quadratic_method_ordering(floors):
 def test_08_time_varying_momentum_bound():
     prob = generate_quadratic(1, 20, 0.1, 0.0, seed=0, sigma=0.1)
     sm = prob.smoothness()
-    delta0 = prob.value(prob.x0) - sm.f_star
+    delta0 = prob.value(prob.x0) - prob.f_star
     gamma0 = 1.0 / (3.0 * sm.L)
     rounds = 1000
     hp = HyperParams(gamma=gamma0, eta=1.0, batch=1, b_init=1, rounds=rounds, schedule="inv_sqrt_t")

@@ -30,6 +30,7 @@ from efsim.experiments import (
 from efsim.harness import _with_gamma, read_trace_csv, run
 from efsim.optim import ALGORITHMS
 from test_compress import PINNED_DETAILS
+from test_problems import node_matrix
 
 
 def minimal_experiment(**kw):
@@ -379,9 +380,10 @@ TASK = {
         ({**TASK, "shift": float("nan")}, "shift"),
         ({**TASK, "sigma": -0.5}, "sigma"),
         ({k: v for k, v in TASK.items() if k != "params"}, "params"),
+        ({**TASK, "sigmaa": 0.5, "shfit": 3.0}, "['shfit', 'sigmaa']"),  # used to run, the misspelt keys ignored
     ],
     ids=["not_an_object", "wrong_format", "no_dim", "dim_1_negative_sigma", "float_dim", "bool_dim", "version_2",
-         "empty_lists", "string_scale", "short_b_first", "nan_shift", "negative_sigma", "no_params"],
+         "empty_lists", "string_scale", "short_b_first", "nan_shift", "negative_sigma", "no_params", "unknown_keys"],
 )
 def test_malformed_task_file_is_usage_error(tmp_path, capsys, content, key):
     task = tmp_path / "task.json"
@@ -782,12 +784,7 @@ def test_gen_quadratic_reload_invariant(tmp_path):
     assert main(["gen", "quadratic", path, "--n", "10", "--d", "50", "--lam", "0.01", "--s", "1.0", "--seed", "3"]) == 0
     prob = load_quadratic_task(path)
     assert prob.mean_lambda_min() == pytest.approx(0.01, abs=1e-8)
-    qbar = np.zeros((50, 50))
-    for i in range(10):
-        for j in range(50):
-            e = np.zeros(50)
-            e[j] = 1.0
-            qbar[:, j] += prob.matvec(i, e)
+    qbar = sum(node_matrix(prob, i) for i in range(10))
     assert np.linalg.eigvalsh(qbar / 10).min() == pytest.approx(0.01, abs=1e-8)
 
 

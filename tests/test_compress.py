@@ -11,7 +11,6 @@ from efsim.compress import (
     absolute_delta,
     compress,
     contraction_alpha,
-    draw_picks,
     hard_threshold,
     identity,
     keep_mask,
@@ -149,7 +148,7 @@ def test_dropped_is_input_minus_kept_bitwise():
     # x - x is +0.0 and x - 0.0 is x, signed zeros included
     rows = derive_stream(5, 0, 0).standard_normal((6, 12))
     rows[:, :3] = [0.0, -0.0, 0.05]
-    picks = [draw_picks(rand_k(4, 12), derive_stream(5, i, 1)) for i in range(6)]
+    picks = [derive_stream(5, i, 1).choice(12, size=4, replace=False) for i in range(6)]
     for spec in (top_k(1, 12), top_k(5, 12), rand_k(4, 12), identity(12), hard_threshold(0.1, 12)):
         p = picks if spec.is_random else None
         kept = np.where(keep_mask(spec, rows, p), rows, 0.0)
@@ -209,7 +208,7 @@ def test_randk_block_draws_match_per_node_compress():
     for i in range(6):
         rng = derive_stream(4, i, 1)
         rng.standard_normal(30)  # the oracle sample
-        picks.append(draw_picks(spec, rng))
+        picks.append(rng.choice(30, size=4, replace=False))
         rng = derive_stream(4, i, 1)
         rng.standard_normal(30)
         expected.append(np.sort(rng.choice(30, size=4, replace=False)))
@@ -221,7 +220,6 @@ def test_randk_block_draws_match_per_node_compress():
         assert np.array_equal(np.flatnonzero(mask[i]), expected[i])
         assert np.array_equal(c.indices, expected[i])
         assert np.array_equal(c.values, rows[i][expected[i]])
-    assert draw_picks(top_k(2, 30), None) is None
 
 
 def test_randk_mask_from_a_picks_array_equals_the_per_row_loop():

@@ -74,3 +74,33 @@ def test_module_imports_form_no_cycle():
         graphlib.TopologicalSorter({name: _efsim_imports(name) for name in MODULES}).prepare()
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+# definitions no efsim code uses by name, each kept for a caller outside src
+UNUSED_IN_SRC = {
+    "compress": "perfbench/tracing.py wraps compress.compress by name",
+    "read_trace_csv": "the trace format's reader, for reports that read written traces",
+    "_Parser.error": "it overrides argparse.ArgumentParser.error, which argparse calls",
+}
+
+
+def test_every_definition_is_used_in_src():
+    """Every module-level function or class, and every method but the
+    dunders, of every efsim module has its name used, as a name or an
+    attribute, somewhere in efsim's source.  The check is by name: an unused
+    override of a used name, or a definition that only its own body uses,
+    passes it."""
+    defined, used = {}, set()
+    for name in MODULES:
+        path = importlib.import_module(name).__file__
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        defs = [("", node) for node in tree.body] + [(f"{c.name}.", node) for c in classes for node in c.body]
+        for prefix, node in defs:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                defined[prefix + node.name] = (node.name, f"{name}:{node.lineno}")
+        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unused = {q: where for q, (n, where) in defined.items() if n not in used and q not in UNUSED_IN_SRC}
+    assert unused == {}, "defined but never used in src (name: module:line)"

@@ -3,7 +3,7 @@
 ``golden_traces.json`` holds the sha256 of the trace CSV of one short seeded
 run of every valid (algorithm x compressor) pair on four problems (the 2-d
 counterexample, a structured quadratic, a dense quadratic built from
-matrices, and small logistic-regression blobs), plus runs that reach the
+matrices (``dense_quadratic.DenseQuadratic``), and small logistic-regression blobs), plus runs that reach the
 rarer paths: mini-batches, the decaying schedule, zero noise, the Lyapunov
 column (on the quadratic, the counterexample with f* known, and the blobs
 with f* unknown), a diverging step size, and problems wide enough to span
@@ -27,25 +27,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_quadratic import DenseQuadratic
 
 from efsim import core, optim
 from efsim.compress import hard_threshold, identity, rand_k, top_k
 from efsim.harness import RunConfig, run, write_trace_csv
 from efsim.optim import HyperParams
-from efsim.problems import CounterexampleProblem, LogRegProblem, QuadraticProblem, generate_quadratic, make_blobs, split_examples
+from efsim.problems import CounterexampleProblem, LogRegProblem, generate_quadratic, make_blobs, split_examples
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_traces.json")
 ROUNDS = 20
 
 
-def _dense_quadratic() -> QuadraticProblem:
+def _dense_quadratic() -> DenseQuadratic:
     rng = np.random.Generator(np.random.Philox(key=31))
     n, d = 3, 6
     mats = []
     for _ in range(n):
         a = rng.standard_normal((d, d))
         mats.append(a @ a.T / d + 0.1 * np.eye(d))
-    return QuadraticProblem.from_matrices(np.array(mats), rng.standard_normal((n, d)), x0=rng.standard_normal(d), sigma=0.3)
+    return DenseQuadratic(np.array(mats), rng.standard_normal((n, d)), x0=rng.standard_normal(d), sigma=0.3)
 
 
 def _blobs() -> LogRegProblem:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_quadratic import DenseQuadratic
 
 from efsim.checks import _seed_stat, momentum_floor, theorem1_bound
 from efsim.compress import identity, top_k
@@ -20,7 +21,7 @@ from efsim.harness import (
     write_trace_csv,
 )
 from efsim.optim import HyperParams, NodeArrays, ServerState
-from efsim.problems import CounterexampleProblem, QuadraticProblem, generate_quadratic
+from efsim.problems import CounterexampleProblem, generate_quadratic
 from test_problems import _uneven_logreg
 
 
@@ -38,6 +39,29 @@ def test_zero_rounds_gives_single_row():
     assert len(tr.records) == 1
     assert tr.records[0].t == 0
     assert tr.records[0].samples_cum == cfg.hyper.b_init
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        CounterexampleProblem(sigma=1.0, n_nodes=3),
+        generate_quadratic(4, 20, 0.1, 1.0, seed=3, sigma=0.1),
+        _uneven_logreg()[0],
+    ],
+    ids=["counterexample", "quadratic", "logreg"],
+)
+def test_fixed_gamma_run_computes_no_smoothness(prob, monkeypatch):
+    # the metric rows read f* from the problem, and the Lyapunov rows take
+    # their gap from them: neither needs the smoothness constants
+    def refuse(self):
+        raise AssertionError("smoothness() called")
+
+    monkeypatch.setattr(type(prob), "smoothness", refuse)
+    hp = HyperParams(gamma=0.01, eta=0.5, rounds=6)
+    cfg = RunConfig("ef21_sgdm", prob, top_k(1, prob.dim), hp, metric_every=1, lyapunov=True, lyapunov_every=2)
+    tr = run(cfg, 0)
+    assert tr.failure_round is None and len(tr.records) == 7
+    assert tr.records[-1].lyapunov is not None
 
 
 def test_rerun_is_bitwise_identical():
@@ -111,7 +135,7 @@ def test_quantiles_median_is_pointwise():
 def test_lyapunov_hand_computed_value():
     # one node, one dimension, f(x) = x^2/2, x=1, g=v=0.5, gamma=eta=alpha=1:
     # 0.5 + 0 + 0.25 + 0.25 = 1.0
-    prob = QuadraticProblem.from_matrices(np.ones((1, 1, 1)), np.zeros((1, 1)), x0=np.zeros(1))
+    prob = DenseQuadratic(np.ones((1, 1, 1)), np.zeros((1, 1)), x0=np.zeros(1))
     server = ServerState(x=np.array([1.0]), g=np.array([0.5]), t=0)
     nodes = NodeArrays(g=np.array([[0.5]]), v=np.array([[0.5]]))
     val = lyapunov(prob, server, nodes, gamma=1.0, eta=1.0, alpha=1.0, gap=prob.value(server.x) - prob.f_star)
@@ -192,9 +216,7 @@ def _lyapunov_per_node(prob, x, nodes, gamma, eta, alpha):
     "prob",
     [
         generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01),
-        QuadraticProblem.from_matrices(
-            np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(5)]), np.ones((5, 4)), x0=np.zeros(4)
-        ),
+        DenseQuadratic(np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(5)]), np.ones((5, 4)), x0=np.zeros(4)),
         CounterexampleProblem(sigma=1.0, n_nodes=7),
         _uneven_logreg()[0],
     ],

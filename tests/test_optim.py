@@ -126,7 +126,7 @@ def test_init_error_feedback_starts_from_zero():
     gamma_0 = schedule_at(hp, 0)[0]
     for i in range(prob.n_nodes):
         raw = prob.sample(3).draw(derive_stream(0, i, 0), i)
-        g0 = prob.stoch_grads(slice(i, i + 1), prob.x0, raw[None])[0]
+        g0 = prob.stoch_grads_at(slice(i, i + 1), (prob.x0,), raw[None])[0][0]
         assert np.array_equal(nodes.e[i], gamma_0 * g0)
     assert log.grad_evals == 3
 
@@ -208,7 +208,7 @@ def test_error_feedback_error_is_what_was_not_sent(schedule):
 
     def sample_grads(x, round_index):
         raw = np.array([prob.sample(1).draw(derive_stream(seed, i, round_index), i) for i in range(prob.n_nodes)])
-        return prob.stoch_grads(slice(0, prob.n_nodes), x, raw).sum(axis=0)
+        return prob.stoch_grads_at(slice(0, prob.n_nodes), (x,), raw)[0].sum(axis=0)
 
     owed = [schedule_at(hp, 0)[0] * sample_grads(prob.x0, 0)]
     sent = []

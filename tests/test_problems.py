@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from dense_quadratic import DenseQuadratic
 from scipy.linalg import eigh_tridiagonal
 
 from efsim import harness
@@ -12,9 +13,7 @@ from efsim.problems import (
     CounterexampleProblem,
     LogRegProblem,
     Problem,
-    QuadraticProblem,
     generate_quadratic,
-    load_libsvm_problem,
     load_quadratic_task,
     make_blobs,
     parse_libsvm,
@@ -38,7 +37,22 @@ def node_draw(prob, i, rng, batch=1):
 
 def node_stoch_grad(prob, i, x, rng, batch=1):
     """One size-``batch`` stochastic gradient at node i, drawn from ``rng``."""
-    return prob.stoch_grads(slice(i, i + 1), x, [node_draw(prob, i, rng, batch)])[0]
+    return prob.stoch_grads_at(slice(i, i + 1), (x,), [node_draw(prob, i, rng, batch)])[0][0]
+
+
+def node_matrix(prob, i):
+    """Node i's matrix Q_i of a generated quadratic, built explicitly:
+    ``tri_scale[i]`` times tridiag(-1, 2, -1), plus ``shift`` times I."""
+    d = prob.dim
+    tri = 2.0 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)
+    return prob.tri_scale[i] * tri + prob.shift * np.eye(d)
+
+
+def node_data(prob, i):
+    """Node i's bias-augmented examples and zero-based labels of a logistic
+    regression: views into its stacked data."""
+    rows = slice(prob._start[i], prob._start[i] + prob.m_i[i])
+    return prob._a_all[rows], prob._y_all[rows]
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -61,7 +75,7 @@ def test_generator_zero_scale_degenerate_case():
         assert prob.b[i, 0] == pytest.approx(-0.25)
         assert np.all(prob.b[i, 1:] == 0.0)
     x = derive_stream(1, 0, 0).standard_normal(6)
-    assert np.allclose(prob.matvec(0, x), prob.matvec(3, x))
+    assert np.allclose(node_matrix(prob, 0) @ x, node_matrix(prob, 3) @ x)
     assert prob.x0[0] == pytest.approx(math.sqrt(6))
     assert np.all(prob.x0[1:] == 0.0)
 
@@ -69,15 +83,7 @@ def test_generator_zero_scale_degenerate_case():
 @pytest.mark.parametrize("n,d,lam,s", [(5, 10, 0.05, 1.0), (20, 100, 0.01, 1.0), (3, 200, 0.0, 0.5)])
 def test_generator_mean_matrix_min_eigenvalue(n, d, lam, s):
     prob = generate_quadratic(n, d, lam, s, seed=7)
-    qbar = np.zeros((d, d))
-    for i in range(n):
-        qi = np.zeros((d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            qi[:, j] = prob.matvec(i, e)
-        qbar += qi
-    qbar /= n
+    qbar = sum(node_matrix(prob, i) for i in range(n)) / n
     assert np.linalg.eigvalsh(qbar).min() == pytest.approx(lam, abs=1e-8)
 
 
@@ -93,7 +99,7 @@ def test_generator_large_dimension_eigenvalue_oracle():
 
 def test_quadratic_full_grad_hand_case():
     q = np.array([[[2.0, -1.0], [-1.0, 2.0]]]) / 4.0
-    prob = QuadraticProblem.from_matrices(q, np.zeros((1, 2)), x0=np.zeros(2))
+    prob = DenseQuadratic(q, np.zeros((1, 2)), x0=np.zeros(2))
     g = node_grad(prob, 0, np.array([1.0, 1.0]))
     assert np.allclose(g, [0.25, 0.25])
     assert np.allclose(node_grad(prob, 0, np.zeros(2)), -prob.b[0])
@@ -104,7 +110,7 @@ def test_quadratic_grad_matches_finite_differences():
     rng = derive_stream(3, 0, 0)
     for i in range(3):
         x = rng.standard_normal(8)
-        fd = central_diff_grad(lambda y, i=i: 0.5 * y @ prob.matvec(i, y) - prob.b[i] @ y, x)
+        fd = central_diff_grad(lambda y, i=i: 0.5 * y @ node_matrix(prob, i) @ y - prob.b[i] @ y, x)
         g = node_grad(prob, i, x)
         assert np.allclose(g, fd, rtol=1e-4, atol=1e-6)
 
@@ -138,44 +144,16 @@ def test_quadratic_batch_reduces_variance():
     assert sq.mean() == pytest.approx(1.0 / 16, rel=0.15)
 
 
-def test_quadratic_smoothness_power_iteration_vs_eigensolver():
-    rng = derive_stream(8, 0, 0)
-    mats, bs = [], []
-    for _ in range(3):
-        a = rng.standard_normal((12, 12))
-        mats.append((a + a.T) / 2)
-        bs.append(rng.standard_normal(12))
-    prob = QuadraticProblem.from_matrices(np.array(mats), np.array(bs), x0=np.zeros(12))
-    sm = prob.smoothness()
-    for i in range(3):
-        exact = np.abs(np.linalg.eigvalsh(mats[i])).max()
-        assert sm.L_i[i] == pytest.approx(exact, rel=1e-6)
-    exact_mean = np.abs(np.linalg.eigvalsh(np.mean(mats, axis=0))).max()
-    assert sm.L == pytest.approx(exact_mean, rel=1e-6)
-    assert sm.L_tilde == pytest.approx(math.sqrt(np.mean(sm.L_i**2)), rel=1e-12)
-
-
-def test_quadratic_diagonal_spectral_norm():
-    q = np.array([[[2.0, 0.0], [0.0, 1.0]]])
-    prob = QuadraticProblem.from_matrices(q, np.zeros((1, 2)), x0=np.zeros(2))
-    assert prob.smoothness().L == pytest.approx(2.0, rel=1e-8)
-
-
 def test_generated_smoothness_matches_dense_eigensolver():
     prob = generate_quadratic(5, 40, 0.02, 1.0, seed=9)
     sm = prob.smoothness()
     for i in range(5):
-        qi = np.zeros((40, 40))
-        for j in range(40):
-            e = np.zeros(40)
-            e[j] = 1.0
-            qi[:, j] = prob.matvec(i, e)
-        assert sm.L_i[i] == pytest.approx(np.abs(np.linalg.eigvalsh(qi)).max(), rel=1e-10)
+        assert sm.L_i[i] == pytest.approx(np.abs(np.linalg.eigvalsh(node_matrix(prob, i))).max(), rel=1e-10)
 
 
 def test_quadratic_f_star_is_minimum():
     prob = generate_quadratic(6, 30, 0.05, 1.0, seed=11)
-    f_star = prob.smoothness().f_star
+    f_star = prob.f_star
     rng = derive_stream(12, 0, 0)
     assert f_star is not None
     for _ in range(20):
@@ -220,7 +198,7 @@ def test_counterexample_oracles():
     assert np.array_equal(node_grad(prob, 1, prob.x0), prob.x0)
     assert prob.value(np.zeros(2)) == 0.0
     sm = prob.smoothness()
-    assert sm.L == 1.0 and sm.f_star == 0.0 and np.all(sm.L_i == 1.0)
+    assert sm.L == 1.0 and prob.f_star == 0.0 and np.all(sm.L_i == 1.0)
     g = node_stoch_grad(prob, 0, prob.x0, derive_stream(1, 0, 1))
     diff = g - node_grad(prob, 0, prob.x0)
     norms = np.round((prob.atoms**2).sum(axis=1), 12)
@@ -294,7 +272,7 @@ def test_logreg_oracles_equal_explicit_reference_bitwise(batch, block_bytes, mon
     blocks = list(core.blocks(prob.n_nodes, prob.dim))
     assert len(blocks) == {1: 5, 3 * 8 * 28: 2, None: 1}[block_bytes]
     for rows in blocks:
-        sg, full = prob.stoch_grads(rows, x, draws[rows]), prob.full_grads(rows, x)
+        sg, full = prob.stoch_grads_at(rows, (x,), draws[rows])[0], prob.full_grads(rows, x)
         for r, i in enumerate(range(rows.start, rows.stop)):
             assert np.array_equal(sg[r], ref(i, draws[i])[1])
             assert np.array_equal(full[r], ref(i)[1])
@@ -334,7 +312,7 @@ def test_logreg_stacked_full_pass_equals_per_node_calls_bitwise(examples, one_bl
     reg_value, reg = prob._reg_value(x), prob._reg_grad(x)
     losses, grads = [], []
     for i in range(n):
-        a, y = prob._node_data(i)
+        a, y = node_data(prob, i)
         p_true, grad = prob._softmax_grads(x, a[None], y[None])
         losses.append(prob._loss(p_true[0]) + reg_value)
         grads.append(grad[0] + reg)
@@ -357,7 +335,6 @@ def test_logreg_stacked_full_pass_equals_per_node_calls_bitwise(examples, one_bl
 
 def test_logreg_pickles_its_data_once():
     prob = _uneven_logreg(classes=10, features=20, examples=2000, nodes=10)[0]
-    prob.smoothness()  # the cached constants travel too
     data = prob._a_all.nbytes + prob._y_all.nbytes
     assert len(pickle.dumps(prob)) <= 1.1 * data
     copy = pickle.loads(pickle.dumps(prob))
@@ -412,17 +389,10 @@ def test_logreg_minibatch_unbiased():
     assert np.all(np.abs(draws.mean(axis=0) - full) <= 4 * se + 1e-12)
 
 
-def test_logreg_smoothness_is_upper_bound():
-    prob = _tiny_logreg()
-    sm = prob.smoothness()
-    assert sm.L <= sm.L_tilde <= sm.L_i.max() + 1e-12
-    assert sm.ell_tilde >= sm.L_tilde
-
-
 def test_empty_batch_rejected():
     prob = _tiny_logreg()
     with pytest.raises(ValueError):
-        prob.stoch_grads(slice(0, 1), np.zeros(prob.dim), [np.array([], dtype=int)])
+        prob.stoch_grads_at(slice(0, 1), (np.zeros(prob.dim),), [np.array([], dtype=int)])
 
 
 # -- LIBSVM ingestion ----------------------------------------------------------
@@ -483,7 +453,8 @@ def test_mnist_shaped_dimension(tmp_path):
     y = (np.arange(20) % 10) + 1
     path = str(tmp_path / "mnist_shape.txt")
     write_libsvm(path, x, y)
-    prob = load_libsvm_problem(path, classes=10, n_features=784, n_nodes=2)
+    feats, labs = split_examples(*parse_libsvm(path, classes=10, n_features=784), 2)
+    prob = LogRegProblem(feats, labs, classes=10)
     assert prob.dim == 7850
 
 
@@ -509,7 +480,8 @@ def test_blobs_generator_balanced_and_loadable(tmp_path):
     path = str(tmp_path / "blobs.txt")
     write_libsvm(path, x, y)
     assert len(open(path).readlines()) == 200
-    prob = load_libsvm_problem(path, classes=2, n_features=10, n_nodes=4)
+    feats, labs = split_examples(*parse_libsvm(path, classes=2, n_features=10), 4)
+    prob = LogRegProblem(feats, labs, classes=2)
     assert prob.n_nodes == 4 and prob.dim == 22
 
 
@@ -522,12 +494,16 @@ def _block_oracle_problems():
         CounterexampleProblem(sigma=1.0, n_nodes=3),
         generate_quadratic(5, 12, 0.1, 1.0, seed=2, sigma=0.3),
         generate_quadratic(5, 12, 0.1, 1.0, seed=2, sigma=0.0),
-        QuadraticProblem.from_matrices(mats, np.ones((3, 4)), x0=np.zeros(4), sigma=0.2),
+        DenseQuadratic(mats, np.ones((3, 4)), x0=np.zeros(4), sigma=0.2),
         _tiny_logreg(nodes=3),
     ]
 
 
-@pytest.mark.parametrize("prob", _block_oracle_problems(), ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize(
+    "prob",
+    _block_oracle_problems(),
+    ids=["CounterexampleProblem", "QuadraticProblem0", "QuadraticProblem1", "QuadraticProblem2", "LogRegProblem"],
+)
 @pytest.mark.parametrize("batch", [1, 3])
 def test_block_oracles_equal_per_node_oracles_bitwise(prob, batch):
     x = derive_stream(9, 0, 0).standard_normal(prob.dim)
@@ -535,24 +511,22 @@ def test_block_oracles_equal_per_node_oracles_bitwise(prob, batch):
     rows = slice(1, prob.n_nodes)
     draws = [node_draw(prob, i, derive_stream(10, i, 1), batch) for i in range(1, prob.n_nodes)]
     full = prob.full_grads(rows, x)
-    sg = prob.stoch_grads(rows, x, draws)
-    sg_old = prob.stoch_grads(rows, x_old, draws)
+    sg = prob.stoch_grads_at(rows, (x,), draws)[0]
+    sg_old = prob.stoch_grads_at(rows, (x_old,), draws)[0]
     assert full.shape == sg.shape == (prob.n_nodes - 1, prob.dim)
     for r, i in enumerate(range(1, prob.n_nodes)):
         # the one-row block of node i, with its own fresh draw from the same stream
         row, draw = slice(i, i + 1), [node_draw(prob, i, derive_stream(10, i, 1), batch)]
         assert np.array_equal(full[r], prob.full_grads(row, x)[0])
-        assert np.array_equal(sg[r], prob.stoch_grads(row, x, draw)[0])
-        assert np.array_equal(sg_old[r], prob.stoch_grads(row, x_old, draw)[0])
+        assert np.array_equal(sg[r], prob.stoch_grads_at(row, (x,), draw)[0][0])
+        assert np.array_equal(sg_old[r], prob.stoch_grads_at(row, (x_old,), draw)[0][0])
 
 
 @pytest.mark.parametrize(
     "prob",
     [
         generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01),
-        QuadraticProblem.from_matrices(
-            np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(5)]), np.ones((5, 4)), x0=np.zeros(4)
-        ),
+        DenseQuadratic(np.array([np.eye(4) * (1.0 + i) + 0.1 for i in range(5)]), np.ones((5, 4)), x0=np.zeros(4)),
         CounterexampleProblem(sigma=1.0, n_nodes=7),
         _uneven_logreg(classes=3, features=2, examples=37)[0],
     ],
@@ -579,10 +553,10 @@ def test_logreg_gradient_alone_equals_value_and_grad():
     def one_node(i, rows=slice(None)):
         """Node i's examples ``rows`` as a one-node problem, whose gradient
         comes from the value pass ``value_and_mean_grad``."""
-        a, y = prob._node_data(i)
+        a, y = node_data(prob, i)
         return LogRegProblem([a[rows, :-1]], [y[rows] + 1], prob.classes, reg=prob.reg)
 
-    assert np.array_equal(prob.stoch_grads(slice(1, 2), x, [idx])[0], one_node(1, idx).value_and_mean_grad(x)[1])
+    assert np.array_equal(prob.stoch_grads_at(slice(1, 2), (x,), [idx])[0][0], one_node(1, idx).value_and_mean_grad(x)[1])
     assert np.array_equal(node_grad(prob, 0, x), one_node(0).value_and_mean_grad(x)[1])
     value, mean_grad = prob.value_and_mean_grad(x)
     assert value == prob.value(x)
