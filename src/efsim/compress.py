@@ -104,6 +104,10 @@ def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
     argmax of |x| (the first maximum, and a NaN if there is one).  RandK keeps
     its picks, unscaled.  Identity keeps everything.  Hard thresholding keeps
     entries with |x_j| >= tau.
+
+    For TopK this is the reference and the kernel-less path: the engine
+    sends TopK through the compiled kernel (``core.TopKSend``), which keeps
+    the same coordinates, and through this function where it did not load.
     """
     if spec.kind == "identity":
         return np.ones(rows.shape, dtype=bool)

@@ -34,6 +34,15 @@ takes it if it asks for that block, and draws itself otherwise.  Blocks
 are not drawn ahead where the process may run on one CPU only, in a pool
 worker (its helper would take a core from the other workers), or for
 bounded integers, whose block costs less than the hand-over.
+
+The same library sends TopK messages: ``TopKSend`` makes one
+``send_rows`` call per block of node rows, which selects each row's kept
+coordinates, writes g_i (and e_i) and adds the row to the node sum, with
+the IEEE operations of ``send_messages``, the numpy path, in the same
+order.  So every bit agrees, but for the NaN that NaN + NaN gives, which
+numpy's own loops choose by position and no trace shows.  One guard,
+``_kernel_matches``, decides draws and sends together; without the kernel
+both take their numpy paths.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ import ctypes
 import functools
 import glob
 import hashlib
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -66,6 +76,9 @@ __all__ = [
     "derive_stream",
     "Sample",
     "StreamFactory",
+    "send_messages",
+    "TopKSend",
+    "topk_send",
 ]
 
 _MASK32 = (1 << 32) - 1
@@ -326,6 +339,91 @@ class StreamFactory:
         self._ahead_key = (start, stop, round_index, count) if self._ticket else None
 
 
+class _SendArgs(ctypes.Structure):
+    """The kernel's ``send_t``: ``rows`` rows of width ``d`` from ``target``,
+    ``g`` and (ef14) ``e``, k kept of each, summed into ``acc``."""
+
+    _fields_ = [(name, ctypes.c_ssize_t) for name in ("rows", "d", "k")] + [("ef14", ctypes.c_int)] + [
+        (name, ctypes.c_void_p) for name in ("target", "g", "e", "acc")]
+
+
+def send_messages(keep, target: np.ndarray, g: np.ndarray, e: np.ndarray | None, acc: np.ndarray) -> int:
+    """The message step of rows ``g`` from their targets, in numpy, with
+    ``keep(x)`` the mask of the coordinates each row of x sends; returns the
+    coordinates sent.  Without ``e`` it writes: resid = target - g,
+    g[kept] = target, acc[kept] += resid; with ``e`` (ef14; the target may be
+    ``e`` itself): g = kept ? target : 0, e = target - g, acc += g."""
+    if e is None:
+        resid = target - g
+        mask = keep(resid)
+        np.copyto(g, target, where=mask)
+        add_rows(acc, resid, mask)
+    else:
+        mask = keep(target)
+        g[...] = np.where(mask, target, 0.0)
+        np.subtract(target, g, out=e)  # the error keeps what was not sent
+        add_rows(acc, g)
+    return int(np.count_nonzero(mask))
+
+
+class TopKSend:
+    """The TopK messages of blocks of node rows, one ``send_rows`` call per
+    block; build it with :func:`topk_send`.
+
+    ``send(rows, target)`` sends the rows ``rows`` of the (n, d) node arrays,
+    with ``target`` those rows' targets (``source[rows]`` where a ``source``
+    array was given), and returns the coordinates sent.  Each value is bit
+    for bit that of ``send_messages`` with TopK's ``compress.keep_mask``, as
+    for ``add_rows`` provided no entry of ``acc`` is -0.0.  Addresses are
+    offsets from the arrays' starts, kept in one ``_SendArgs`` updated in
+    place; the library keeps each thread's work buffer.
+    """
+
+    def __init__(self, lib, k: int, g: np.ndarray, e: np.ndarray | None, acc: np.ndarray, source: np.ndarray | None):
+        self._arrays = (g, e, acc, source)  # kept alive while their addresses are used
+        self._g, self._e, acc, self._source = (None if a is None else _address(a) for a in self._arrays)
+        self._row_bytes = 8 * g.shape[1]
+        self._args = _SendArgs(0, g.shape[1], k, e is not None, None, self._g, self._e, acc)
+        self._ref = ctypes.byref(self._args)
+        self._send_rows = lib.send_rows
+
+    def __call__(self, rows: slice, target: np.ndarray) -> int:
+        args, offset = self._args, rows.start * self._row_bytes
+        args.rows = rows.stop - rows.start
+        if self._source is None:  # a target no node array holds: a kind without estimators
+            target = np.ascontiguousarray(target, dtype=np.float64)
+            args.target = target.ctypes.data
+        else:
+            args.target = self._source + offset
+        args.g = self._g + offset
+        if self._e is not None:
+            args.e = self._e + offset
+        sent = self._send_rows(self._ref)
+        if sent < 0:
+            raise MemoryError("no work buffer for the TopK send")
+        return sent
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a writable C-contiguous array (TypeError for any other);
+    faster than ``a.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def topk_send(k: int, g: np.ndarray, e: np.ndarray | None, acc: np.ndarray, source: np.ndarray | None = None) -> TopKSend | None:
+    """The kernel's TopK send over the (n, d) node arrays ``g``, ``e`` (None:
+    the write rule) and ``source`` (the targets' array, if the targets are
+    its rows), summing into ``acc`` (d,); None where the kernel did not load
+    or an array is not a writable C-contiguous float64 array."""
+    lib = _kernel()
+    if lib is None or any(a is not None and a.dtype != np.float64 for a in (g, e, acc, source)):
+        return None
+    try:
+        return TopKSend(lib, k, g, e, acc, source)
+    except TypeError:  # from ``_address``
+        return None
+
+
 def _draws_ahead() -> bool:
     """Whether a new factory draws blocks of normals ahead: where this process
     may run on more than one CPU, so that the helper has a core of its own,
@@ -340,6 +438,7 @@ def _draws_ahead() -> bool:
 _KERNEL_SOURCE = r"""
 #include <pthread.h>
 #include <stdatomic.h>
+#include <stdlib.h>
 #include <time.h>
 #include "numpy/random/distributions.h"
 
@@ -569,31 +668,162 @@ __attribute__((constructor)) static void probe_tables(void)
         accepted(idx | 1 << 9, &wi[idx]);
     }
 }
+
+/* TopK messages, each operation the one numpy makes in ``send_messages``
+   (keep_mask, then add_rows), in the same order, so every bit agrees but the
+   NaN that NaN + NaN gives (see the module docstring) */
+typedef struct {
+    npy_intp rows, d, k;
+    int ef14;
+    const double *target;
+    double *g, *e, *acc;
+} send_t;
+
+/* a thread's work buffer for send_rows (d magnitudes, then k heap keys and k
+   indices), grown as needed and kept */
+static __thread double *buf;
+static __thread npy_intp buf_len;
+
+/* in the heap, entry a ranks below entry b: a smaller |x|, or an equal one further right */
+static inline int below(double ka, npy_intp ia, double kb, npy_intp ib) { return ka < kb || (ka == kb && ia > ib); }
+
+static void sift_down(double *keys, npy_intp *idx, npy_intp k, npy_intp i)
+{
+    for (npy_intp low = 2 * i + 1; low < k; i = low, low = 2 * i + 1) {
+        if (low + 1 < k && below(keys[low + 1], idx[low + 1], keys[low], idx[low]))
+            low++;
+        if (!below(keys[low], idx[low], keys[i], idx[i]))
+            return;
+        double key = keys[i];
+        npy_intp at = idx[i];
+        keys[i] = keys[low], idx[i] = idx[low], keys[low] = key, idx[low] = at;
+    }
+}
+
+/* the coordinates TopK keeps of a row whose magnitudes are size[0 .. d-1],
+   into idx[0 .. k-1]: for k = 1 numpy's argmax (the first maximum, or the
+   first NaN), else the k largest with NaN ranked after every number and ties
+   to the lowest index, kept in a heap whose root ranks lowest */
+static void top_k(const double *size, npy_intp d, npy_intp k, double *keys, npy_intp *idx)
+{
+    if (k == 1) {
+        npy_intp best = 0;
+        double top = size[0];
+        for (npy_intp c = 1; c < d && top == top; c++)
+            if (size[c] > top || size[c] != size[c])
+                top = size[c], best = c;
+        idx[0] = best;
+        return;
+    }
+    for (npy_intp c = 0; c < k; c++)
+        keys[c] = size[c] == size[c] ? size[c] : -1.0, idx[c] = c;  /* keep_mask's fmax(|x|, -1) */
+    for (npy_intp i = k / 2; i-- > 0;)
+        sift_down(keys, idx, k, i);
+    /* only an |x| above the root's enters (an equal one further right ranks
+       lower, and a NaN ranks lowest); most blocks of 4 hold none */
+    double low = keys[0];
+    for (npy_intp c = k; c < d; c += 4) {
+        if (c + 4 <= d && !((size[c] > low) | (size[c + 1] > low) | (size[c + 2] > low) | (size[c + 3] > low)))
+            continue;
+        for (npy_intp j = c; j < c + 4 && j < d; j++)
+            if (size[j] > low) {
+                keys[0] = size[j], idx[0] = j;
+                sift_down(keys, idx, k, 0);
+                low = keys[0];
+            }
+    }
+}
+
+/* two doubles at any 8-byte boundary, and a mask of two lanes */
+typedef double pair __attribute__((vector_size(16), aligned(8)));
+typedef long long lanes __attribute__((vector_size(16), aligned(8)));
+#define PAIR(p) (*(pair *)(p))
+#define FABS(x) ((pair)((lanes)(x) & 0x7FFFFFFFFFFFFFFF))
+
+/* write: resid = target - g; g[kept] = target and acc[kept] += resid.
+   ef14: g = kept ? target : 0.0, e = target - g and acc += g (target may be e).
+   Rows are added in ascending order; returns the coordinates sent, or -1
+   where no work buffer could be allocated */
+npy_intp send_rows(const send_t *s)
+{
+    npy_intp d = s->d, k = s->k, c;
+    if (d + 2 * k > buf_len) {
+        double *grown = realloc(buf, (d + 2 * k) * sizeof *grown);
+        if (grown == NULL)
+            return -1;
+        buf = grown, buf_len = d + 2 * k;
+    }
+    double *acc = s->acc, *size = buf, *keys = buf + d;
+    npy_intp *idx = (npy_intp *)(keys + k);
+    for (npy_intp j = 0; j < s->rows; j++) {
+        const double *t = s->target + j * d;
+        double *g = s->g + j * d;
+        if (!s->ef14) {
+            for (c = 0; c + 2 <= d; c += 2)
+                PAIR(size + c) = FABS(PAIR(t + c) - PAIR(g + c));
+            if (c < d)
+                size[c] = __builtin_fabs(t[c] - g[c]);
+            top_k(size, d, k, keys, idx);
+            for (npy_intp i = 0; i < k; i++) {
+                c = idx[i];
+                double resid = t[c] - g[c];
+                g[c] = t[c];
+                acc[c] = acc[c] + resid;
+            }
+            continue;
+        }
+        double *e = s->e + j * d;
+        for (c = 0; c + 2 <= d; c += 2)
+            PAIR(size + c) = FABS(PAIR(t + c));
+        if (c < d)
+            size[c] = __builtin_fabs(t[c]);
+        top_k(size, d, k, keys, idx);
+        for (npy_intp i = 0; i < k; i++)
+            size[idx[i]] = -2.0;  /* below every magnitude: marks the kept */
+        for (c = 0; c + 2 <= d; c += 2) {
+            pair x = PAIR(t + c), sent = (pair)((lanes)x & (PAIR(size + c) == -2.0));
+            PAIR(g + c) = sent;
+            PAIR(e + c) = x - sent;
+            PAIR(acc + c) = PAIR(acc + c) + sent;
+        }
+        if (c < d) {
+            double x = t[c], sent = size[c] == -2.0 ? x : 0.0;
+            g[c] = sent;
+            e[c] = x - sent;
+            acc[c] = acc[c] + sent;
+        }
+    }
+    return s->rows * k;
+}
 """
-# the compiled kernel is cached beside the package's bytecode
+# the compiled kernel is cached beside the package's bytecode, under a hash of
+# its source and gcc command; no multiply may be fused into an add, as numpy's are not
 _CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 
 @functools.cache
 def _kernel():
-    """The compiled block draw's library (``draw_block`` and the draw ahead),
-    or None where it cannot be built or loaded or does not reproduce the
-    per-node path (decided once per process).  It uses only numpy's public
+    """The compiled library, which draws (``draw_block`` and the draw ahead)
+    and sends (``send_rows``), or None where it cannot be built or loaded or
+    does not reproduce the per-node draws and the numpy send (one guard,
+    decided once per process, on first use).  It uses only numpy's public
     ``bitgen_t`` and samplers, and its library probes numpy's ziggurat tables
-    when it loads.  A build writes its own temporary file, moves it onto the
-    cached name and removes the builds of other sources for this Python and
-    numpy."""
-    prefix = os.path.join(_CACHE_DIR, f"draw_block.{sys.implementation.cache_tag}-numpy{np.__version__}-")
-    path = f"{prefix}{hashlib.sha256(_KERNEL_SOURCE.encode()).hexdigest()[:16]}.so"
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    when it loads.  A build is cached under a hash of the source and the gcc
+    command; it writes its own temporary file, moves it onto the cached name
+    and removes the other builds for this Python and numpy."""
     npyrandom = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
     includes = ["-I", np.get_include(), "-I", sysconfig.get_paths()["include"]]
+    command = ["gcc", *_CFLAGS, *includes, "-x", "c", "-", "-x", "none", npyrandom, "-lm"]
+    key = hashlib.sha256("\0".join([_KERNEL_SOURCE, *command]).encode()).hexdigest()[:16]
+    prefix = os.path.join(_CACHE_DIR, f"draw_block.{sys.implementation.cache_tag}-numpy{np.__version__}-")
+    path = f"{prefix}{key}.so"
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         if not os.path.exists(path):
             os.makedirs(_CACHE_DIR, exist_ok=True)
             subprocess.run(
-                ["gcc", "-O2", "-shared", "-fPIC", "-pthread", *includes, "-x", "c", "-", "-x", "none", npyrandom, "-lm", "-o", tmp],
-                input=_KERNEL_SOURCE, text=True, capture_output=True, check=True, timeout=120,
+                [*command, "-o", tmp], input=_KERNEL_SOURCE, text=True, capture_output=True, check=True, timeout=120
             )
             os.replace(tmp, path)
             for stale in set(glob.glob(f"{glob.escape(prefix)}*.so")) - {path}:
@@ -611,6 +841,7 @@ def _kernel():
     lib.ahead_start.argtypes, lib.ahead_start.restype = [ctypes.POINTER(_BlockArgs)], ctypes.c_uint64
     lib.ahead_wait.argtypes, lib.ahead_wait.restype = [ctypes.c_uint64], ctypes.c_int
     lib.ahead_drain.argtypes, lib.ahead_drain.restype = [], None
+    lib.send_rows.argtypes, lib.send_rows.restype = [ctypes.POINTER(_SendArgs)], ctypes.c_ssize_t
     atexit.register(lib.ahead_drain)  # no draw ahead may outlive its buffer
     return lib if _kernel_matches(lib) else None
 
@@ -622,8 +853,11 @@ def _kernel_matches(lib) -> bool:
     bound that enters numpy's rejection loop (2^31 + 1) and bounds >= 2^32;
     and, at each ziggurat layer's edge, the normals numpy's own Philox gives
     after the word the fast path takes last (sign bit set) and the word it
-    sends to numpy's wedge or tail first; and that a block the helper thread
-    draws ahead equals the same block drawn in the calling thread."""
+    sends to numpy's wedge or tail first; that a block the helper thread
+    draws ahead equals the same block drawn in the calling thread; and that
+    its TopK sends match ``_sends_match``'s reference."""
+    if not _sends_match(lib):
+        return False
     factory = StreamFactory(SEED_MAX)
     bounds = np.array([1, 3, 1000, (1 << 31) + 1, _MASK32, 1 << 32, (1 << 33) + 7, (1 << 63) - 1])
     first, top = slice(0, len(bounds)), slice(_MASK32 + 1 - len(bounds), _MASK32 + 1)
@@ -652,3 +886,25 @@ def _kernel_matches(lib) -> bool:
     ticket = lib.ahead_start(ctypes.byref(ahead))
     lib.draw_block(ctypes.byref(here))
     return ticket == 0 or (lib.ahead_wait(ticket) == 1 and np.array_equal(out[0], out[1]))
+
+
+def _sends_match(lib) -> bool:
+    """Whether ``TopKSend`` gives ``send_messages``' g, e, sum and count with
+    ``compress.keep_mask`` bit for bit, for k = 1, 2 and d, in both modes, on
+    rows with ties, NaNs, infinities, signed zeros and a subnormal."""
+    from .compress import keep_mask, top_k  # a leaf module, imported when the guard runs
+
+    nan, inf = np.nan, np.inf
+    target = np.array(
+        [[1.0, -3.0, 3.0, nan, -0.0, 2.0], [nan, 0.5, -inf, 0.5, nan, 0.0], [nan, -0.0, 0.0, 0.0, 0.0, -0.0], [2.0, 2.0, 1.0, -2.0, 5e-324, 1e308]]
+    )
+    g = np.array([[0.0, -1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.5, 0.0, 0.0], [0.0] * 6, [0.0, 0.0, 1.0, 0.0, -0.0, -1e308]])
+    for k, ef14 in itertools.product((1, 2, g.shape[1]), (False, True)):
+        got, want = ([g.copy(), target.copy(), np.zeros(g.shape[1])] for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sent = TopKSend(lib, k, got[0], got[1] if ef14 else None, got[2], got[1])(slice(0, len(g)), got[1])
+            # ef14 computes its target in place, in e
+            count = send_messages(lambda x: keep_mask(top_k(k, g.shape[1]), x), want[1], want[0], want[1] if ef14 else None, want[2])
+        if sent != count or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+            return False
+    return True

@@ -29,14 +29,17 @@ Node update rules (per node i, fresh sample at the new iterate x'):
 states are (n, d) arrays (``NodeArrays``) walked in ``core.blocks`` of
 rows.  Per block, the nodes' raw oracle samples and RandK picks, each
 node's from its own (seed, node, round) stream, come from one
-``StreamFactory.block`` call (see ``core``); the rest is array operations
-in the operand order of the formulas above, and a block's messages are
-summed by one ``core.add_rows`` call, which adds them in ascending node
-order, so traces match a loop over single nodes bit for bit.
-Compressed-state updates write the kept coordinates of the target
-directly into g_i (mathematically identical to adding the transmitted
-residual, and it makes the eta = 1 and identity-compressor reductions
-exact bitwise).
+``StreamFactory.block`` call (see ``core``); the estimators are array
+operations in the operand order of the formulas above.  The message step
+of the write and ef14 rules is one call per block: with TopK, of the
+compiled kernel's send (``core.TopKSend``), one C pass per row that
+selects, writes g_i (and e_i) and adds the row to the node sum; otherwise
+of ``core.send_messages``, ``keep_mask`` and one ``core.add_rows`` call.
+Both add the messages in ascending node order with the same operations,
+so traces match a loop over single nodes bit for bit.  Compressed-state
+updates write the kept coordinates of the target directly into g_i
+(mathematically identical to adding the transmitted residual, and it
+makes the eta = 1 and identity-compressor reductions exact bitwise).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .compress import Compressor, keep_mask
 from .core import StreamFactory, add_rows, blocks, ensure_finite
 from .problems.base import Problem, SmoothnessInfo
@@ -252,6 +256,7 @@ def run_round(
         # STORM's w also takes each sample gradient at the previous iterate, server.x
         iterates = (x_new, server.x) if "w" in rule.estimators else (x_new,)
         sample, randk = problem.sample(hp.batch), ((comp.dim, comp.k) if comp.is_random else None)
+        send = _sender(rule, comp, nodes, acc) if rule.message in ("write", "ef14") else None
         for rows in blocks(n, problem.dim * hp.batch):
             raw, picks = streams.block(rows, t + 1, sample, randk)
             grads = problem.stoch_grads_at(rows, iterates, raw)
@@ -270,25 +275,19 @@ def run_round(
                     np.multiply(1.0 - eta_t, state, out=state)
                     np.add(sg, state, out=state)
                     target = state
-                else:  # "e": the error plus this round's scaled sample gradient
-                    target = state + gamma_t * sg
+                else:  # "e": the error plus this round's scaled sample gradient, in place
+                    state += gamma_t * sg
+                    target = state
 
-            if rule.message == "write":
-                resid = target - g
-                mask = keep_mask(comp, resid, picks)
-                np.copyto(g, target, where=mask)
-                add_rows(acc, resid, mask)
+            if send is not None:
+                coords += send(rows, target, picks)
             elif rule.message == "absolute":
                 unscaled = (target - g) / gamma_t
                 mask = keep_mask(comp, unscaled, picks)
                 scaled = gamma_t * unscaled
                 np.add(g, scaled, out=g, where=mask)
                 add_rows(acc, scaled, mask)
-            elif rule.message == "ef14":
-                mask = keep_mask(comp, target, picks)
-                g[...] = np.where(mask, target, 0.0)
-                np.subtract(target, g, out=nodes.e[rows])  # the error keeps what was not sent
-                add_rows(acc, g)
+                coords += int(np.count_nonzero(mask))
             else:  # ideal: exact gradient plus the compressed noise, sent dense
                 full = problem.full_grads(rows, x_new)
                 noise = sg - full
@@ -296,7 +295,7 @@ def run_round(
                     noise = eta_t * noise
                 mask = keep_mask(comp, noise, picks)
                 add_rows(acc, full + np.where(mask, noise, 0.0))
-            coords += problem.dim * len(g) if rule.message == "ideal" else int(np.count_nonzero(mask))
+                coords += problem.dim * len(g)
 
         server.g = server.g + acc / n if rule.message in ("write", "absolute") else acc / n
         ensure_finite(server.g, "aggregated state", t)
@@ -304,6 +303,28 @@ def run_round(
         server.t = t + 1
         evals = 2 * hp.batch if "w" in rule.estimators else hp.batch
         return RoundLog(coords_sent=coords, grad_evals=evals)
+
+
+def _sender(rule: Rule, comp: Compressor, nodes: NodeArrays, acc: np.ndarray):
+    """One round's message step of the write and ef14 rules:
+    ``send(rows, target, picks)`` updates the rows ``rows`` of g (and e) from
+    their targets, adds the messages to ``acc`` in ascending node order and
+    returns the coordinates sent.  TopK is sent by the kernel where it loaded
+    (``core.topk_send``); every other operator, and TopK without the kernel,
+    through ``core.send_messages`` with ``keep_mask``, which makes the same
+    operations in the same order.  The targets are the rows of the rule's
+    last estimator, if it keeps one.
+    """
+    source = getattr(nodes, rule.estimators[-1]) if rule.estimators else None
+    kernel = core.topk_send(comp.k, nodes.g, nodes.e, acc, source) if comp.kind == "topk" else None
+    if kernel is not None:
+        return lambda rows, target, picks: kernel(rows, target)
+
+    def send(rows: slice, target: np.ndarray, picks) -> int:
+        e = None if nodes.e is None else nodes.e[rows]
+        return core.send_messages(lambda x: keep_mask(comp, x, picks), target, nodes.g[rows], e, acc)
+
+    return send
 
 
 def _inf_if_zero_div(num: float, den: float) -> float:
@@ -326,7 +347,7 @@ def theoretical_params(
 
     ``delta0`` is the initial optimality gap f(x0) - f*; ``delta_abs`` is
     the absolute compressor's error bound (required by ef21_sgdm_abs);
-    the variance-reduced variant needs ``smooth.ell_tilde``.
+    the variance-reduced variant uses ``smooth.ell_tilde``.
     """
     big_l, l_tilde = smooth.L, smooth.L_tilde
     ld = big_l * delta0
@@ -363,8 +384,6 @@ def theoretical_params(
     if kind == EF21_STORM:
         if alpha is None:
             raise ValueError("contractive constant alpha required")
-        if smooth.ell_tilde is None:
-            raise ValueError("per-sample smoothness ell_tilde required for ef21_storm")
         ell = smooth.ell_tilde
         eld = ell * delta0
         eta = min(

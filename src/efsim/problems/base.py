@@ -28,7 +28,7 @@ class SmoothnessInfo:
     ``L`` bounds the gradient Lipschitz constant of the mean objective,
     ``L_i`` of each node objective, ``L_tilde`` is the quadratic mean
     sqrt((1/n) sum L_i^2).  ``ell_tilde`` is the analogous quantity for
-    single-sample gradients when each realization is itself smooth (needed
+    single-sample gradients, each realization being itself smooth (needed
     by variance-reduced estimators).  The optimal value f* is not here:
     it is the problem's own ``f_star``.
     """
@@ -36,7 +36,7 @@ class SmoothnessInfo:
     L: float
     L_i: np.ndarray
     L_tilde: float
-    ell_tilde: float | None = None
+    ell_tilde: float
 
 
 class Problem:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from efsim.compress import (
     rand_k,
     top_k,
 )
+from efsim import core
 from efsim.core import StreamFactory, derive_stream
 
 
@@ -233,6 +235,98 @@ def test_randk_mask_from_a_picks_array_equals_the_per_row_loop():
             want[r, idx] = True
         assert isinstance(picks, np.ndarray) and np.array_equal(keep_mask(spec, x, picks), want)
         assert np.array_equal(keep_mask(spec, x, list(picks)), want)
+
+
+# -- TopK sent by the compiled kernel against the numpy path -----------------------
+
+
+def _sends(k, target, g, ef14, acc=None):
+    """(g, e, acc, coordinates sent) of TopK's message step on the rows
+    ``target`` and ``g``, from the kernel and from numpy's ``send_messages``
+    with ``keep_mask``, each from copies of the same start; numpy's kept
+    coordinates are checked against ``_reference_topk``.  In ef14 mode the
+    target is e itself, as in the engine."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler to build the kernel")
+    m, d = g.shape
+    spec, out = top_k(k, d), []
+
+    def keep(x):
+        mask = keep_mask(spec, x)
+        for row, kept in zip(x, mask):
+            assert np.array_equal(np.flatnonzero(kept), _reference_topk(row, k))
+        return mask
+
+    for kernel in (True, False):
+        g_, t_, acc_ = g.copy(), target.copy(), np.zeros(d) if acc is None else acc.copy()
+        e = t_ if ef14 else None
+        with np.errstate(all="ignore"):
+            if kernel:
+                send = core.topk_send(k, g_, e, acc_, t_)
+                assert send is not None
+                count = send(slice(0, m), t_)
+            else:
+                count = core.send_messages(keep, t_, g_, e, acc_)
+        out.append((_bits(g_), _bits(t_), _bits(acc_), count))
+    return out
+
+
+def _bits(a):
+    """The bits of ``a``, each NaN's as NaN's: numpy's own loops differ in
+    the NaN they return for NaN + NaN (the first operand's in SIMD lanes, the
+    second's in the scalar tail), and no trace shows a NaN's bits."""
+    return np.where(np.isnan(a), np.uint64(0x7FF8000000000000), a.view(np.uint64))
+
+
+def _assert_sends_agree(k, target, g, acc=None):
+    for ef14 in (False, True):
+        (g1, e1, acc1, n1), (g2, e2, acc2, n2) = _sends(k, target, g, ef14, acc)
+        assert n1 == n2 == k * len(g)
+        assert np.array_equal(g1, g2) and np.array_equal(e1, e2) and np.array_equal(acc1, acc2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 12)).flatmap(
+        lambda shape: st.tuples(*(arrays(np.float64, shape, elements=_ENTRIES) for _ in range(2)))
+    )
+)
+def test_kernel_send_equals_numpy_path_bitwise(rows):
+    """The kernel's send gives numpy's g, e, sum and count, bit for bit, for
+    every k, on rows full of ties, signed zeros and non-finites."""
+    target, g = rows
+    for k in range(1, g.shape[1] + 1):
+        _assert_sends_agree(k, target, g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 999, 1000])
+def test_kernel_send_breaks_ties_at_the_kth_magnitude_like_numpy(k):
+    """d = 1000, with ties planted at each row's k-th largest magnitude, and
+    the sum started from a nonzero vector."""
+    rng = derive_stream(31, 0, 0)
+    target, g = rng.standard_normal((2, 9, 1000))
+    for x in (target, target - g):  # ef14 selects from the target, write from target - g
+        kth = np.sort(np.abs(x), axis=1)[:, -k]
+        for r in range(9):
+            x[r, rng.choice(1000, size=5, replace=False)] = kth[r] * rng.choice([-1.0, 1.0], size=5)
+    target = target.round(1)  # more ties
+    _assert_sends_agree(k, target, g, acc=rng.standard_normal(1000))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_kernel_send_ranks_nan_like_numpy(k):
+    """k = 1 keeps the first NaN (numpy's argmax); k >= 2 ranks NaN after every number."""
+    target = np.array([[0.0, 3.0, np.nan, -np.inf, np.nan, 1.0], [np.nan, -0.0, 0.0, np.nan, 0.0, 0.0], [np.nan] * 6])
+    _assert_sends_agree(k, target, np.zeros_like(target))
+    _assert_sends_agree(k, target, np.ones_like(target))
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_kernel_send_of_an_all_zero_residual(k):
+    target = np.array([[0.0, -0.0, 1.5, -2.0, 0.0, -0.0, 7.0]] * 3)
+    for ef14 in (False, True):
+        (g1, e1, acc1, _), (g2, e2, acc2, _) = _sends(k, target if ef14 else np.zeros_like(target), target, ef14)
+        assert np.array_equal(g1, g2) and np.array_equal(e1, e2) and np.array_equal(acc1, acc2)
 
 
 # the compressors suite's details by seed, recorded from its former per-vector compress()/densify() code

@@ -328,6 +328,24 @@ def test_stale_kernel_builds_are_removed_after_a_build(tmp_path, monkeypatch):
         core._kernel.cache_clear()
 
 
+def test_kernel_cache_key_covers_the_compiler_flags(tmp_path, monkeypatch):
+    """The same source built with other gcc flags is cached under another
+    name, so a flag change never loads a library built without it."""
+    _kernel()
+    monkeypatch.setattr(core, "_CACHE_DIR", str(tmp_path))
+    core._kernel.cache_clear()
+    try:
+        assert core._kernel() is not None
+        first = os.listdir(tmp_path)
+        monkeypatch.setattr(core, "_CFLAGS", (*core._CFLAGS, "-O1"))
+        core._kernel.cache_clear()
+        assert core._kernel() is not None
+        second = os.listdir(tmp_path)
+        assert len(first) == len(second) == 1 and first != second  # built anew; the other build is stale
+    finally:
+        core._kernel.cache_clear()
+
+
 # -- drawing ahead on the kernel's helper thread ----------------------------------
 
 
@@ -495,6 +513,8 @@ _PLANTS = {
     # the fast path also takes layer 77's smallest rejected rabs, which numpy
     # sends to its wedge: the value may agree, the next draws do not
     "ki_one_off": ("ki[idx] = lo;", "ki[idx] = lo + (idx == 77);"),
+    # TopK sends break ties toward the highest index
+    "send_ties_to_the_right": ("ka == kb && ia > ib", "ka == kb && ia < ib"),
 }
 
 

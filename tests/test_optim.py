@@ -1,6 +1,6 @@
 import math
 import shutil
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from efsim.compress import hard_threshold, identity, rand_k, top_k
 from efsim.core import NumericFailure, Sample, StreamFactory, derive_stream
 from efsim.harness import RunConfig, run, write_trace_csv
 from efsim.optim import HyperParams, schedule_at, theoretical_params, validate_pairing
-from efsim.problems import CounterexampleProblem, LogRegProblem, generate_quadratic, make_blobs, split_examples
+from efsim.problems import CounterexampleProblem, LogRegProblem, SmoothnessInfo, generate_quadratic, make_blobs, split_examples
 
 
 def make_problem(sigma=0.1, n=4, d=20, seed=3):
@@ -326,9 +326,8 @@ def test_theoretical_params_variance_reduced_needs_sample_smoothness():
     hp = theoretical_params("ef21_storm", sm, alpha=0.3, sigma=0.2, n=2, rounds=100, delta0=1.0)
     assert 0 < hp.eta <= 0.3
     assert hp.gamma <= 0.3 / (8 * sm.L_tilde) + 1e-15
-    sm_no_ell = replace(sm, ell_tilde=None)
-    with pytest.raises(ValueError):
-        theoretical_params("ef21_storm", sm_no_ell, 0.3, 0.2, 2, 100, 1.0)
+    with pytest.raises(TypeError):  # ell_tilde is a required field
+        SmoothnessInfo(L=sm.L, L_i=sm.L_i, L_tilde=sm.L_tilde)
 
 
 def test_theoretical_params_time_varying_momentum():
@@ -367,6 +366,32 @@ def _require_kernel():
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler to build the draw kernel")
     assert core._kernel() is not None
+
+
+@pytest.mark.parametrize("kind", ["ef21_sgdm", "ef21_storm", "ef14_sgd"])
+def test_topk_runs_send_through_the_kernel(kind, monkeypatch):
+    """Every block of a TopK round is sent by one kernel call, so a silent
+    fall back to numpy cannot pass for the kernel."""
+    _require_kernel()
+    calls, call = [], core.TopKSend.__call__
+    monkeypatch.setattr(core.TopKSend, "__call__", lambda self, rows, target: calls.append(rows) or call(self, rows, target))
+    problem = generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01)
+    hp = HyperParams(gamma=2.0**-4, eta=0.3, rounds=5)
+    run(RunConfig(kind, problem, top_k(10, 1000), hp, metric_every=5), 0)
+    assert calls == [rows for _ in range(5) for rows in core.blocks(20, 1000)]
+
+
+@pytest.mark.parametrize(
+    "kind, comp",
+    [("ef21_sgdm", rand_k(10, 1000)), ("ef14_sgd", rand_k(10, 1000)), ("ef21_sgdm", identity(1000)),
+     ("sgd", identity(1000)), ("ef21_sgdm_abs", hard_threshold(0.01, 1000))],
+    ids=["ef21_sgdm-randk", "ef14_sgd-randk", "ef21_sgdm-identity", "sgd-identity", "ef21_sgdm_abs-threshold"],
+)
+def test_other_operators_send_without_the_kernel(kind, comp, monkeypatch):
+    _require_kernel()
+    monkeypatch.setattr(core.TopKSend, "__call__", lambda *args: pytest.fail("the kernel sent a message"))
+    problem = generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01)
+    run(RunConfig(kind, problem, comp, HyperParams(gamma=2.0**-4, eta=0.3, rounds=3), metric_every=3), 0)
 
 
 def _rejecting(problem, monkeypatch, nodes):
