@@ -40,9 +40,15 @@ The same library sends TopK messages: ``TopKSend`` makes one
 coordinates, writes g_i (and e_i) and adds the row to the node sum, with
 the IEEE operations of ``send_messages``, the numpy path, in the same
 order.  So every bit agrees, but for the NaN that NaN + NaN gives, which
-numpy's own loops choose by position and no trace shows.  One guard,
-``_kernel_matches``, decides draws and sends together; without the kernel
-both take their numpy paths.
+numpy's own loops choose by position and no trace shows.
+
+It also takes the quadratic's gradients: ``QuadraticGrads`` makes one
+``quad_grads`` call per block of node rows, which forms T x once per
+iterate and then each row's gradient at one or two iterates, its batch
+mean of the noise taken once, in one pass per row, with the IEEE
+operations of ``quadratic_grads`` and ``add_batch_noise``, the numpy path,
+in the same order.  One guard, ``_kernel_matches``, decides draws, sends
+and gradients together; without the kernel all take their numpy paths.
 """
 
 from __future__ import annotations
@@ -79,6 +85,10 @@ __all__ = [
     "send_messages",
     "TopKSend",
     "topk_send",
+    "tridiag_matvec",
+    "quadratic_grads",
+    "add_batch_noise",
+    "QuadraticGrads",
 ]
 
 _MASK32 = (1 << 32) - 1
@@ -366,6 +376,33 @@ def send_messages(keep, target: np.ndarray, g: np.ndarray, e: np.ndarray | None,
     return int(np.count_nonzero(mask))
 
 
+def tridiag_matvec(x: np.ndarray) -> np.ndarray:
+    """T x for T = tridiag(-1, 2, -1)."""
+    out = 2.0 * x
+    out[:-1] -= x[1:]
+    out[1:] -= x[:-1]
+    return out
+
+
+def quadratic_grads(scale: np.ndarray, b: np.ndarray, shift: float, x: np.ndarray) -> np.ndarray:
+    """scale[i] T x + shift x - b[i], one row per row of ``b``: the gradients
+    of the quadratic of ``QuadraticGrads`` without noise, in numpy."""
+    g = scale[:, None] * tridiag_matvec(x)
+    g += shift * x
+    g -= b
+    return g
+
+
+def add_batch_noise(grads: list[np.ndarray], raw: np.ndarray, noise_scale: float) -> None:
+    """Add ``noise_scale`` times each row's batch mean of its raw normals
+    ``raw[i]`` (batch times the width of ``grads``' rows) to each array of
+    ``grads``, in place: the noise of ``QuadraticGrads``, in numpy."""
+    raw = np.asarray(raw).reshape(len(raw), -1, grads[0].shape[-1])
+    noise = noise_scale * (raw[:, 0] if raw.shape[1] == 1 else raw.mean(axis=1))
+    for g in grads:
+        g += noise
+
+
 class TopKSend:
     """The TopK messages of blocks of node rows, one ``send_rows`` call per
     block; build it with :func:`topk_send`.
@@ -421,6 +458,80 @@ def topk_send(k: int, g: np.ndarray, e: np.ndarray | None, acc: np.ndarray, sour
     try:
         return TopKSend(lib, k, g, e, acc, source)
     except TypeError:  # from ``_address``
+        return None
+
+
+class _GradArgs(ctypes.Structure):
+    """The kernel's ``grads_t``: ``rows`` rows of width ``d`` at ``iterates``
+    iterates ``x0`` (and ``x1``) into ``out``, (iterates, rows, d), with
+    ``batch`` raw normals per coordinate from ``raw`` (NULL: no noise)."""
+
+    _fields_ = [(name, ctypes.c_ssize_t) for name in ("rows", "d", "batch", "iterates")] + [
+        ("shift", ctypes.c_double), ("noise_scale", ctypes.c_double)] + [
+        (name, ctypes.c_void_p) for name in ("scale", "b", "raw", "x0", "x1", "out")]
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+class QuadraticGrads:
+    """The gradients of the quadratic f_i(x) = 0.5 x^T Q_i x - b_i^T x + noise,
+    Q_i = scale[i] T + shift I with T = tridiag(-1, 2, -1), one ``quad_grads``
+    call per block of node rows.
+
+    ``grads(rows, xs, raw)`` returns one (rows, d) array per iterate of
+    ``xs`` (one or two): Q_i x - b_i, plus ``noise_scale`` times each row's
+    batch mean of its raw normals ``raw[i - rows.start]`` unless ``raw`` is
+    None; bit for bit the values of the numpy path, ``quadratic_grads`` and
+    ``add_batch_noise``, but a NaN's.  It returns None for what the kernel
+    does not take: rows outside the problem, an iterate or sample that is
+    not a writable C-contiguous float64 array of the problem's width, or a
+    batch mean at d = 1, which numpy sums pairwise.  The addresses of
+    ``scale`` and ``b`` are kept in one ``_GradArgs`` updated in place,
+    under a lock, since a problem's oracle may be called from several
+    threads.
+    """
+
+    def __init__(self, lib, scale: np.ndarray, b: np.ndarray, shift: float, noise_scale: float):
+        self._arrays = scale, b = np.ascontiguousarray(scale, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+        self._n, self._d = b.shape
+        self._scale, self._b = scale.ctypes.data, b.ctypes.data
+        self._args = _GradArgs(d=self._d, shift=shift, noise_scale=noise_scale)
+        self._ref = ctypes.byref(self._args)
+        self._quad_grads = lib.quad_grads
+        self._lock = threading.Lock()
+
+    def __call__(self, rows: slice, xs, raw: np.ndarray | None) -> list[np.ndarray] | None:
+        args, d, n = self._args, self._d, rows.stop - rows.start
+        batch = 1 if raw is None else raw.shape[-1] // d if isinstance(raw, np.ndarray) else 0
+        if not (0 <= rows.start < rows.stop <= self._n and rows.step is None and 1 <= len(xs) <= 2):
+            return None
+        if batch < 1 or (batch > 1 and d == 1):
+            return None
+        x0 = _float64_address(xs[0], (d,))
+        x1 = x0 if len(xs) == 1 else _float64_address(xs[1], (d,))  # the kernel reads x1 only for two
+        samples = None if raw is None else _float64_address(raw, (n, batch * d))
+        if x0 is None or x1 is None or (raw is not None and samples is None):
+            return None
+        out = np.empty((len(xs), n, d))
+        with self._lock:
+            args.rows, args.batch, args.iterates, args.raw = n, batch, len(xs), samples
+            args.scale, args.b, args.x0, args.x1 = self._scale + 8 * rows.start, self._b + 8 * d * rows.start, x0, x1
+            args.out = _address(out)
+            failed = self._quad_grads(self._ref) < 0
+        if failed:
+            raise MemoryError("no work buffer for the quadratic's gradients")
+        return [out[0]] if len(xs) == 1 else [out[0], out[1]]
+
+
+def _float64_address(a, shape: tuple) -> int | None:
+    """``_address(a)`` where ``a`` is a writable C-contiguous float64 array of
+    ``shape``, else None."""
+    if not isinstance(a, np.ndarray) or a.dtype is not _FLOAT64 or a.shape != shape:
+        return None
+    try:
+        return _address(a)
+    except TypeError:
         return None
 
 
@@ -679,10 +790,21 @@ typedef struct {
     double *g, *e, *acc;
 } send_t;
 
-/* a thread's work buffer for send_rows (d magnitudes, then k heap keys and k
-   indices), grown as needed and kept */
+/* a thread's work buffer, grown as needed and kept: ``len`` doubles, or NULL
+   where it cannot grow */
 static __thread double *buf;
 static __thread npy_intp buf_len;
+
+static double *work(npy_intp len)
+{
+    if (len > buf_len) {
+        double *grown = realloc(buf, len * sizeof *grown);
+        if (grown == NULL)
+            return NULL;
+        buf = grown, buf_len = len;
+    }
+    return buf;
+}
 
 /* in the heap, entry a ranks below entry b: a smaller |x|, or an equal one further right */
 static inline int below(double ka, npy_intp ia, double kb, npy_intp ib) { return ka < kb || (ka == kb && ia > ib); }
@@ -700,6 +822,22 @@ static void sift_down(double *keys, npy_intp *idx, npy_intp k, npy_intp i)
     }
 }
 
+/* the largest of size[lo .. hi-1] and -1, NaN left out; four chains, since
+   each max waits for the one before */
+static double chunk_max(const double *size, npy_intp lo, npy_intp hi)
+{
+    double top[4] = {-1.0, -1.0, -1.0, -1.0};
+    npy_intp c = lo;
+    for (; c + 4 <= hi; c += 4)
+        for (int l = 0; l < 4; l++)
+            top[l] = size[c + l] > top[l] ? size[c + l] : top[l];
+    for (; c < hi; c++)
+        top[0] = size[c] > top[0] ? size[c] : top[0];
+    top[0] = top[1] > top[0] ? top[1] : top[0];
+    top[2] = top[3] > top[2] ? top[3] : top[2];
+    return top[2] > top[0] ? top[2] : top[0];
+}
+
 /* the coordinates TopK keeps of a row whose magnitudes are size[0 .. d-1],
    into idx[0 .. k-1]: for k = 1 numpy's argmax (the first maximum, or the
    first NaN), else the k largest with NaN ranked after every number and ties
@@ -715,14 +853,27 @@ static void top_k(const double *size, npy_intp d, npy_intp k, double *keys, npy_
         idx[0] = best;
         return;
     }
-    for (npy_intp c = 0; c < k; c++)
-        keys[c] = size[c] == size[c] ? size[c] : -1.0, idx[c] = c;  /* keep_mask's fmax(|x|, -1) */
+    /* tau, the least of the maxima of k equal chunks, bounds the k-th largest
+       key from below (a key is keep_mask's fmax(|x|, -1): NaN is -1), so the
+       heap starts from the first k keys at or above it, in index order, and
+       a high root turns most of the rest away at once */
+    double tau = __builtin_inf();
+    for (npy_intp j = 0; j < k; j++) {
+        double top = chunk_max(size, j * d / k, (j + 1) * d / k);
+        tau = top < tau ? top : tau;
+    }
+    npy_intp c = 0;
+    for (npy_intp filled = 0; filled < k; c++) {
+        double key = size[c] == size[c] ? size[c] : -1.0;
+        if (key >= tau)
+            keys[filled] = key, idx[filled++] = c;
+    }
     for (npy_intp i = k / 2; i-- > 0;)
         sift_down(keys, idx, k, i);
     /* only an |x| above the root's enters (an equal one further right ranks
        lower, and a NaN ranks lowest); most blocks of 4 hold none */
     double low = keys[0];
-    for (npy_intp c = k; c < d; c += 4) {
+    for (; c < d; c += 4) {
         if (c + 4 <= d && !((size[c] > low) | (size[c + 1] > low) | (size[c + 2] > low) | (size[c + 3] > low)))
             continue;
         for (npy_intp j = c; j < c + 4 && j < d; j++)
@@ -747,13 +898,9 @@ typedef long long lanes __attribute__((vector_size(16), aligned(8)));
 npy_intp send_rows(const send_t *s)
 {
     npy_intp d = s->d, k = s->k, c;
-    if (d + 2 * k > buf_len) {
-        double *grown = realloc(buf, (d + 2 * k) * sizeof *grown);
-        if (grown == NULL)
-            return -1;
-        buf = grown, buf_len = d + 2 * k;
-    }
-    double *acc = s->acc, *size = buf, *keys = buf + d;
+    double *acc = s->acc, *size = work(d + 2 * k), *keys = size + d;  /* d magnitudes, k heap keys, k indices */
+    if (size == NULL)
+        return -1;
     npy_intp *idx = (npy_intp *)(keys + k);
     for (npy_intp j = 0; j < s->rows; j++) {
         const double *t = s->target + j * d;
@@ -795,6 +942,77 @@ npy_intp send_rows(const send_t *s)
     }
     return s->rows * k;
 }
+
+/* A quadratic's gradients, each operation the one numpy makes in
+   ``quadratic_grads`` and ``add_batch_noise``, in the same order, so every
+   bit agrees but a NaN's */
+typedef struct {
+    npy_intp rows, d, batch, iterates;
+    double shift, noise_scale;
+    const double *scale, *b, *raw, *x[2];
+    double *out;
+} grads_t;
+
+/* t = T x: (2 x_c - x_{c+1}) - x_{c-1}, without x_{c+1} at the last
+   coordinate and x_{c-1} at the first */
+static void tridiag(const double *x, npy_intp d, double *t)
+{
+    npy_intp c = 1;
+    if (d == 1) {
+        t[0] = 2.0 * x[0];
+        return;
+    }
+    t[0] = 2.0 * x[0] - x[1];
+    for (; c + 2 < d; c += 2)
+        PAIR(t + c) = (2.0 * PAIR(x + c) - PAIR(x + c + 1)) - PAIR(x + c - 1);
+    if (c < d - 1)
+        t[c] = (2.0 * x[c] - x[c + 1]) - x[c - 1];
+    t[d - 1] = 2.0 * x[d - 1] - x[d - 2];
+}
+
+/* out row j of iterate k (row k rows + j) = ((scale_j (T x_k)_c + shift x_kc)
+   - b_jc) + noise_scale z_jc, with z row j's mean over its batch of raw
+   normals (the first when batch = 1, else their sum in order, then / batch,
+   as numpy takes it for d >= 2), and no noise term where raw is NULL.
+   Returns 0, or -1 where no work buffer could be allocated */
+int quad_grads(const grads_t *q)
+{
+    npy_intp d = q->d, m = q->iterates, c;
+    double *tx = work((m + 1) * d), *z = tx + m * d;  /* T x per iterate, then a batch mean */
+    if (tx == NULL)
+        return -1;
+    for (npy_intp k = 0; k < m; k++)
+        tridiag(q->x[k], d, tx + k * d);
+    for (npy_intp j = 0; j < q->rows; j++) {
+        const double *b = q->b + j * d, *mean = q->raw == NULL ? NULL : q->raw + j * q->batch * d;
+        if (mean != NULL && q->batch > 1) {
+            for (c = 0; c < d; c++)
+                z[c] = (0.0 + mean[c]) + mean[d + c];  /* numpy's sum starts from +0.0 */
+            for (npy_intp s = 2; s < q->batch; s++)
+                for (c = 0; c < d; c++)
+                    z[c] = z[c] + mean[s * d + c];
+            for (c = 0; c < d; c++)
+                z[c] = z[c] / (double)q->batch;
+            mean = z;
+        }
+        for (npy_intp k = 0; k < m; k++) {
+            const double *x = q->x[k], *t = tx + k * d;
+            double *g = q->out + (k * q->rows + j) * d, s = q->scale[j], shift = q->shift, ns = q->noise_scale;
+            if (mean == NULL) {
+                for (c = 0; c + 2 <= d; c += 2)
+                    PAIR(g + c) = (s * PAIR(t + c) + shift * PAIR(x + c)) - PAIR(b + c);
+                if (c < d)
+                    g[c] = (s * t[c] + shift * x[c]) - b[c];
+                continue;
+            }
+            for (c = 0; c + 2 <= d; c += 2)
+                PAIR(g + c) = ((s * PAIR(t + c) + shift * PAIR(x + c)) - PAIR(b + c)) + ns * PAIR(mean + c);
+            if (c < d)
+                g[c] = ((s * t[c] + shift * x[c]) - b[c]) + ns * mean[c];
+        }
+    }
+    return 0;
+}
 """
 # the compiled kernel is cached beside the package's bytecode, under a hash of
 # its source and gcc command; no multiply may be fused into an add, as numpy's are not
@@ -804,10 +1022,11 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 @functools.cache
 def _kernel():
-    """The compiled library, which draws (``draw_block`` and the draw ahead)
-    and sends (``send_rows``), or None where it cannot be built or loaded or
-    does not reproduce the per-node draws and the numpy send (one guard,
-    decided once per process, on first use).  It uses only numpy's public
+    """The compiled library, which draws (``draw_block`` and the draw ahead),
+    sends (``send_rows``) and takes the quadratic's gradients
+    (``quad_grads``), or None where it cannot be built or loaded or does not
+    reproduce the per-node draws, the numpy send and the numpy gradients (one
+    guard, decided once per process, on first use).  It uses only numpy's public
     ``bitgen_t`` and samplers, and its library probes numpy's ziggurat tables
     when it loads.  A build is cached under a hash of the source and the gcc
     command; it writes its own temporary file, moves it onto the cached name
@@ -842,6 +1061,7 @@ def _kernel():
     lib.ahead_wait.argtypes, lib.ahead_wait.restype = [ctypes.c_uint64], ctypes.c_int
     lib.ahead_drain.argtypes, lib.ahead_drain.restype = [], None
     lib.send_rows.argtypes, lib.send_rows.restype = [ctypes.POINTER(_SendArgs)], ctypes.c_ssize_t
+    lib.quad_grads.argtypes, lib.quad_grads.restype = [ctypes.POINTER(_GradArgs)], ctypes.c_int
     atexit.register(lib.ahead_drain)  # no draw ahead may outlive its buffer
     return lib if _kernel_matches(lib) else None
 
@@ -855,8 +1075,9 @@ def _kernel_matches(lib) -> bool:
     after the word the fast path takes last (sign bit set) and the word it
     sends to numpy's wedge or tail first; that a block the helper thread
     draws ahead equals the same block drawn in the calling thread; and that
-    its TopK sends match ``_sends_match``'s reference."""
-    if not _sends_match(lib):
+    its TopK sends and quadratic gradients match their numpy references
+    (``_sends_match``, ``_grads_match``)."""
+    if not (_sends_match(lib) and _grads_match(lib)):
         return False
     factory = StreamFactory(SEED_MAX)
     bounds = np.array([1, 3, 1000, (1 << 31) + 1, _MASK32, 1 << 32, (1 << 33) + 7, (1 << 63) - 1])
@@ -907,4 +1128,28 @@ def _sends_match(lib) -> bool:
             count = send_messages(lambda x: keep_mask(top_k(k, g.shape[1]), x), want[1], want[0], want[1] if ef14 else None, want[2])
         if sent != count or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
             return False
+    return True
+
+
+def _grads_match(lib) -> bool:
+    """Whether ``QuadraticGrads`` gives the gradients of ``quadratic_grads``
+    and ``add_batch_noise`` bit for bit, at d = 1, 2 and 7, on rows past the
+    first, at one and two iterates, without noise and with batches of 1 to 3
+    (1 at d = 1), at iterates holding signed zeros, infinities, a NaN and a
+    subnormal, and where T x overflows unless its two subtractions are made
+    in order."""
+    rng, big = derive_stream(SEED_MAX, 1, 0), 1e308
+    for d in (1, 2, 7):
+        xs = np.array([[0.5, big, 0.75 * big, -big, big, 0.75 * big, -big], [-0.0, np.inf, np.nan, 5e-324, -1.5, 0.0, 2.0]])[:, :d]
+        scale, b, rows = rng.standard_normal(4), rng.standard_normal((4, d)), slice(1, 4)
+        grads = QuadraticGrads(lib, scale, b, -0.25, 0.5)
+        for batch, iterates in itertools.product((0, 1, 2, 3) if d > 1 else (0, 1), (1, 2)):
+            raw = None if batch == 0 else rng.standard_normal((3, batch * d))
+            got = grads(rows, list(xs[:iterates]), raw)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = [quadratic_grads(scale[rows], b[rows], -0.25, x) for x in xs[:iterates]]
+                if raw is not None:
+                    add_batch_noise(want, raw, 0.5)
+            if got is None or any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
+                return False
     return True

@@ -169,6 +169,8 @@ class NodeArrays:
     u: np.ndarray | None = None
     w: np.ndarray | None = None
     e: np.ndarray | None = None
+    # the run's message step over these arrays, built in its first round (``_message_step``); not node state
+    _message_step = None
 
     def __len__(self) -> int:
         return len(self.g)
@@ -251,12 +253,12 @@ def run_round(
         x_new = server.x - (server.g if rule.message == "ef14" else gamma_t * server.g)
         ensure_finite(x_new, "iterate", t)
 
-        acc = np.zeros(problem.dim)  # sum of the messages, or of the new g_i
+        send, acc = _message_step(rule, comp, nodes)
+        acc.fill(0.0)  # the sum of the messages, or of the new g_i, from +0.0 (see ``add_rows``)
         coords = 0
         # STORM's w also takes each sample gradient at the previous iterate, server.x
         iterates = (x_new, server.x) if "w" in rule.estimators else (x_new,)
         sample, randk = problem.sample(hp.batch), ((comp.dim, comp.k) if comp.is_random else None)
-        send = _sender(rule, comp, nodes, acc) if rule.message in ("write", "ef14") else None
         for rows in blocks(n, problem.dim * hp.batch):
             raw, picks = streams.block(rows, t + 1, sample, randk)
             grads = problem.stoch_grads_at(rows, iterates, raw)
@@ -305,8 +307,18 @@ def run_round(
         return RoundLog(coords_sent=coords, grad_evals=evals)
 
 
+def _message_step(rule: Rule, comp: Compressor, nodes: NodeArrays):
+    """``(send, acc)`` of a run, built in its first round and kept with its
+    node arrays: ``acc``, the round's sum of the messages, and ``_sender``'s
+    message step, which adds into it."""
+    if nodes._message_step is None:
+        acc = np.zeros(nodes.g.shape[1])
+        nodes._message_step = _sender(rule, comp, nodes, acc), acc
+    return nodes._message_step
+
+
 def _sender(rule: Rule, comp: Compressor, nodes: NodeArrays, acc: np.ndarray):
-    """One round's message step of the write and ef14 rules:
+    """The message step of the write and ef14 rules (None for the others):
     ``send(rows, target, picks)`` updates the rows ``rows`` of g (and e) from
     their targets, adds the messages to ``acc`` in ascending node order and
     returns the coordinates sent.  TopK is sent by the kernel where it loaded
@@ -315,6 +327,8 @@ def _sender(rule: Rule, comp: Compressor, nodes: NodeArrays, acc: np.ndarray):
     operations in the same order.  The targets are the rows of the rule's
     last estimator, if it keeps one.
     """
+    if rule.message not in ("write", "ef14"):
+        return None
     source = getattr(nodes, rule.estimators[-1]) if rule.estimators else None
     kernel = core.topk_send(comp.k, nodes.g, nodes.e, acc, source) if comp.kind == "topk" else None
     if kernel is not None:

@@ -104,12 +104,13 @@ class LogRegProblem(Problem):
         grads = (probs.transpose(0, 2, 1) @ a) / m  # (r, c, l+1)
         return p_true, grads.reshape(r, self.dim)
 
-    def _full_pass(self, rows: slice, x: np.ndarray) -> tuple[list[np.ndarray] | np.ndarray, np.ndarray]:
+    def _full_pass(self, rows: slice, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """``_softmax_grads`` over the full local datasets of nodes ``rows``:
-        each node's true-label probabilities and its data-gradient row.  Each
-        maximal run of consecutive nodes that hold m examples each is one
-        call, on an (r, m, l+1) view of the stacked data, whose stacked
-        products are the same BLAS calls per node as a call per node."""
+        the nodes' true-label probabilities, one (r, m) array per part, and
+        their data-gradient rows.  A part is a maximal run of r consecutive
+        nodes that hold m examples each, and one call, on an (r, m, l+1) view
+        of the stacked data, whose stacked products are the same BLAS calls
+        per node as a call per node."""
         m = self.m_i[rows]
         cuts = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1), len(m)]
         parts = []
@@ -118,13 +119,8 @@ class LogRegProblem(Problem):
             data = slice(start, start + int(m[lo]) * (hi - lo))
             a, y = self._a_all[data].reshape(hi - lo, m[lo], -1), self._y_all[data].reshape(hi - lo, m[lo])
             parts.append(self._softmax_grads(x, a, y))
-        if len(parts) == 1:
-            return parts[0]
-        return [p for p_true, _ in parts for p in p_true], np.concatenate([grad for _, grad in parts])
-
-    @staticmethod
-    def _loss(p_true: np.ndarray) -> float:
-        return -float(np.mean(np.log(p_true + 1e-300)))
+        grads = parts[0][1] if len(parts) == 1 else np.concatenate([grad for _, grad in parts])
+        return [p_true for p_true, _ in parts], grads
 
     # -- Problem interface -------------------------------------------------
 
@@ -144,12 +140,15 @@ class LogRegProblem(Problem):
         return self.value_and_mean_grad(x)[0]
 
     def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """One full-data pass over every node serves both quantities."""
+        """One full-data pass over every node serves both quantities.  A
+        node's loss is the mean of its examples' -log p_true, taken for a
+        part's nodes at once: each row's mean sums the same values in the
+        same order as the mean of that row alone."""
         p_true, grads = self._full_pass(slice(0, self.n_nodes), x)
-        reg_value = self._reg_value(x)
+        losses = np.concatenate([-np.log(p + 1e-300).mean(axis=1) for p in p_true])
         g = np.zeros(self.dim)
         add_rows(g, grads + self._reg_grad(x))
-        return float(np.mean([self._loss(p) + reg_value for p in p_true])), g / self.n_nodes
+        return float(np.mean(losses + self._reg_value(x))), g / self.n_nodes
 
 
 # -- dataset handling -------------------------------------------------------

@@ -13,7 +13,10 @@ A problem is held as that structure, the node scales and the shift, so
 matvecs are O(d), which keeps d = 1000 runs cheap.  Stochastic gradients
 add Gaussian noise with per-coordinate variance sigma^2 / d, so the
 vector-level second moment is sigma^2, matching how the variance bound is
-stated.
+stated.  A block's gradients, at one iterate or STORM's two, come from one
+call of the compiled kernel (``core.QuadraticGrads``), with the values of
+the numpy path (``core.quadratic_grads`` and ``core.add_batch_noise``),
+which runs where the kernel did not load.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from ..core import Sample, atomic_write, derive_stream
+from .. import core
+from ..core import QuadraticGrads, Sample, add_batch_noise, atomic_write, derive_stream, quadratic_grads, tridiag_matvec
 from .base import Problem, SmoothnessInfo
 
 __all__ = ["QuadraticProblem", "generate_quadratic", "save_quadratic_task", "load_quadratic_task"]
@@ -38,17 +42,15 @@ def _tridiag_eigenvalues_range(d: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _tridiag_matvec(x: np.ndarray) -> np.ndarray:
-    # T @ x for T = tridiag(-1, 2, -1)
-    out = 2.0 * x
-    out[:-1] -= x[1:]
-    out[1:] -= x[:-1]
-    return out
-
-
 class QuadraticProblem(Problem):
     """f_i(x) = 0.5 x^T Q_i x - b_i^T x with additive Gaussian noise, where
-    Q_i = tri_scale[i] * T + shift * I."""
+    Q_i = tri_scale[i] * T + shift * I.
+
+    ``full_grads`` and ``stoch_grads_at`` take a block's gradients from the
+    compiled kernel where it loaded, and from numpy otherwise, with the same
+    bits.  A subclass or instance with its own ``full_grads`` (a dense
+    quadratic, say) is never bypassed: its stochastic gradients are its full
+    gradients plus the numpy noise."""
 
     def __init__(
         self,
@@ -69,15 +71,13 @@ class QuadraticProblem(Problem):
         self._noise_scale = self.sigma / math.sqrt(self.dim)
 
     def mean_matvec(self, x: np.ndarray) -> np.ndarray:
-        return float(np.mean(self.tri_scale)) * _tridiag_matvec(x) + self.shift * x
+        return float(np.mean(self.tri_scale)) * tridiag_matvec(x) + self.shift * x
 
     # -- oracles ---------------------------------------------------------
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
-        g = self.tri_scale[rows, None] * _tridiag_matvec(x)
-        g += self.shift * x
-        g -= self.b[rows]
-        return g
+        grads = self._compiled(rows, (x,), None)
+        return quadratic_grads(self.tri_scale[rows], self.b[rows], self.shift, x) if grads is None else grads[0]
 
     def sample(self, batch: int) -> Sample | None:
         return None if self.sigma == 0.0 else Sample(batch * self.dim)
@@ -85,13 +85,32 @@ class QuadraticProblem(Problem):
     def stoch_grads_at(self, rows: slice, xs, raw) -> list[np.ndarray]:
         """The full gradients plus the scaled Gaussian noise, averaged over
         the batch."""
-        grads = [self.full_grads(rows, x) for x in xs]
-        if self.sigma != 0.0:
-            raw = np.asarray(raw).reshape(len(raw), -1, self.dim)
-            noise = self._noise_scale * (raw[:, 0] if raw.shape[1] == 1 else raw.mean(axis=1))
-            for g in grads:
-                g += noise
+        raw = None if self.sigma == 0.0 else raw
+        grads = self._compiled(rows, xs, raw)
+        if grads is None:  # numpy's, or a subclass's own full gradients
+            grads = [self.full_grads(rows, x) for x in xs]
+            if raw is not None:
+                add_batch_noise(grads, raw, self._noise_scale)
         return grads
+
+    # the kernel's oracle, built on first use (the kernel is loaded there, not at construction)
+    _kernel_grads = None
+
+    def _compiled(self, rows: slice, xs, raw) -> list[np.ndarray] | None:
+        """The gradients from the compiled kernel (``core.QuadraticGrads``), or
+        None where it did not load, a subclass or the instance defines its
+        own ``full_grads``, or the kernel does not take the input."""
+        if getattr(self.full_grads, "__func__", None) is not QuadraticProblem.full_grads:
+            return None
+        lib = core._kernel()
+        if lib is None:
+            return None
+        if self._kernel_grads is None:
+            self._kernel_grads = QuadraticGrads(lib, self.tri_scale, self.b, self.shift, self._noise_scale)
+        return self._kernel_grads(rows, xs, raw)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_kernel_grads": None}  # a ctypes structure does not pickle
 
     def value(self, x: np.ndarray) -> float:
         bbar = self.b.mean(axis=0)

@@ -299,6 +299,24 @@ def test_kernel_send_equals_numpy_path_bitwise(rows):
         _assert_sends_agree(k, target, g)
 
 
+_TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, math.inf, math.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 300)).flatmap(
+        lambda shape: st.tuples(st.integers(1, shape[1]), *(arrays(np.float64, shape, elements=_TIED) for _ in range(2)))
+    )
+)
+def test_kernel_send_equals_numpy_path_bitwise_on_wide_tied_rows(args):
+    """Rows up to d = 300 of a few magnitudes, so that many coordinates tie
+    at the k-th largest and at the bound the selection starts from, at a
+    drawn k and at k = 2 and d."""
+    k, target, g = args
+    for k in sorted({k, min(2, g.shape[1]), g.shape[1]}):
+        _assert_sends_agree(k, target, g)
+
+
 @pytest.mark.parametrize("k", [1, 2, 10, 999, 1000])
 def test_kernel_send_breaks_ties_at_the_kth_magnitude_like_numpy(k):
     """d = 1000, with ties planted at each row's k-th largest magnitude, and

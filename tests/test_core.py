@@ -515,6 +515,11 @@ _PLANTS = {
     "ki_one_off": ("ki[idx] = lo;", "ki[idx] = lo + (idx == 77);"),
     # TopK sends break ties toward the highest index
     "send_ties_to_the_right": ("ka == kb && ia > ib", "ka == kb && ia < ib"),
+    # the quadratic's T x subtracts x_{c-1} before x_{c+1}
+    "tridiag_order": (
+        "(2.0 * PAIR(x + c) - PAIR(x + c + 1)) - PAIR(x + c - 1)",
+        "(2.0 * PAIR(x + c) - PAIR(x + c - 1)) - PAIR(x + c + 1)",
+    ),
 }
 
 

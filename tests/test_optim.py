@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from dense_quadratic import DenseQuadratic
 
 from efsim import core, optim
 from efsim.compress import hard_threshold, identity, rand_k, top_k
@@ -392,6 +393,46 @@ def test_other_operators_send_without_the_kernel(kind, comp, monkeypatch):
     monkeypatch.setattr(core.TopKSend, "__call__", lambda *args: pytest.fail("the kernel sent a message"))
     problem = generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01)
     run(RunConfig(kind, problem, comp, HyperParams(gamma=2.0**-4, eta=0.3, rounds=3), metric_every=3), 0)
+
+
+def test_one_run_builds_one_topk_sender(monkeypatch):
+    _require_kernel()
+    built, init = [], core.TopKSend.__init__
+    monkeypatch.setattr(core.TopKSend, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    problem = generate_quadratic(20, 100, 0.01, 1.0, seed=4, sigma=0.01)
+    run(RunConfig("ef21_sgdm", problem, top_k(10, 100), HyperParams(gamma=2.0**-4, eta=0.3, rounds=6), metric_every=3), 0)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("kind", ["ef21_sgdm", "ef21_storm", "ef14_sgd"])
+def test_quadratic_rounds_take_gradients_from_the_kernel(kind, monkeypatch):
+    """Every block's stochastic gradients, at both of STORM's iterates, come
+    from one kernel call, and so do the metric rows' full gradients."""
+    _require_kernel()
+    calls, call = [], core.QuadraticGrads.__call__
+
+    def spy(self, rows, xs, raw):
+        grads = call(self, rows, xs, raw)
+        calls.append((rows, len(xs), raw is not None, grads is not None))
+        return grads
+
+    monkeypatch.setattr(core.QuadraticGrads, "__call__", spy)
+    problem = generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01)
+    run(RunConfig(kind, problem, top_k(10, 1000), HyperParams(gamma=2.0**-4, eta=0.3, rounds=5), metric_every=5), 0)
+    blocks, iterates = core.blocks(20, 1000), 2 if kind == "ef21_storm" else 1
+    want = [(rows, 1, True, True) for rows in blocks] + [(rows, iterates, True, True) for _ in range(5) for rows in blocks]
+    assert [c for c in calls if c[2]] == want
+    assert [c for c in calls if not c[2]] == [(rows, 1, False, True) for _ in range(2) for rows in blocks]
+
+
+def test_dense_quadratic_rounds_take_no_gradients_from_the_kernel(monkeypatch):
+    _require_kernel()
+    monkeypatch.setattr(core.QuadraticGrads, "__call__", lambda *args: pytest.fail("the kernel computed a gradient"))
+    rng = derive_stream(21, 0, 0)
+    a = rng.standard_normal((4, 6, 6))
+    problem = DenseQuadratic(a @ a.transpose(0, 2, 1) + np.eye(6), rng.standard_normal((4, 6)), np.ones(6), sigma=0.1)
+    for kind in ("ef21_sgdm", "ef21_storm", "ef21_sgd_ideal"):
+        run(RunConfig(kind, problem, top_k(2, 6), HyperParams(gamma=0.05, eta=0.3, rounds=4), metric_every=2), 0)
 
 
 def _rejecting(problem, monkeypatch, nodes):

@@ -1,18 +1,23 @@
 import itertools
 import math
 import pickle
+import shutil
+import threading
 
 import numpy as np
 import pytest
 from dense_quadratic import DenseQuadratic
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh_tridiagonal
 
-from efsim import harness
-from efsim.core import derive_stream, norm_sq
+from efsim import core, harness
+from efsim.core import add_batch_noise, derive_stream, norm_sq, quadratic_grads
 from efsim.problems import (
     CounterexampleProblem,
     LogRegProblem,
     Problem,
+    QuadraticProblem,
     generate_quadratic,
     load_quadratic_task,
     make_blobs,
@@ -172,6 +177,108 @@ def test_quadratic_task_round_trip(tmp_path):
     assert back.mean_lambda_min() == pytest.approx(0.05, abs=1e-8)
 
 
+# -- the quadratic's gradients from the compiled kernel --------------------------
+
+_X_ENTRIES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308]) | st.floats()
+
+
+def _bits(a):
+    """The bits of ``a``, each NaN's as NaN's: numpy's own loops differ in
+    the NaN they return for NaN + NaN, and no trace shows a NaN's bits."""
+    return np.where(np.isnan(a), np.uint64(0x7FF8000000000000), a.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.sampled_from([*range(1, 13), 1000]), st.integers(0, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 2)),
+    sigma=st.sampled_from([0.0, 0.7]),
+    shift=st.floats(-2.0, 2.0),
+    data=st.data(),
+)
+def test_kernel_quadratic_grads_equal_numpy_path_bitwise(shape, sigma, shift, data):
+    """``full_grads`` and ``stoch_grads_at`` from the kernel give numpy's
+    ``quadratic_grads`` and ``add_batch_noise`` bit for bit, a NaN's bits
+    aside: on rows past the first, at one and two iterates holding signed
+    zeros, infinities, NaN and subnormals, at batches of 1 to 4 with raw
+    samples holding -0.0, and without noise.  The kernel takes every input
+    but a batch mean at d = 1, which numpy sums pairwise."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler to build the kernel")
+    assert core._kernel() is not None
+    d, start, n, batch, iterates = shape
+    rng = derive_stream(data.draw(st.integers(0, 2**32 - 1)), 0, 0)
+    if d <= 12:
+        xs = data.draw(arrays(np.float64, (iterates, d), elements=_X_ENTRIES))
+    else:
+        xs = rng.standard_normal((iterates, d))
+        xs[:, rng.choice(d, 12, replace=False)] = data.draw(arrays(np.float64, (iterates, 12), elements=_X_ENTRIES))
+    b, scale = rng.standard_normal((start + n + 1, d)), rng.standard_normal(start + n + 1)
+    b[:, ::3] = 0.0
+    raw = rng.standard_normal((n, batch * d))
+    raw[:, ::5] = -0.0
+    problem, rows = QuadraticProblem(b, np.zeros(d), sigma, scale, shift), slice(start, start + n)
+    with np.errstate(all="ignore"):
+        got = problem.stoch_grads_at(rows, list(xs), raw)
+        full = [problem.full_grads(rows, x) for x in xs]
+        want = [quadratic_grads(scale[rows], b[rows], shift, x) for x in xs]
+        assert all(np.array_equal(_bits(f), _bits(w)) for f, w in zip(full, want))
+        if sigma:
+            add_batch_noise(want, raw, problem._noise_scale)
+        assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+        taken = problem._kernel_grads(rows, list(xs), raw if sigma else None)
+    assert (taken is None) == (sigma != 0.0 and batch > 1 and d == 1)
+
+
+def test_kernel_batch_mean_of_negative_zeros_is_numpys():
+    """numpy sums a batch from +0.0, so a mean of -0.0s is +0.0, and a
+    gradient of -0.0 plus that noise is +0.0."""
+    problem = QuadraticProblem(np.zeros((2, 3)), np.zeros(3), 1.0, -np.ones(2), -1.0)
+    x, raw = np.zeros(3), np.full((2, 6), -0.0)
+    got = problem.stoch_grads_at(slice(0, 2), (x,), raw)[0]
+    assert problem._kernel_grads is None or problem._kernel_grads(slice(0, 2), (x,), raw) is not None
+    want = [quadratic_grads(problem.tri_scale, problem.b, problem.shift, x)]
+    assert np.signbit(want[0]).all()
+    add_batch_noise(want, raw, problem._noise_scale)
+    assert not np.signbit(want[0]).any() and got.tobytes() == want[0].tobytes()
+
+
+def test_kernel_quadratic_grads_from_several_threads():
+    """Threads that share a problem's oracle each get their own block's
+    gradients."""
+    problem = generate_quadratic(24, 1000, 0.01, 1.0, seed=3, sigma=0.5)
+    rng = derive_stream(23, 0, 0)
+    xs, raw = rng.standard_normal((4, 1000)), rng.standard_normal((4, 8, 1000))
+    want = [[quadratic_grads(problem.tri_scale[r], problem.b[r], problem.shift, x) for r in core.blocks(24, 1000)] for x in xs]
+    for grads in want:
+        for r, g in zip(core.blocks(24, 1000), grads):
+            add_batch_noise([g], raw[r.start // 8], problem._noise_scale)
+    got = [None] * 4
+
+    def work(k):
+        got[k] = [[problem.stoch_grads_at(r, (xs[k],), raw[r.start // 8])[0] for r in core.blocks(24, 1000)] for _ in range(40)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+    assert all(g.tobytes() == w.tobytes() for k in range(4) for rep in got[k] for g, w in zip(rep, want[k]))
+
+
+def test_dense_quadratic_gradients_are_its_own(monkeypatch):
+    """A subclass with its own ``full_grads`` never takes the kernel's
+    tridiagonal gradients, stochastic ones included."""
+    monkeypatch.setattr(core.QuadraticGrads, "__call__", lambda *args: pytest.fail("the kernel computed a gradient"))
+    rng = derive_stream(19, 0, 0)
+    a = rng.standard_normal((3, 4, 4))
+    prob = DenseQuadratic(a @ a.transpose(0, 2, 1), rng.standard_normal((3, 4)), np.ones(4), sigma=0.5)
+    x, raw = rng.standard_normal(4), rng.standard_normal((2, 8))
+    want = [q @ x for q in prob.dense[1:]] - prob.b[1:]
+    assert np.array_equal(prob.full_grads(slice(1, 3), x), want)
+    add_batch_noise([want], raw, prob._noise_scale)
+    assert np.array_equal(prob.stoch_grads_at(slice(1, 3), (x,), raw)[0], want)
+
+
 # -- adversarial two-dimensional instance -------------------------------------
 
 
@@ -314,7 +421,7 @@ def test_logreg_stacked_full_pass_equals_per_node_calls_bitwise(examples, one_bl
     for i in range(n):
         a, y = node_data(prob, i)
         p_true, grad = prob._softmax_grads(x, a[None], y[None])
-        losses.append(prob._loss(p_true[0]) + reg_value)
+        losses.append(-float(np.mean(np.log(p_true[0] + 1e-300))) + reg_value)  # one node's mean loss, alone
         grads.append(grad[0] + reg)
     calls = []
     softmax = prob._softmax_grads
@@ -331,6 +438,26 @@ def test_logreg_stacked_full_pass_equals_per_node_calls_bitwise(examples, one_bl
     value, mean_grad = prob.value_and_mean_grad(x)
     assert value == float(np.mean(losses))
     assert mean_grad.tobytes() == (g / n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[1] * 3, [7] * 3, [8] * 3, [9] * 3, [200] * 2, [1, 7, 8, 9, 200], [8, 8, 9, 9, 9, 1, 1]],
+    ids=["m1", "m7", "m8", "m9", "m200", "uneven", "runs"],
+)
+def test_logreg_value_takes_each_nodes_loss_bitwise(sizes, one_blas_thread):
+    """``value_and_mean_grad`` takes the losses of a run of nodes of m
+    examples each at once, and each is the node's own mean loss, bit for bit."""
+    x, y = make_blobs(classes=3, n_features=5, examples=sum(sizes), seed=4)
+    cuts = np.cumsum(sizes)[:-1]
+    prob = LogRegProblem(np.split(x, cuts), np.split(y, cuts), classes=3)
+    w = 0.5 * derive_stream(17, 0, 0).standard_normal(prob.dim)
+    losses = []
+    for i in range(prob.n_nodes):
+        a, lab = node_data(prob, i)
+        p_true = prob._softmax_grads(w, a[None], lab[None])[0][0]
+        losses.append(-float(np.mean(np.log(p_true + 1e-300))) + prob._reg_value(w))
+    assert prob.value_and_mean_grad(w)[0].hex() == float(np.mean(losses)).hex()
 
 
 def test_logreg_pickles_its_data_once():
