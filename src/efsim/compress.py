@@ -106,8 +106,9 @@ def keep_mask(spec: Compressor, rows: np.ndarray, picks=None) -> np.ndarray:
     entries with |x_j| >= tau.
 
     For TopK this is the reference and the kernel-less path: the engine
-    sends TopK through the compiled kernel (``core.TopKSend``), which keeps
-    the same coordinates, and through this function where it did not load.
+    sends TopK through the compiled kernel's step (``core.TopKStep``), which
+    keeps the same coordinates, and through this function where it did not
+    load.
     """
     if spec.kind == "identity":
         return np.ones(rows.shape, dtype=bool)

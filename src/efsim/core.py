@@ -30,24 +30,29 @@ the kernel cannot draw, ``block`` draws node by node.
 A block of normals also starts the draw of the block the engine asks for
 next, on one helper thread that the kernel's library owns, into a second
 buffer, while the engine works on the current block; the next request
-takes it if it asks for that block, and draws itself otherwise.  Blocks
-are not drawn ahead where the process may run on one CPU only, in a pool
-worker (its helper would take a core from the other workers), or for
-bounded integers, whose block costs less than the hand-over.
+takes it if it asks for that block, and draws itself otherwise.  A request
+that finds the block unfinished draws the rows the helper has not claimed
+yet itself, so both cores share the block.  Blocks are not drawn ahead
+where the process may run on one CPU only, in a pool worker (its helper
+would take a core from the other workers), or for bounded integers, whose
+block costs less than the hand-over.
 
-The same library sends TopK messages: ``TopKSend`` makes one
-``send_rows`` call per block of node rows, which selects each row's kept
-coordinates, writes g_i (and e_i) and adds the row to the node sum, with
-the IEEE operations of ``send_messages``, the numpy path, in the same
-order.  So every bit agrees, but for the NaN that NaN + NaN gives, which
-numpy's own loops choose by position and no trace shows.
+The same library steps the TopK blocks of the write and ef14 rules:
+``TopKStep`` makes one ``step_rows`` call per block of node rows, which per
+row forms the sample gradient (the quadratic's in the kernel, else from
+the rows the problem's oracle returns), advances the estimators, selects
+the kept coordinates, writes g_i (and e_i) and adds the row to the node
+sum, with the IEEE operations of the numpy path (``advance_estimators``,
+then ``send_messages``) in the same order.  So every bit agrees, but for
+the NaN that NaN + NaN gives, which numpy's own loops choose by position
+and no trace shows.
 
-It also takes the quadratic's gradients: ``QuadraticGrads`` makes one
-``quad_grads`` call per block of node rows, which forms T x once per
-iterate and then each row's gradient at one or two iterates, its batch
+It also takes the quadratic's gradients elsewhere: ``QuadraticGrads``
+makes one ``quad_grads`` call per block of node rows, which forms T x once
+per iterate and then each row's gradient at one or two iterates, its batch
 mean of the noise taken once, in one pass per row, with the IEEE
 operations of ``quadratic_grads`` and ``add_batch_noise``, the numpy path,
-in the same order.  One guard, ``_kernel_matches``, decides draws, sends
+in the same order.  One guard, ``_kernel_matches``, decides draws, steps
 and gradients together; without the kernel all take their numpy paths.
 """
 
@@ -82,9 +87,10 @@ __all__ = [
     "derive_stream",
     "Sample",
     "StreamFactory",
+    "advance_estimators",
     "send_messages",
-    "TopKSend",
-    "topk_send",
+    "TopKStep",
+    "topk_step",
     "tridiag_matvec",
     "quadratic_grads",
     "add_batch_noise",
@@ -349,12 +355,27 @@ class StreamFactory:
         self._ahead_key = (start, stop, round_index, count) if self._ticket else None
 
 
-class _SendArgs(ctypes.Structure):
-    """The kernel's ``send_t``: ``rows`` rows of width ``d`` from ``target``,
-    ``g`` and (ef14) ``e``, k kept of each, summed into ``acc``."""
-
-    _fields_ = [(name, ctypes.c_ssize_t) for name in ("rows", "d", "k")] + [("ef14", ctypes.c_int)] + [
-        (name, ctypes.c_void_p) for name in ("target", "g", "e", "acc")]
+def advance_estimators(states, grads: list[np.ndarray], eta: float, gamma: float) -> np.ndarray:
+    """Advance a block's estimators in place, in numpy, and return the
+    message target: the last of them, else the sample gradient ``grads[0]``.
+    ``states`` are ``(name, rows)`` pairs in the rule's order: v and u average
+    the target so far, (1 - eta) s + eta target; w takes STORM's correction
+    with the previous iterate's gradient ``grads[1]``, sg + (1 - eta)(w -
+    that); e adds gamma sg.  Each operation is in the order of these
+    formulas."""
+    sg = target = grads[0]
+    for name, state in states:
+        if name in ("v", "u"):
+            np.multiply(1.0 - eta, state, out=state)
+            state += eta * target
+        elif name == "w":
+            np.subtract(state, grads[1], out=state)
+            np.multiply(1.0 - eta, state, out=state)
+            np.add(sg, state, out=state)
+        else:  # "e": the error plus this round's scaled sample gradient
+            state += gamma * sg
+        target = state
+    return target
 
 
 def send_messages(keep, target: np.ndarray, g: np.ndarray, e: np.ndarray | None, acc: np.ndarray) -> int:
@@ -403,64 +424,6 @@ def add_batch_noise(grads: list[np.ndarray], raw: np.ndarray, noise_scale: float
         g += noise
 
 
-class TopKSend:
-    """The TopK messages of blocks of node rows, one ``send_rows`` call per
-    block; build it with :func:`topk_send`.
-
-    ``send(rows, target)`` sends the rows ``rows`` of the (n, d) node arrays,
-    with ``target`` those rows' targets (``source[rows]`` where a ``source``
-    array was given), and returns the coordinates sent.  Each value is bit
-    for bit that of ``send_messages`` with TopK's ``compress.keep_mask``, as
-    for ``add_rows`` provided no entry of ``acc`` is -0.0.  Addresses are
-    offsets from the arrays' starts, kept in one ``_SendArgs`` updated in
-    place; the library keeps each thread's work buffer.
-    """
-
-    def __init__(self, lib, k: int, g: np.ndarray, e: np.ndarray | None, acc: np.ndarray, source: np.ndarray | None):
-        self._arrays = (g, e, acc, source)  # kept alive while their addresses are used
-        self._g, self._e, acc, self._source = (None if a is None else _address(a) for a in self._arrays)
-        self._row_bytes = 8 * g.shape[1]
-        self._args = _SendArgs(0, g.shape[1], k, e is not None, None, self._g, self._e, acc)
-        self._ref = ctypes.byref(self._args)
-        self._send_rows = lib.send_rows
-
-    def __call__(self, rows: slice, target: np.ndarray) -> int:
-        args, offset = self._args, rows.start * self._row_bytes
-        args.rows = rows.stop - rows.start
-        if self._source is None:  # a target no node array holds: a kind without estimators
-            target = np.ascontiguousarray(target, dtype=np.float64)
-            args.target = target.ctypes.data
-        else:
-            args.target = self._source + offset
-        args.g = self._g + offset
-        if self._e is not None:
-            args.e = self._e + offset
-        sent = self._send_rows(self._ref)
-        if sent < 0:
-            raise MemoryError("no work buffer for the TopK send")
-        return sent
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of a writable C-contiguous array (TypeError for any other);
-    faster than ``a.ctypes.data``."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
-
-
-def topk_send(k: int, g: np.ndarray, e: np.ndarray | None, acc: np.ndarray, source: np.ndarray | None = None) -> TopKSend | None:
-    """The kernel's TopK send over the (n, d) node arrays ``g``, ``e`` (None:
-    the write rule) and ``source`` (the targets' array, if the targets are
-    its rows), summing into ``acc`` (d,); None where the kernel did not load
-    or an array is not a writable C-contiguous float64 array."""
-    lib = _kernel()
-    if lib is None or any(a is not None and a.dtype != np.float64 for a in (g, e, acc, source)):
-        return None
-    try:
-        return TopKSend(lib, k, g, e, acc, source)
-    except TypeError:  # from ``_address``
-        return None
-
-
 class _GradArgs(ctypes.Structure):
     """The kernel's ``grads_t``: ``rows`` rows of width ``d`` at ``iterates``
     iterates ``x0`` (and ``x1``) into ``out``, (iterates, rows, d), with
@@ -503,25 +466,34 @@ class QuadraticGrads:
 
     def __call__(self, rows: slice, xs, raw: np.ndarray | None) -> list[np.ndarray] | None:
         args, d, n = self._args, self._d, rows.stop - rows.start
-        batch = 1 if raw is None else raw.shape[-1] // d if isinstance(raw, np.ndarray) else 0
         if not (0 <= rows.start < rows.stop <= self._n and rows.step is None and 1 <= len(xs) <= 2):
-            return None
-        if batch < 1 or (batch > 1 and d == 1):
             return None
         x0 = _float64_address(xs[0], (d,))
         x1 = x0 if len(xs) == 1 else _float64_address(xs[1], (d,))  # the kernel reads x1 only for two
-        samples = None if raw is None else _float64_address(raw, (n, batch * d))
-        if x0 is None or x1 is None or (raw is not None and samples is None):
+        samples = _samples(raw, n, d)
+        if x0 is None or x1 is None or samples is None:
             return None
         out = np.empty((len(xs), n, d))
         with self._lock:
-            args.rows, args.batch, args.iterates, args.raw = n, batch, len(xs), samples
+            (args.raw, args.batch), args.rows, args.iterates = samples, n, len(xs)
             args.scale, args.b, args.x0, args.x1 = self._scale + 8 * rows.start, self._b + 8 * d * rows.start, x0, x1
             args.out = _address(out)
             failed = self._quad_grads(self._ref) < 0
         if failed:
             raise MemoryError("no work buffer for the quadratic's gradients")
         return [out[0]] if len(xs) == 1 else [out[0], out[1]]
+
+
+def _samples(raw, n: int, d: int) -> tuple[int | None, int] | None:
+    """``(address, batch)`` of a block's raw normals, n rows of batch times d
+    (``(None, 1)`` for None), or None where the kernel does not take them:
+    anything but a writable C-contiguous float64 array of that shape, or a
+    batch mean at d = 1, which numpy sums pairwise."""
+    if raw is None:
+        return None, 1
+    batch = raw.shape[-1] // d if isinstance(raw, np.ndarray) and raw.ndim == 2 else 0
+    address = _float64_address(raw, (n, batch * d)) if batch == 1 or (batch > 1 and d > 1) else None
+    return None if address is None else (address, batch)
 
 
 def _float64_address(a, shape: tuple) -> int | None:
@@ -532,6 +504,103 @@ def _float64_address(a, shape: tuple) -> int | None:
     try:
         return _address(a)
     except TypeError:
+        return None
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a writable C-contiguous array (TypeError for any other);
+    faster than ``a.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+class _StepArgs(ctypes.Structure):
+    """The kernel's ``step_t``: rows ``start`` .. ``start + rows - 1`` of the
+    node arrays, k kept of each, their sample gradients the rows of ``sg0``
+    (and ``sg1``) or, where ``sg0`` is NULL, the quadratic's of ``quad``."""
+
+    _fields_ = [(name, ctypes.c_ssize_t) for name in ("start", "rows", "k")] + [
+        (name, ctypes.c_double) for name in ("eta", "gamma")] + [
+        (name, ctypes.c_void_p) for name in ("sg0", "sg1", "g", "v", "u", "w", "e", "acc")] + [("quad", _GradArgs)]
+
+
+class TopKStep:
+    """A run's TopK blocks in the write and ef14 rules, one ``step_rows`` call
+    per block of node rows: each row's sample gradient, its estimators and
+    its message in one pass; build it with :func:`topk_step`.
+
+    ``round(xs, eta, gamma)`` starts a round at the iterates ``xs`` (the new
+    one, and STORM's previous one).  ``step(rows, raw)`` then advances the
+    rows ``rows`` from their raw samples ``raw`` (the draws of the problem's
+    ``sample``, None where it is None), adds their messages to ``acc`` and
+    returns the coordinates sent.  The sample gradients are the quadratic's,
+    formed in the kernel, where ``quad`` (its ``QuadraticGrads``) is given
+    and the kernel takes the iterates and samples; otherwise the rows that
+    ``oracle(rows, xs, raw)`` returns.  Each value is bit for bit that of
+    the numpy path, ``advance_estimators`` then ``send_messages`` with
+    TopK's ``compress.keep_mask``, as for ``add_rows`` provided no entry of
+    ``acc`` is -0.0.  The node arrays' addresses are set once and the
+    iterates' once per round, in one ``_StepArgs`` updated in place; the
+    library keeps each thread's work buffer.
+    """
+
+    def __init__(self, lib, k: int, g: np.ndarray, states: dict, acc: np.ndarray, oracle, quad: QuadraticGrads | None):
+        self._n, self._d = n, d = g.shape
+        if any(a.shape != (n, d) for a in states.values()) or acc.shape != (d,) or not 1 <= k <= d:
+            raise ValueError("the node arrays, their sum and k do not fit one another")
+        if quad is not None and (quad._n, quad._d) != (n, d):
+            raise ValueError("the quadratic's oracle is for other node arrays")
+        self._arrays = (g, acc, *states.values(), quad)  # kept alive while their addresses are used
+        self._args = _StepArgs(k=k, g=_address(g), acc=_address(acc), **{name: _address(a) for name, a in states.items()})
+        if quad is None:
+            self._args.quad.d = d
+        else:
+            self._args.quad = _GradArgs(d=d, shift=quad._args.shift, noise_scale=quad._args.noise_scale, scale=quad._scale, b=quad._b)
+        self._quad = self._args.quad  # a view into ``_args``
+        self._has_quad, self._iterates = quad is not None, 2 if "w" in states else 1
+        self._oracle, self._xs, self._in_kernel = oracle, (), False
+        self._ref = ctypes.byref(self._args)
+        self._step_rows = lib.step_rows
+
+    def round(self, xs, eta: float, gamma: float) -> None:
+        if len(xs) != self._iterates:
+            raise ValueError(f"the rule takes its sample gradients at {self._iterates} iterates, got {len(xs)}")
+        self._xs, self._args.eta, self._args.gamma = xs, eta, gamma
+        addresses = [_float64_address(x, (self._d,)) for x in xs] if self._has_quad else [None]
+        self._in_kernel = None not in addresses
+        if self._in_kernel:
+            self._quad.iterates, self._quad.x0, self._quad.x1 = len(xs), addresses[0], addresses[-1]
+
+    def __call__(self, rows: slice, raw) -> int:
+        args, n = self._args, rows.stop - rows.start
+        if not (0 <= rows.start < rows.stop <= self._n and rows.step is None):
+            raise ValueError(f"rows {rows} lie outside the node arrays")
+        samples = _samples(raw, n, self._d) if self._in_kernel else None
+        if samples is None:  # the oracle's rows; held until the call returns
+            sg = [np.ascontiguousarray(x, dtype=np.float64) for x in self._oracle(rows, self._xs, raw)]
+            if len(sg) != self._iterates or any(x.shape != (n, self._d) for x in sg):
+                raise ValueError("the oracle's sample gradients do not fit the block")
+            addresses = [_address(x) if x.flags.writeable else x.ctypes.data for x in sg]
+            args.sg0, args.sg1 = addresses[0], addresses[-1]
+        else:
+            args.sg0, (self._quad.raw, self._quad.batch) = None, samples
+        args.start, args.rows = rows.start, n
+        sent = self._step_rows(self._ref)
+        if sent < 0:
+            raise MemoryError("no work buffer for the TopK step")
+        return sent
+
+
+def topk_step(k: int, g: np.ndarray, states: dict, acc: np.ndarray, oracle, quad: QuadraticGrads | None = None) -> TopKStep | None:
+    """The kernel's TopK step (see ``TopKStep``) over the (n, d) node arrays
+    ``g`` and ``states``, the estimators the rule keeps by name (v, u, w, e)
+    in its order, summing into ``acc`` (d,); None where the kernel did not
+    load or an array is not a writable C-contiguous float64 array."""
+    lib = _kernel()
+    if lib is None or any(a.dtype != np.float64 for a in (g, acc, *states.values())):
+        return None
+    try:
+        return TopKStep(lib, k, g, states, acc, oracle, quad)
+    except TypeError:  # from ``_address``
         return None
 
 
@@ -616,39 +685,50 @@ static void normals(stream_t *s, bitgen_t *bitgen, npy_intp count, double *out)
 
 typedef struct { uint64_t seed, node, rows, round; npy_intp count; const int64_t *bounds; void *out; } args_t;
 
-void draw_block(const args_t *a)
+/* row j of a's block: node a->node + j's draws, into row j of a->out */
+static void draw_row(const args_t *a, uint64_t j)
 {
-    stream_t s = {{a->seed}};
+    uint64_t node = a->node + j, round = a->round;
+    stream_t s = {{a->seed, node << 32 | round}, 0, {0}, 4};
     bitgen_t bitgen = {&s, stream_uint64, stream_uint32, stream_double, stream_uint64};
-    for (uint64_t j = 0, node = a->node, round = a->round; j < a->rows; j++, node++) {
-        s.key[1] = node << 32 | round;
-        s.ctr = 0, s.pos = 4, s.has_uint32 = 0, s.uinteger = 0;
-        if (a->bounds == NULL)
-            normals(&s, &bitgen, a->count, (double *)a->out + j * a->count);
-        else
-            random_bounded_uint64_fill(&bitgen, 0, (uint64_t)a->bounds[j] - 1, a->count, false, (uint64_t *)a->out + j * a->count);
-    }
+    if (a->bounds == NULL)
+        normals(&s, &bitgen, a->count, (double *)a->out + j * a->count);
+    else
+        random_bounded_uint64_fill(&bitgen, 0, (uint64_t)a->bounds[j] - 1, a->count, false, (uint64_t *)a->out + j * a->count);
 }
 
-/* Drawing ahead: one helper thread per process runs draw_block on one job at
-   a time, a copy of its args_t.  Jobs are numbered by tickets; ``posted`` is
-   the last ticket handed out and ``done`` the last one drawn.  Both sides spin
-   (pause) up to SPIN_NS for the other before sleeping on a condition variable,
-   since waking a halted core costs more than a block's draw saves.  A forked
-   child has no helper: it starts its own, and a ticket taken before the fork
-   reads as lost there.  200 us covers the engine's work between two blocks
-   at n = 100, d = 1000 (120 us median, 160 us at the 90th percentile); with
-   40 or 60 us of work per block of 8 x 1000 normals, a block then cost 29 or
-   13 us beyond the work, against 49 or 31 us without spinning and about 70
-   us drawn in the caller (2-vCPU Xeon, median of 6 interleaved sets). */
+void draw_block(const args_t *a)
+{
+    for (uint64_t j = 0; j < a->rows; j++)
+        draw_row(a, j);
+}
+
+/* Drawing ahead: one job at a time, a copy of its args_t, whose rows one
+   helper thread per process draws, and so does the thread that waits for
+   the job (ahead_wait), each row once: rows are independent streams written
+   to disjoint memory, so which thread draws a row changes no bit.  Jobs are
+   numbered by tickets; ``posted`` is the last ticket handed out and ``done``
+   the last one drawn, published by whoever draws the job's last row.
+   Waiting sides spin (pause) up to SPIN_NS before they sleep on a condition
+   variable, since waking a halted core costs more than it saves: the helper
+   for the next job, the caller for the rows the helper is drawing.  A
+   forked child has no helper: it starts its own, and a ticket taken before
+   the fork reads as lost there.  SPIN_NS covers the engine's work between
+   two blocks at n = 100, d = 1000 (about 40 us since a TopK block is one
+   step, 120 us before), so the helper is awake for the next job; a caller
+   that shares a block waits at most for the row the helper is drawing
+   (about 6 us for 1000 normals; 2-vCPU Xeon). */
 #define SPIN_NS 200000
 
 static pthread_mutex_t lock = PTHREAD_MUTEX_INITIALIZER;
 static pthread_cond_t posted_cv = PTHREAD_COND_INITIALIZER, done_cv = PTHREAD_COND_INITIALIZER;
 static args_t job;
-static _Atomic uint64_t posted, done;
+static _Atomic uint64_t posted, done, finished;  /* finished: the job's rows drawn */
+/* the job's ticket (its low 32 bits) over the rows no thread has claimed */
+static _Atomic uint64_t claim;
 static uint64_t first_valid = 1;  /* the first ticket taken in this process */
 static int helper_running;
+_Atomic uint64_t caller_rows;  /* rows the waiting threads drew (read by the tests) */
 
 static uint64_t now_ns(void)
 {
@@ -675,23 +755,49 @@ static void wait_for(_Atomic uint64_t *counter, uint64_t target, pthread_cond_t 
     }
 }
 
+static void publish(uint64_t ticket)
+{
+    pthread_mutex_lock(&lock);
+    atomic_store_explicit(&done, ticket, memory_order_release);
+    pthread_cond_broadcast(&done_cv);
+    pthread_mutex_unlock(&lock);
+}
+
+/* draws ticket's rows that no thread has claimed yet, one claim at a time:
+   a compare-and-swap on ``claim`` takes the next row only while the word
+   still holds this ticket, so no thread draws another job's rows, and the
+   job cannot change before the claimed row is drawn.  Returns the rows drawn */
+static uint64_t claim_rows(uint64_t ticket)
+{
+    uint64_t drawn = 0, mine = ticket << 32, c = atomic_load_explicit(&claim, memory_order_acquire);
+    while ((c >> 32) == (mine >> 32) && (c & 0xFFFFFFFFu) > 0) {
+        if (!atomic_compare_exchange_weak_explicit(&claim, &c, c - 1, memory_order_acquire, memory_order_acquire))
+            continue;
+        args_t a = job;
+        draw_row(&a, a.rows - (c & 0xFFFFFFFFu));
+        drawn++;
+        if (atomic_fetch_add_explicit(&finished, 1, memory_order_acq_rel) + 1 == a.rows)
+            publish(ticket);
+        c = atomic_load_explicit(&claim, memory_order_acquire);
+    }
+    return drawn;
+}
+
 static void *helper(void *unused)
 {
     for (uint64_t ticket = atomic_load(&done) + 1;; ticket++) {
         wait_for(&posted, ticket, &posted_cv);
-        draw_block(&job);  /* no job is posted until this one is done */
-        pthread_mutex_lock(&lock);
-        atomic_store_explicit(&done, ticket, memory_order_release);
-        pthread_cond_broadcast(&done_cv);
-        pthread_mutex_unlock(&lock);
+        claim_rows(ticket);  /* no job is posted until this one is done */
     }
     return unused;
 }
 
 /* posts a copy of *a once the job in flight, if any, is done; returns its
-   ticket, or 0 where no helper can be started */
+   ticket, or 0 where no helper can be started or a has no rows or 2^32 or more */
 uint64_t ahead_start(const args_t *a)
 {
+    if (a->rows == 0 || a->rows >> 32)
+        return 0;
     pthread_mutex_lock(&lock);
     while (atomic_load(&done) < atomic_load(&posted))
         pthread_cond_wait(&done_cv, &lock);
@@ -702,6 +808,8 @@ uint64_t ahead_start(const args_t *a)
     if (helper_running) {
         job = *a;
         ticket = atomic_load(&posted) + 1;
+        atomic_store(&finished, 0);
+        atomic_store_explicit(&claim, ticket << 32 | a->rows, memory_order_release);
         atomic_store_explicit(&posted, ticket, memory_order_release);
         pthread_cond_signal(&posted_cv);
     }
@@ -709,11 +817,14 @@ uint64_t ahead_start(const args_t *a)
     return ticket;
 }
 
-/* 1 once ticket's job is done, 0 (at once) if the ticket was taken before a fork */
+/* 1 once ticket's job is done, drawing its unclaimed rows here first; 0 (at
+   once) if the ticket was taken before a fork */
 int ahead_wait(uint64_t ticket)
 {
     if (ticket < first_valid)
         return 0;
+    if (atomic_load_explicit(&done, memory_order_acquire) < ticket)
+        atomic_fetch_add_explicit(&caller_rows, claim_rows(ticket), memory_order_relaxed);
     wait_for(&done, ticket, &done_cv);
     return 1;
 }
@@ -779,16 +890,6 @@ __attribute__((constructor)) static void probe_tables(void)
         accepted(idx | 1 << 9, &wi[idx]);
     }
 }
-
-/* TopK messages, each operation the one numpy makes in ``send_messages``
-   (keep_mask, then add_rows), in the same order, so every bit agrees but the
-   NaN that NaN + NaN gives (see the module docstring) */
-typedef struct {
-    npy_intp rows, d, k;
-    int ef14;
-    const double *target;
-    double *g, *e, *acc;
-} send_t;
 
 /* a thread's work buffer, grown as needed and kept: ``len`` doubles, or NULL
    where it cannot grow */
@@ -891,56 +992,48 @@ typedef long long lanes __attribute__((vector_size(16), aligned(8)));
 #define PAIR(p) (*(pair *)(p))
 #define FABS(x) ((pair)((lanes)(x) & 0x7FFFFFFFFFFFFFFF))
 
-/* write: resid = target - g; g[kept] = target and acc[kept] += resid.
-   ef14: g = kept ? target : 0.0, e = target - g and acc += g (target may be e).
-   Rows are added in ascending order; returns the coordinates sent, or -1
-   where no work buffer could be allocated */
-npy_intp send_rows(const send_t *s)
+/* the TopK message of one row from its target t, each operation the one
+   numpy makes in ``send_messages`` (keep_mask, then add_rows), in the same
+   order, so every bit agrees but the NaN that NaN + NaN gives (see the module
+   docstring).  Write (e NULL): resid = t - g; g[kept] = t and acc[kept] +=
+   resid.  ef14: g = kept ? t : 0.0, e = t - g and acc += g (t may be e).
+   size holds d magnitudes, keys k heap keys and idx k indices */
+static void send_row(const double *t, double *g, double *e, double *acc, npy_intp d, npy_intp k, double *size, double *keys, npy_intp *idx)
 {
-    npy_intp d = s->d, k = s->k, c;
-    double *acc = s->acc, *size = work(d + 2 * k), *keys = size + d;  /* d magnitudes, k heap keys, k indices */
-    if (size == NULL)
-        return -1;
-    npy_intp *idx = (npy_intp *)(keys + k);
-    for (npy_intp j = 0; j < s->rows; j++) {
-        const double *t = s->target + j * d;
-        double *g = s->g + j * d;
-        if (!s->ef14) {
-            for (c = 0; c + 2 <= d; c += 2)
-                PAIR(size + c) = FABS(PAIR(t + c) - PAIR(g + c));
-            if (c < d)
-                size[c] = __builtin_fabs(t[c] - g[c]);
-            top_k(size, d, k, keys, idx);
-            for (npy_intp i = 0; i < k; i++) {
-                c = idx[i];
-                double resid = t[c] - g[c];
-                g[c] = t[c];
-                acc[c] = acc[c] + resid;
-            }
-            continue;
-        }
-        double *e = s->e + j * d;
+    npy_intp c;
+    if (e == NULL) {
         for (c = 0; c + 2 <= d; c += 2)
-            PAIR(size + c) = FABS(PAIR(t + c));
+            PAIR(size + c) = FABS(PAIR(t + c) - PAIR(g + c));
         if (c < d)
-            size[c] = __builtin_fabs(t[c]);
+            size[c] = __builtin_fabs(t[c] - g[c]);
         top_k(size, d, k, keys, idx);
-        for (npy_intp i = 0; i < k; i++)
-            size[idx[i]] = -2.0;  /* below every magnitude: marks the kept */
-        for (c = 0; c + 2 <= d; c += 2) {
-            pair x = PAIR(t + c), sent = (pair)((lanes)x & (PAIR(size + c) == -2.0));
-            PAIR(g + c) = sent;
-            PAIR(e + c) = x - sent;
-            PAIR(acc + c) = PAIR(acc + c) + sent;
+        for (npy_intp i = 0; i < k; i++) {
+            c = idx[i];
+            double resid = t[c] - g[c];
+            g[c] = t[c];
+            acc[c] = acc[c] + resid;
         }
-        if (c < d) {
-            double x = t[c], sent = size[c] == -2.0 ? x : 0.0;
-            g[c] = sent;
-            e[c] = x - sent;
-            acc[c] = acc[c] + sent;
-        }
+        return;
     }
-    return s->rows * k;
+    for (c = 0; c + 2 <= d; c += 2)
+        PAIR(size + c) = FABS(PAIR(t + c));
+    if (c < d)
+        size[c] = __builtin_fabs(t[c]);
+    top_k(size, d, k, keys, idx);
+    for (npy_intp i = 0; i < k; i++)
+        size[idx[i]] = -2.0;  /* below every magnitude: marks the kept */
+    for (c = 0; c + 2 <= d; c += 2) {
+        pair x = PAIR(t + c), sent = (pair)((lanes)x & (PAIR(size + c) == -2.0));
+        PAIR(g + c) = sent;
+        PAIR(e + c) = x - sent;
+        PAIR(acc + c) = PAIR(acc + c) + sent;
+    }
+    if (c < d) {
+        double x = t[c], sent = size[c] == -2.0 ? x : 0.0;
+        g[c] = sent;
+        e[c] = x - sent;
+        acc[c] = acc[c] + sent;
+    }
 }
 
 /* A quadratic's gradients, each operation the one numpy makes in
@@ -970,48 +1063,136 @@ static void tridiag(const double *x, npy_intp d, double *t)
     t[d - 1] = 2.0 * x[d - 1] - x[d - 2];
 }
 
-/* out row j of iterate k (row k rows + j) = ((scale_j (T x_k)_c + shift x_kc)
-   - b_jc) + noise_scale z_jc, with z row j's mean over its batch of raw
-   normals (the first when batch = 1, else their sum in order, then / batch,
-   as numpy takes it for d >= 2), and no noise term where raw is NULL.
-   Returns 0, or -1 where no work buffer could be allocated */
+/* row j's gradient at each iterate k into out + k stride: ((scale_j (T
+   x_k)_c + shift x_kc) - b_jc) + noise_scale z_jc, with z row j's mean over
+   its batch of raw normals (the first when batch = 1, else their sum in
+   order, then / batch, as numpy takes it for d >= 2, in z), and no noise
+   term where raw is NULL; tx holds T x_k per iterate */
+static void quad_row(const grads_t *q, npy_intp j, const double *tx, double *z, double *out, npy_intp stride)
+{
+    npy_intp d = q->d, c;
+    const double *b = q->b + j * d, *mean = q->raw == NULL ? NULL : q->raw + j * q->batch * d;
+    if (mean != NULL && q->batch > 1) {
+        for (c = 0; c < d; c++)
+            z[c] = (0.0 + mean[c]) + mean[d + c];  /* numpy's sum starts from +0.0 */
+        for (npy_intp s = 2; s < q->batch; s++)
+            for (c = 0; c < d; c++)
+                z[c] = z[c] + mean[s * d + c];
+        for (c = 0; c < d; c++)
+            z[c] = z[c] / (double)q->batch;
+        mean = z;
+    }
+    for (npy_intp k = 0; k < q->iterates; k++) {
+        const double *x = q->x[k], *t = tx + k * d;
+        double *g = out + k * stride, s = q->scale[j], shift = q->shift, ns = q->noise_scale;
+        if (mean == NULL) {
+            for (c = 0; c + 2 <= d; c += 2)
+                PAIR(g + c) = (s * PAIR(t + c) + shift * PAIR(x + c)) - PAIR(b + c);
+            if (c < d)
+                g[c] = (s * t[c] + shift * x[c]) - b[c];
+            continue;
+        }
+        for (c = 0; c + 2 <= d; c += 2)
+            PAIR(g + c) = ((s * PAIR(t + c) + shift * PAIR(x + c)) - PAIR(b + c)) + ns * PAIR(mean + c);
+        if (c < d)
+            g[c] = ((s * t[c] + shift * x[c]) - b[c]) + ns * mean[c];
+    }
+}
+
+/* row j of iterate k into out row k rows + j.  Returns 0, or -1 where no
+   work buffer could be allocated */
 int quad_grads(const grads_t *q)
 {
-    npy_intp d = q->d, m = q->iterates, c;
-    double *tx = work((m + 1) * d), *z = tx + m * d;  /* T x per iterate, then a batch mean */
+    npy_intp d = q->d, m = q->iterates;
+    double *tx = work((m + 1) * d);  /* T x per iterate, then a batch mean */
     if (tx == NULL)
         return -1;
     for (npy_intp k = 0; k < m; k++)
         tridiag(q->x[k], d, tx + k * d);
-    for (npy_intp j = 0; j < q->rows; j++) {
-        const double *b = q->b + j * d, *mean = q->raw == NULL ? NULL : q->raw + j * q->batch * d;
-        if (mean != NULL && q->batch > 1) {
-            for (c = 0; c < d; c++)
-                z[c] = (0.0 + mean[c]) + mean[d + c];  /* numpy's sum starts from +0.0 */
-            for (npy_intp s = 2; s < q->batch; s++)
-                for (c = 0; c < d; c++)
-                    z[c] = z[c] + mean[s * d + c];
-            for (c = 0; c < d; c++)
-                z[c] = z[c] / (double)q->batch;
-            mean = z;
-        }
-        for (npy_intp k = 0; k < m; k++) {
-            const double *x = q->x[k], *t = tx + k * d;
-            double *g = q->out + (k * q->rows + j) * d, s = q->scale[j], shift = q->shift, ns = q->noise_scale;
-            if (mean == NULL) {
-                for (c = 0; c + 2 <= d; c += 2)
-                    PAIR(g + c) = (s * PAIR(t + c) + shift * PAIR(x + c)) - PAIR(b + c);
-                if (c < d)
-                    g[c] = (s * t[c] + shift * x[c]) - b[c];
-                continue;
-            }
-            for (c = 0; c + 2 <= d; c += 2)
-                PAIR(g + c) = ((s * PAIR(t + c) + shift * PAIR(x + c)) - PAIR(b + c)) + ns * PAIR(mean + c);
-            if (c < d)
-                g[c] = ((s * t[c] + shift * x[c]) - b[c]) + ns * mean[c];
-        }
-    }
+    for (npy_intp j = 0; j < q->rows; j++)
+        quad_row(q, j, tx, tx + m * d, q->out + j * d, q->rows * d);
     return 0;
+}
+
+/* A TopK block of the write and ef14 rules, each operation the one numpy
+   makes in ``advance_estimators`` and ``send_messages``, in the same order:
+   rows start .. start + rows - 1 of the node arrays g, v, u, w and e (each
+   NULL where the rule keeps none), summed into acc.  Per row: its sample
+   gradient at each iterate (the quadratic's, by quad_row, where sg0 is NULL;
+   else row j of sg0 and sg1), then v = (1 - eta) v + eta sg, u = (1 - eta) u
+   + eta v, w = sg + (1 - eta) (w - sg at the previous iterate) and e = e +
+   gamma sg, in that order, then the message from the last of them (else
+   from sg) by send_row, an ef14 message where e is kept */
+typedef struct {
+    npy_intp start, rows, k;
+    double eta, gamma;
+    const double *sg0, *sg1;
+    double *g, *v, *u, *w, *e, *acc;
+    grads_t quad;  /* d always; the rest where sg0 is NULL: scale and b from node 0, raw this block's */
+} step_t;
+
+/* s = (1 - eta) s + eta t, as numpy's two in-place lines make it */
+static void average(double *s, const double *t, npy_intp d, double eta)
+{
+    double keep = 1.0 - eta;
+    npy_intp c;
+    for (c = 0; c + 2 <= d; c += 2)
+        PAIR(s + c) = keep * PAIR(s + c) + eta * PAIR(t + c);
+    if (c < d)
+        s[c] = keep * s[c] + eta * t[c];
+}
+
+/* Returns the coordinates sent, or -1 where no work buffer could be allocated */
+npy_intp step_rows(const step_t *s)
+{
+    npy_intp d = s->quad.d, k = s->k, m = s->sg0 == NULL ? s->quad.iterates : 0, c;
+    /* T x per iterate, a batch mean, the sample gradients, d magnitudes, k heap keys, k indices */
+    double *tx = work((2 * m + 2) * d + 2 * k), *z = tx + m * d, *grads = z + d, *size = grads + m * d, *keys = size + d;
+    if (tx == NULL)
+        return -1;
+    npy_intp *idx = (npy_intp *)(keys + k);
+    grads_t q = s->quad;
+    if (m > 0) {
+        q.scale += s->start, q.b += s->start * d;
+        for (npy_intp i = 0; i < m; i++)
+            tridiag(q.x[i], d, tx + i * d);
+    }
+    double eta = s->eta, keep = 1.0 - eta, gamma = s->gamma;
+    for (npy_intp j = 0; j < s->rows; j++) {
+        npy_intp row = (s->start + j) * d;
+        const double *sg = grads, *prev = grads + d, *t;
+        if (m > 0)
+            quad_row(&q, j, tx, z, grads, d);
+        else
+            sg = s->sg0 + j * d, prev = s->sg1 == NULL ? NULL : s->sg1 + j * d;
+        t = sg;
+        if (s->v != NULL) {
+            average(s->v + row, t, d, eta);
+            t = s->v + row;
+        }
+        if (s->u != NULL) {
+            average(s->u + row, t, d, eta);
+            t = s->u + row;
+        }
+        if (s->w != NULL) {
+            double *w = s->w + row;
+            for (c = 0; c + 2 <= d; c += 2)
+                PAIR(w + c) = PAIR(sg + c) + keep * (PAIR(w + c) - PAIR(prev + c));
+            if (c < d)
+                w[c] = sg[c] + keep * (w[c] - prev[c]);
+            t = w;
+        }
+        if (s->e != NULL) {
+            double *e = s->e + row;
+            for (c = 0; c + 2 <= d; c += 2)
+                PAIR(e + c) = PAIR(e + c) + gamma * PAIR(sg + c);
+            if (c < d)
+                e[c] = e[c] + gamma * sg[c];
+            t = e;
+        }
+        send_row(t, s->g + row, s->e == NULL ? NULL : s->e + row, s->acc, d, k, size, keys, idx);
+    }
+    return s->rows * k;
 }
 """
 # the compiled kernel is cached beside the package's bytecode, under a hash of
@@ -1023,9 +1204,9 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 @functools.cache
 def _kernel():
     """The compiled library, which draws (``draw_block`` and the draw ahead),
-    sends (``send_rows``) and takes the quadratic's gradients
+    steps TopK blocks (``step_rows``) and takes the quadratic's gradients
     (``quad_grads``), or None where it cannot be built or loaded or does not
-    reproduce the per-node draws, the numpy send and the numpy gradients (one
+    reproduce the per-node draws, the numpy step and the numpy gradients (one
     guard, decided once per process, on first use).  It uses only numpy's public
     ``bitgen_t`` and samplers, and its library probes numpy's ziggurat tables
     when it loads.  A build is cached under a hash of the source and the gcc
@@ -1060,7 +1241,7 @@ def _kernel():
     lib.ahead_start.argtypes, lib.ahead_start.restype = [ctypes.POINTER(_BlockArgs)], ctypes.c_uint64
     lib.ahead_wait.argtypes, lib.ahead_wait.restype = [ctypes.c_uint64], ctypes.c_int
     lib.ahead_drain.argtypes, lib.ahead_drain.restype = [], None
-    lib.send_rows.argtypes, lib.send_rows.restype = [ctypes.POINTER(_SendArgs)], ctypes.c_ssize_t
+    lib.step_rows.argtypes, lib.step_rows.restype = [ctypes.POINTER(_StepArgs)], ctypes.c_ssize_t
     lib.quad_grads.argtypes, lib.quad_grads.restype = [ctypes.POINTER(_GradArgs)], ctypes.c_int
     atexit.register(lib.ahead_drain)  # no draw ahead may outlive its buffer
     return lib if _kernel_matches(lib) else None
@@ -1073,11 +1254,12 @@ def _kernel_matches(lib) -> bool:
     bound that enters numpy's rejection loop (2^31 + 1) and bounds >= 2^32;
     and, at each ziggurat layer's edge, the normals numpy's own Philox gives
     after the word the fast path takes last (sign bit set) and the word it
-    sends to numpy's wedge or tail first; that a block the helper thread
-    draws ahead equals the same block drawn in the calling thread; and that
-    its TopK sends and quadratic gradients match their numpy references
-    (``_sends_match``, ``_grads_match``)."""
-    if not (_sends_match(lib) and _grads_match(lib)):
+    sends to numpy's wedge or tail first; that a block drawn ahead, which
+    the calling thread waits for at once and so helps draw, equals the same
+    block drawn in the calling thread; and that its TopK steps and quadratic
+    gradients match their numpy references (``_steps_match``,
+    ``_grads_match``)."""
+    if not (_steps_match(lib) and _grads_match(lib)):
         return False
     factory = StreamFactory(SEED_MAX)
     bounds = np.array([1, 3, 1000, (1 << 31) + 1, _MASK32, 1 << 32, (1 << 33) + 7, (1 << 63) - 1])
@@ -1102,33 +1284,58 @@ def _kernel_matches(lib) -> bool:
         want[i] = factory._gen.standard_normal(3)
     if not np.array_equal(got, want):
         return False
-    out = np.empty((2, 5, 1000))
-    ahead, here = (_BlockArgs(SEED_MAX, 3, 5, 7, 1000, None, out[j].ctypes.data) for j in (0, 1))
+    out = np.full((2, 40, 500), np.nan)  # no row of an earlier block may pass for one not drawn
+    ahead, here = (_BlockArgs(SEED_MAX, 3, 40, 7, 500, None, out[j].ctypes.data) for j in (0, 1))
     ticket = lib.ahead_start(ctypes.byref(ahead))
+    shared = ticket == 0 or lib.ahead_wait(ticket) == 1  # at once: this thread draws rows too
     lib.draw_block(ctypes.byref(here))
-    return ticket == 0 or (lib.ahead_wait(ticket) == 1 and np.array_equal(out[0], out[1]))
+    return shared and (ticket == 0 or np.array_equal(out[0], out[1]))
 
 
-def _sends_match(lib) -> bool:
-    """Whether ``TopKSend`` gives ``send_messages``' g, e, sum and count with
-    ``compress.keep_mask`` bit for bit, for k = 1, 2 and d, in both modes, on
-    rows with ties, NaNs, infinities, signed zeros and a subnormal."""
+def _steps_match(lib) -> bool:
+    """Whether ``TopKStep`` gives the numpy path's estimators, g, e, sum and
+    count bit for bit but a NaN's (``advance_estimators``, then
+    ``send_messages`` with ``compress.keep_mask``): for every set of
+    estimators the write and ef14 rules keep at k = 2, and for both sends at
+    k = 1 and d too, on rows past the first, with the quadratic's gradients
+    formed in the kernel (a batch of 2) and with given rows holding ties,
+    NaNs, infinities, signed zeros and a subnormal."""
     from .compress import keep_mask, top_k  # a leaf module, imported when the guard runs
 
-    nan, inf = np.nan, np.inf
-    target = np.array(
+    nan, inf, rng, rows = np.nan, np.inf, derive_stream(SEED_MAX, 2, 0), slice(1, 5)
+    given = np.array(
         [[1.0, -3.0, 3.0, nan, -0.0, 2.0], [nan, 0.5, -inf, 0.5, nan, 0.0], [nan, -0.0, 0.0, 0.0, 0.0, -0.0], [2.0, 2.0, 1.0, -2.0, 5e-324, 1e308]]
     )
-    g = np.array([[0.0, -1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.5, 0.0, 0.0], [0.0] * 6, [0.0, 0.0, 1.0, 0.0, -0.0, -1e308]])
-    for k, ef14 in itertools.product((1, 2, g.shape[1]), (False, True)):
-        got, want = ([g.copy(), target.copy(), np.zeros(g.shape[1])] for _ in range(2))
+    start = np.zeros((5, 6))
+    start[1:] = [[0.0, -1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.5, 0.0, 0.0], [0.0] * 6, [0.0, 0.0, 1.0, 0.0, -0.0, -1e308]]
+    scale, b, xs, raw = rng.standard_normal(5), rng.standard_normal((5, 6)), list(rng.standard_normal((2, 6))), rng.standard_normal((4, 12))
+    quad = QuadraticGrads(lib, scale, b, -0.25, 0.5)
+    for names, in_kernel, k in itertools.product(((), ("v",), ("v", "u"), ("w",), ("e",)), (True, False), (1, 2, 6)):
+        if k != 2 and names not in ((), ("e",)):  # the write and ef14 sends at every k, the estimators at one
+            continue
+        iterates = xs[: 2 if "w" in names else 1]
+        got, want = ([start.copy(), np.zeros(6), *(np.roll(start, i + 1, axis=1) for i in range(len(names)))] for _ in range(2))
         with np.errstate(over="ignore", invalid="ignore"):
-            sent = TopKSend(lib, k, got[0], got[1] if ef14 else None, got[2], got[1])(slice(0, len(g)), got[1])
-            # ef14 computes its target in place, in e
-            count = send_messages(lambda x: keep_mask(top_k(k, g.shape[1]), x), want[1], want[0], want[1] if ef14 else None, want[2])
-        if sent != count or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+            if in_kernel:
+                grads = [quadratic_grads(scale[rows], b[rows], -0.25, x) for x in iterates]
+                add_batch_noise(grads, raw, 0.5)
+            else:
+                grads = [given, given[::-1].copy()][: len(iterates)]
+            step = TopKStep(lib, k, got[0], dict(zip(names, got[2:])), got[1], lambda *_: grads, quad if in_kernel else None)
+            step.round(iterates, 0.25, 0.5)
+            sent = step(rows, raw)
+            target = advance_estimators([(name, a[rows]) for name, a in zip(names, want[2:])], grads, 0.25, 0.5)
+            e = want[2][rows] if names == ("e",) else None
+            count = send_messages(lambda x: keep_mask(top_k(k, 6), x), target, want[0][rows], e, want[1])
+        if sent != count or any(_nan_as_nan(x) != _nan_as_nan(y) for x, y in zip(got, want)):
             return False
     return True
+
+
+def _nan_as_nan(a: np.ndarray) -> bytes:
+    """The bytes of ``a`` with every NaN's as ``np.nan``'s: numpy's own loops
+    pick the NaN that NaN + NaN gives by position, and no trace shows it."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
 def _grads_match(lib) -> bool:

@@ -29,14 +29,16 @@ Node update rules (per node i, fresh sample at the new iterate x'):
 states are (n, d) arrays (``NodeArrays``) walked in ``core.blocks`` of
 rows.  Per block, the nodes' raw oracle samples and RandK picks, each
 node's from its own (seed, node, round) stream, come from one
-``StreamFactory.block`` call (see ``core``); the estimators are array
-operations in the operand order of the formulas above.  The message step
-of the write and ef14 rules is one call per block: with TopK, of the
-compiled kernel's send (``core.TopKSend``), one C pass per row that
-selects, writes g_i (and e_i) and adds the row to the node sum; otherwise
-of ``core.send_messages``, ``keep_mask`` and one ``core.add_rows`` call.
-Both add the messages in ascending node order with the same operations,
-so traces match a loop over single nodes bit for bit.  Compressed-state
+``StreamFactory.block`` call (see ``core``).  With TopK in the write and
+ef14 rules, the rest of a block is one call of the compiled kernel's step
+(``core.TopKStep``): per row, the sample gradient (the quadratic's formed
+in the kernel), the estimators, the selection, g_i (and e_i) and the add to
+the node sum.  Otherwise the estimators are array operations in the
+operand order of the formulas above (``core.advance_estimators``), and the
+write and ef14 message step is one call of ``core.send_messages``,
+``keep_mask`` and one ``core.add_rows`` call.  Both paths make the same
+operations and add the messages in ascending node order, so traces match a
+loop over single nodes bit for bit.  Compressed-state
 updates write the kept coordinates of the target directly into g_i
 (mathematically identical to adding the transmitted residual, and it
 makes the eta = 1 and identity-compressor reductions exact bitwise).
@@ -253,51 +255,40 @@ def run_round(
         x_new = server.x - (server.g if rule.message == "ef14" else gamma_t * server.g)
         ensure_finite(x_new, "iterate", t)
 
-        send, acc = _message_step(rule, comp, nodes)
+        step, send, acc = _message_step(rule, comp, nodes, problem)
         acc.fill(0.0)  # the sum of the messages, or of the new g_i, from +0.0 (see ``add_rows``)
         coords = 0
         # STORM's w also takes each sample gradient at the previous iterate, server.x
         iterates = (x_new, server.x) if "w" in rule.estimators else (x_new,)
         sample, randk = problem.sample(hp.batch), ((comp.dim, comp.k) if comp.is_random else None)
-        for rows in blocks(n, problem.dim * hp.batch):
-            raw, picks = streams.block(rows, t + 1, sample, randk)
-            grads = problem.stoch_grads_at(rows, iterates, raw)
-            sg = grads[0]
-            g = nodes.g[rows]
-            target = sg
-            # in-place updates, each operation in the order of the formulas above
-            for name in rule.estimators:
-                state = getattr(nodes, name)[rows]
-                if name in ("v", "u"):  # v averages the sample gradient, u averages v
-                    np.multiply(1.0 - eta_t, state, out=state)
-                    state += eta_t * target
-                    target = state
-                elif name == "w":
-                    np.subtract(state, grads[1], out=state)
-                    np.multiply(1.0 - eta_t, state, out=state)
-                    np.add(sg, state, out=state)
-                    target = state
-                else:  # "e": the error plus this round's scaled sample gradient, in place
-                    state += gamma_t * sg
-                    target = state
-
-            if send is not None:
-                coords += send(rows, target, picks)
-            elif rule.message == "absolute":
-                unscaled = (target - g) / gamma_t
-                mask = keep_mask(comp, unscaled, picks)
-                scaled = gamma_t * unscaled
-                np.add(g, scaled, out=g, where=mask)
-                add_rows(acc, scaled, mask)
-                coords += int(np.count_nonzero(mask))
-            else:  # ideal: exact gradient plus the compressed noise, sent dense
-                full = problem.full_grads(rows, x_new)
-                noise = sg - full
-                if rule.scale_noise:
-                    noise = eta_t * noise
-                mask = keep_mask(comp, noise, picks)
-                add_rows(acc, full + np.where(mask, noise, 0.0))
-                coords += problem.dim * len(g)
+        if step is not None:  # TopK from the kernel: each block's gradients, estimators and messages in one call
+            step.round(iterates, eta_t, gamma_t)
+            for rows in blocks(n, problem.dim * hp.batch):
+                coords += step(rows, streams.block(rows, t + 1, sample)[0])
+        else:
+            for rows in blocks(n, problem.dim * hp.batch):
+                raw, picks = streams.block(rows, t + 1, sample, randk)
+                grads = problem.stoch_grads_at(rows, iterates, raw)
+                sg, g = grads[0], nodes.g[rows]
+                # in-place updates, each operation in the order of the formulas above
+                target = core.advance_estimators([(name, getattr(nodes, name)[rows]) for name in rule.estimators], grads, eta_t, gamma_t)
+                if send is not None:
+                    coords += send(rows, target, picks)
+                elif rule.message == "absolute":
+                    unscaled = (target - g) / gamma_t
+                    mask = keep_mask(comp, unscaled, picks)
+                    scaled = gamma_t * unscaled
+                    np.add(g, scaled, out=g, where=mask)
+                    add_rows(acc, scaled, mask)
+                    coords += int(np.count_nonzero(mask))
+                else:  # ideal: exact gradient plus the compressed noise, sent dense
+                    full = problem.full_grads(rows, x_new)
+                    noise = sg - full
+                    if rule.scale_noise:
+                        noise = eta_t * noise
+                    mask = keep_mask(comp, noise, picks)
+                    add_rows(acc, full + np.where(mask, noise, 0.0))
+                    coords += problem.dim * len(g)
 
         server.g = server.g + acc / n if rule.message in ("write", "absolute") else acc / n
         ensure_finite(server.g, "aggregated state", t)
@@ -307,32 +298,32 @@ def run_round(
         return RoundLog(coords_sent=coords, grad_evals=evals)
 
 
-def _message_step(rule: Rule, comp: Compressor, nodes: NodeArrays):
-    """``(send, acc)`` of a run, built in its first round and kept with its
-    node arrays: ``acc``, the round's sum of the messages, and ``_sender``'s
-    message step, which adds into it."""
+def _message_step(rule: Rule, comp: Compressor, nodes: NodeArrays, problem: Problem):
+    """``(step, send, acc)`` of a run, built in its first round and kept with
+    its node arrays: ``acc``, the round's sum of the messages; with TopK in
+    the write and ef14 rules, where the kernel loaded, ``step``, the
+    kernel's ``core.TopKStep``, which takes a block's sample gradients (the
+    quadratic's formed in the kernel, through ``problem.kernel_grads()``),
+    estimators and messages in one call; otherwise ``_sender``'s message
+    step (None for the absolute and ideal rules).  Both add into ``acc``."""
     if nodes._message_step is None:
-        acc = np.zeros(nodes.g.shape[1])
-        nodes._message_step = _sender(rule, comp, nodes, acc), acc
+        acc, step = np.zeros(nodes.g.shape[1]), None
+        if rule.message in ("write", "ef14") and comp.kind == "topk":
+            states = {name: getattr(nodes, name) for name in rule.estimators}
+            step = core.topk_step(comp.k, nodes.g, states, acc, problem.stoch_grads_at, problem.kernel_grads())
+        nodes._message_step = step, (None if step is not None else _sender(rule, comp, nodes, acc)), acc
     return nodes._message_step
 
 
 def _sender(rule: Rule, comp: Compressor, nodes: NodeArrays, acc: np.ndarray):
-    """The message step of the write and ef14 rules (None for the others):
-    ``send(rows, target, picks)`` updates the rows ``rows`` of g (and e) from
-    their targets, adds the messages to ``acc`` in ascending node order and
-    returns the coordinates sent.  TopK is sent by the kernel where it loaded
-    (``core.topk_send``); every other operator, and TopK without the kernel,
-    through ``core.send_messages`` with ``keep_mask``, which makes the same
-    operations in the same order.  The targets are the rows of the rule's
-    last estimator, if it keeps one.
-    """
+    """The numpy message step of the write and ef14 rules (None for the
+    others): ``send(rows, target, picks)`` updates the rows ``rows`` of g
+    (and e) from their targets through ``core.send_messages`` with
+    ``keep_mask``, adds the messages to ``acc`` in ascending node order and
+    returns the coordinates sent.  It is the kernel-less path of TopK, and
+    the path of every other operator."""
     if rule.message not in ("write", "ef14"):
         return None
-    source = getattr(nodes, rule.estimators[-1]) if rule.estimators else None
-    kernel = core.topk_send(comp.k, nodes.g, nodes.e, acc, source) if comp.kind == "topk" else None
-    if kernel is not None:
-        return lambda rows, target, picks: kernel(rows, target)
 
     def send(rows: slice, target: np.ndarray, picks) -> int:
         e = None if nodes.e is None else nodes.e[rows]

@@ -78,6 +78,13 @@ class Problem:
         batch here, once for all iterates); ``raw`` is None if ``sample`` is."""
         raise NotImplementedError
 
+    def kernel_grads(self):
+        """The compiled kernel's oracle of ``stoch_grads_at`` (a
+        ``core.QuadraticGrads``), through which the engine's TopK step forms
+        the sample gradients itself, or None: the step takes the rows
+        ``stoch_grads_at`` returns."""
+        return None
+
     def value(self, x: np.ndarray) -> float:
         """Global objective f(x) = (1/n) sum_i f_i(x)."""
         raise NotImplementedError

@@ -16,7 +16,8 @@ vector-level second moment is sigma^2, matching how the variance bound is
 stated.  A block's gradients, at one iterate or STORM's two, come from one
 call of the compiled kernel (``core.QuadraticGrads``), with the values of
 the numpy path (``core.quadratic_grads`` and ``core.add_batch_noise``),
-which runs where the kernel did not load.
+which runs where the kernel did not load; a TopK round forms them inside
+the kernel's step (``core.TopKStep``) from the same oracle.
 """
 
 from __future__ import annotations
@@ -48,9 +49,11 @@ class QuadraticProblem(Problem):
 
     ``full_grads`` and ``stoch_grads_at`` take a block's gradients from the
     compiled kernel where it loaded, and from numpy otherwise, with the same
-    bits.  A subclass or instance with its own ``full_grads`` (a dense
-    quadratic, say) is never bypassed: its stochastic gradients are its full
-    gradients plus the numpy noise."""
+    bits; the engine's TopK step forms them in the kernel from
+    ``kernel_grads``.  A subclass or instance with its own ``full_grads`` (a
+    dense quadratic, say) or ``stoch_grads_at`` is never bypassed: no
+    gradient of it comes from the kernel, and its stochastic gradients are
+    its full gradients plus the numpy noise."""
 
     def __init__(
         self,
@@ -96,18 +99,26 @@ class QuadraticProblem(Problem):
     # the kernel's oracle, built on first use (the kernel is loaded there, not at construction)
     _kernel_grads = None
 
-    def _compiled(self, rows: slice, xs, raw) -> list[np.ndarray] | None:
-        """The gradients from the compiled kernel (``core.QuadraticGrads``), or
-        None where it did not load, a subclass or the instance defines its
-        own ``full_grads``, or the kernel does not take the input."""
-        if getattr(self.full_grads, "__func__", None) is not QuadraticProblem.full_grads:
+    def kernel_grads(self) -> QuadraticGrads | None:
+        """The compiled kernel's oracle of this problem's gradients
+        (``core.QuadraticGrads``), or None where the kernel did not load or a
+        subclass or the instance defines its own ``full_grads`` or
+        ``stoch_grads_at``, which nothing may bypass."""
+        own = QuadraticProblem.full_grads, QuadraticProblem.stoch_grads_at
+        if tuple(getattr(f, "__func__", None) for f in (self.full_grads, self.stoch_grads_at)) != own:
             return None
         lib = core._kernel()
         if lib is None:
             return None
         if self._kernel_grads is None:
             self._kernel_grads = QuadraticGrads(lib, self.tri_scale, self.b, self.shift, self._noise_scale)
-        return self._kernel_grads(rows, xs, raw)
+        return self._kernel_grads
+
+    def _compiled(self, rows: slice, xs, raw) -> list[np.ndarray] | None:
+        """The gradients from ``kernel_grads``, or None where there is none or
+        it does not take the input."""
+        grads = self.kernel_grads()
+        return None if grads is None else grads(rows, xs, raw)
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_kernel_grads": None}  # a ctypes structure does not pickle

@@ -237,15 +237,17 @@ def test_randk_mask_from_a_picks_array_equals_the_per_row_loop():
         assert np.array_equal(keep_mask(spec, x, list(picks)), want)
 
 
-# -- TopK sent by the compiled kernel against the numpy path -----------------------
+# -- TopK sent by the compiled kernel's step against the numpy path -----------------
 
 
 def _sends(k, target, g, ef14, acc=None):
     """(g, e, acc, coordinates sent) of TopK's message step on the rows
-    ``target`` and ``g``, from the kernel and from numpy's ``send_messages``
-    with ``keep_mask``, each from copies of the same start; numpy's kept
-    coordinates are checked against ``_reference_topk``.  In ef14 mode the
-    target is e itself, as in the engine."""
+    ``target`` and ``g``, from the kernel's step and from numpy's
+    ``send_messages`` with ``keep_mask``, each from copies of the same start;
+    numpy's kept coordinates are checked against ``_reference_topk``.  The
+    step's sample gradients are the target in the write rule; in ef14 mode
+    the target is e itself, as in the engine, and the step adds 1.0 * -0.0
+    to it, which leaves every e as it is."""
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler to build the kernel")
     m, d = g.shape
@@ -262,9 +264,11 @@ def _sends(k, target, g, ef14, acc=None):
         e = t_ if ef14 else None
         with np.errstate(all="ignore"):
             if kernel:
-                send = core.topk_send(k, g_, e, acc_, t_)
-                assert send is not None
-                count = send(slice(0, m), t_)
+                sg = np.full((m, d), -0.0) if ef14 else t_
+                step = core.topk_step(k, g_, {"e": e} if ef14 else {}, acc_, lambda rows, xs, raw: [sg])
+                assert step is not None
+                step.round((np.zeros(d),), 1.0, 1.0)
+                count = step(slice(0, m), None)
             else:
                 count = core.send_messages(keep, t_, g_, e, acc_)
         out.append((_bits(g_), _bits(t_), _bits(acc_), count))

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import multiprocessing
 import os
@@ -445,6 +446,23 @@ def test_interleaved_factories_draw_as_each_alone():
     assert got == want
 
 
+def test_waiting_thread_draws_rows_of_the_block_drawn_ahead(monkeypatch):
+    """Blocks of 64 rows asked for one after another, so each request finds
+    most of its block drawn ahead still unclaimed: the calling thread draws
+    those rows itself (the library's count of rows drawn by waiting threads
+    grows), and every block is the per-node draws bitwise."""
+    monkeypatch.setattr(core, "BLOCK_BYTES", 64 * 8 * 500)
+    seed, n, count = 6, 128, 500
+    walk = [(rows, r) for r in range(1, 4) for rows in core.blocks(n, count)]
+    want = [_normals(seed, rows, r, count) for rows, r in walk]
+    factory = _ahead_factory(seed)
+    shared = ctypes.c_uint64.in_dll(core._kernel(), "caller_rows")
+    before = shared.value
+    got = [factory.block(rows, r, Sample(count))[0].tobytes() for rows, r in walk]
+    assert shared.value > before
+    assert got == want
+
+
 def test_forked_child_draws_the_same_values():
     """A fork while the helper draws the parent's next block (a row of 3e5
     normals, about 2 ms): the child has no helper, and its copy of the
@@ -515,6 +533,9 @@ _PLANTS = {
     "ki_one_off": ("ki[idx] = lo;", "ki[idx] = lo + (idx == 77);"),
     # TopK sends break ties toward the highest index
     "send_ties_to_the_right": ("ka == kb && ia > ib", "ka == kb && ia < ib"),
+    # a row of a block drawn ahead is written one row off: the row a thread
+    # claims but the last is drawn into the next, so row 0 is never drawn
+    "shared_row_one_off": ("draw_row(&a, a.rows - (c & 0xFFFFFFFFu));", "draw_row(&a, a.rows - (c & 0xFFFFFFFFu) + ((c & 0xFFFFFFFFu) > 1));"),
     # the quadratic's T x subtracts x_{c-1} before x_{c+1}
     "tridiag_order": (
         "(2.0 * PAIR(x + c) - PAIR(x + c + 1)) - PAIR(x + c - 1)",

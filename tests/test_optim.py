@@ -5,13 +5,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from dense_quadratic import DenseQuadratic
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from efsim import core, optim
-from efsim.compress import hard_threshold, identity, rand_k, top_k
+from efsim.compress import hard_threshold, identity, keep_mask, rand_k, top_k
 from efsim.core import NumericFailure, Sample, StreamFactory, derive_stream
 from efsim.harness import RunConfig, run, write_trace_csv
 from efsim.optim import HyperParams, schedule_at, theoretical_params, validate_pairing
-from efsim.problems import CounterexampleProblem, LogRegProblem, SmoothnessInfo, generate_quadratic, make_blobs, split_examples
+from efsim.problems import CounterexampleProblem, LogRegProblem, QuadraticProblem, SmoothnessInfo, generate_quadratic, make_blobs, split_examples
 
 
 def make_problem(sigma=0.1, n=4, d=20, seed=3):
@@ -371,11 +374,11 @@ def _require_kernel():
 
 @pytest.mark.parametrize("kind", ["ef21_sgdm", "ef21_storm", "ef14_sgd"])
 def test_topk_runs_send_through_the_kernel(kind, monkeypatch):
-    """Every block of a TopK round is sent by one kernel call, so a silent
-    fall back to numpy cannot pass for the kernel."""
+    """Every block of a TopK round is stepped, and so sent, by one kernel
+    call, so a silent fall back to numpy cannot pass for the kernel."""
     _require_kernel()
-    calls, call = [], core.TopKSend.__call__
-    monkeypatch.setattr(core.TopKSend, "__call__", lambda self, rows, target: calls.append(rows) or call(self, rows, target))
+    calls, call = [], core.TopKStep.__call__
+    monkeypatch.setattr(core.TopKStep, "__call__", lambda self, rows, raw: calls.append(rows) or call(self, rows, raw))
     problem = generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01)
     hp = HyperParams(gamma=2.0**-4, eta=0.3, rounds=5)
     run(RunConfig(kind, problem, top_k(10, 1000), hp, metric_every=5), 0)
@@ -390,24 +393,39 @@ def test_topk_runs_send_through_the_kernel(kind, monkeypatch):
 )
 def test_other_operators_send_without_the_kernel(kind, comp, monkeypatch):
     _require_kernel()
-    monkeypatch.setattr(core.TopKSend, "__call__", lambda *args: pytest.fail("the kernel sent a message"))
+    monkeypatch.setattr(core.TopKStep, "__call__", lambda *args: pytest.fail("the kernel sent a message"))
     problem = generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01)
     run(RunConfig(kind, problem, comp, HyperParams(gamma=2.0**-4, eta=0.3, rounds=3), metric_every=3), 0)
 
 
 def test_one_run_builds_one_topk_sender(monkeypatch):
     _require_kernel()
-    built, init = [], core.TopKSend.__init__
-    monkeypatch.setattr(core.TopKSend, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    built, init = [], core.TopKStep.__init__
+    monkeypatch.setattr(core.TopKStep, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     problem = generate_quadratic(20, 100, 0.01, 1.0, seed=4, sigma=0.01)
     run(RunConfig("ef21_sgdm", problem, top_k(10, 100), HyperParams(gamma=2.0**-4, eta=0.3, rounds=6), metric_every=3), 0)
     assert len(built) == 1
 
 
+def _spy_steps(monkeypatch) -> list[tuple[slice, int, bool]]:
+    """(rows, iterates, whether the kernel formed the sample gradients) of
+    every ``TopKStep`` call from here on."""
+    steps, call = [], core.TopKStep.__call__
+
+    def spy(self, rows, raw):
+        sent = call(self, rows, raw)
+        steps.append((rows, len(self._xs), self._args.sg0 is None))
+        return sent
+
+    monkeypatch.setattr(core.TopKStep, "__call__", spy)
+    return steps
+
+
 @pytest.mark.parametrize("kind", ["ef21_sgdm", "ef21_storm", "ef14_sgd"])
 def test_quadratic_rounds_take_gradients_from_the_kernel(kind, monkeypatch):
-    """Every block's stochastic gradients, at both of STORM's iterates, come
-    from one kernel call, and so do the metric rows' full gradients."""
+    """Every block's stochastic gradients, at both of STORM's iterates, are
+    formed inside the kernel's step, and the start's and the metric rows'
+    from one ``QuadraticGrads`` call each."""
     _require_kernel()
     calls, call = [], core.QuadraticGrads.__call__
 
@@ -417,22 +435,89 @@ def test_quadratic_rounds_take_gradients_from_the_kernel(kind, monkeypatch):
         return grads
 
     monkeypatch.setattr(core.QuadraticGrads, "__call__", spy)
+    steps = _spy_steps(monkeypatch)
     problem = generate_quadratic(20, 1000, 0.01, 1.0, seed=4, sigma=0.01)
     run(RunConfig(kind, problem, top_k(10, 1000), HyperParams(gamma=2.0**-4, eta=0.3, rounds=5), metric_every=5), 0)
     blocks, iterates = core.blocks(20, 1000), 2 if kind == "ef21_storm" else 1
-    want = [(rows, 1, True, True) for rows in blocks] + [(rows, iterates, True, True) for _ in range(5) for rows in blocks]
-    assert [c for c in calls if c[2]] == want
+    assert steps == [(rows, iterates, True) for _ in range(5) for rows in blocks]
+    assert [c for c in calls if c[2]] == [(rows, 1, True, True) for rows in blocks]
     assert [c for c in calls if not c[2]] == [(rows, 1, False, True) for _ in range(2) for rows in blocks]
 
 
 def test_dense_quadratic_rounds_take_no_gradients_from_the_kernel(monkeypatch):
     _require_kernel()
     monkeypatch.setattr(core.QuadraticGrads, "__call__", lambda *args: pytest.fail("the kernel computed a gradient"))
+    steps = _spy_steps(monkeypatch)
     rng = derive_stream(21, 0, 0)
     a = rng.standard_normal((4, 6, 6))
     problem = DenseQuadratic(a @ a.transpose(0, 2, 1) + np.eye(6), rng.standard_normal((4, 6)), np.ones(6), sigma=0.1)
     for kind in ("ef21_sgdm", "ef21_storm", "ef21_sgd_ideal"):
         run(RunConfig(kind, problem, top_k(2, 6), HyperParams(gamma=0.05, eta=0.3, rounds=4), metric_every=2), 0)
+    assert len(steps) == 8 and not any(in_kernel for _, _, in_kernel in steps)  # the dense oracle's rows
+
+
+# every kind of the write and ef14 rules, whatever operator a run pairs it with
+_STEP_KINDS = ["sgd", "sgdm", "ef21_sgd", "ef21_sgdm", "ef21_sgd2m", "ef21_storm", "ef14_sgd"]
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308])
+_VALUES = _SPECIAL | st.floats(-1e3, 1e3) | st.floats()
+
+
+def _nan_as_nan(a):
+    """The bits of ``a`` with every NaN's as ``np.nan``'s: numpy's own loops
+    pick the NaN that NaN + NaN gives by position, and no trace shows it."""
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+@settings(max_examples=250, deadline=None)
+@given(kind=st.sampled_from(_STEP_KINDS), source=st.sampled_from(["quadratic", "rows"]), data=st.data())
+def test_kernel_step_equals_numpy_path_bitwise(kind, source, data):
+    """A TopK block through ``TopKStep`` gives the numpy path's node arrays,
+    sum and count bit for bit but a NaN's: ``advance_estimators``, then
+    ``send_messages`` with ``keep_mask``.  For every kind of the write and
+    ef14 rules, with the quadratic's gradients formed in the kernel (from a
+    ``QuadraticProblem``'s oracle, noiseless or with a batch of 1 to 3) and
+    with given rows, at d from 1 to 9, k = 1, 2 and d, on rows past the
+    first, and node states, iterates and samples holding signed zeros,
+    infinities, NaN and subnormals."""
+    _require_kernel()
+    rule = optim.RULES[kind]
+    n, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+    lo = data.draw(st.integers(0, n - 1))
+    rows = slice(lo, data.draw(st.integers(lo + 1, n)))
+    m = rows.stop - rows.start
+    k = data.draw(st.sampled_from(sorted({1, min(2, d), d})))
+    eta, gamma = data.draw(st.sampled_from([1.0, 0.5, 0.1])), data.draw(st.sampled_from([1.0, 0.0625, 3.0]))
+    iterates = 2 if "w" in rule.estimators else 1
+    draw = lambda shape: data.draw(arrays(np.float64, shape, elements=_VALUES))
+    g, states = draw((n, d)), {name: draw((n, d)) for name in rule.estimators}
+    sigma, batch = data.draw(st.sampled_from([0.0, 0.7])), data.draw(st.integers(1, 3))
+    raw = None if source == "quadratic" and sigma == 0.0 else draw((m, batch * d))
+    if source == "quadratic":
+        scale, b, shift = data.draw(arrays(np.float64, n, elements=st.floats(-2, 2))), draw((n, d)), data.draw(_SPECIAL)
+        problem = QuadraticProblem(b, np.zeros(d), sigma, scale, shift)
+        xs = tuple(draw(d) for _ in range(iterates))
+        with np.errstate(all="ignore"):
+            grads = [core.quadratic_grads(scale[rows], b[rows], shift, x) for x in xs]
+            if raw is not None:
+                core.add_batch_noise(grads, raw, sigma / math.sqrt(d))
+        oracle, quad = problem.stoch_grads_at, problem.kernel_grads()
+    else:
+        xs, grads = tuple(np.zeros(d) for _ in range(iterates)), [draw((m, d)) for _ in range(iterates)]
+        oracle, quad = (lambda r, x, z: [a.copy() for a in grads]), None
+    got = [g.copy(), np.zeros(d), *(a.copy() for a in states.values())]
+    want = [g.copy(), np.zeros(d), *(a.copy() for a in states.values())]
+    with np.errstate(all="ignore"):
+        step = core.topk_step(k, got[0], dict(zip(states, got[2:])), got[1], oracle, quad)
+        step.round(xs, eta, gamma)
+        sent = step(rows, raw)
+        target = core.advance_estimators([(name, a[rows]) for name, a in zip(states, want[2:])], grads, eta, gamma)
+        e = want[2][rows] if rule.message == "ef14" else None
+        count = core.send_messages(lambda x: keep_mask(top_k(k, d), x), target, want[0][rows], e, want[1])
+    assert sent == count == k * m
+    for a, b in zip(got, want):
+        assert np.array_equal(_nan_as_nan(a), _nan_as_nan(b))
+    # the kernel formed the quadratic's gradients itself, but for a batch mean at d = 1
+    assert (step._args.sg0 is None) == (source == "quadratic" and (raw is None or batch == 1 or d > 1))
 
 
 def _rejecting(problem, monkeypatch, nodes):
