@@ -52,8 +52,16 @@ makes one ``quad_grads`` call per block of node rows, which forms T x once
 per iterate and then each row's gradient at one or two iterates, its batch
 mean of the noise taken once, in one pass per row, with the IEEE
 operations of ``quadratic_grads`` and ``add_batch_noise``, the numpy path,
-in the same order.  One guard, ``_kernel_matches``, decides draws, steps
-and gradients together; without the kernel all take their numpy paths.
+in the same order.  And it takes the logistic regression's softmax:
+``SoftmaxGrads`` makes two ``softmax_rows`` calls per block of batches,
+around numpy's exp, for what numpy does slowly over the short class axis
+(each row's shift by its maximum; its sum, in numpy's pairwise order, the
+division, p_true and the residual), and at a batch of one writes the
+gradient rows too, with the IEEE operations of ``softmax_grads``, the numpy
+path, in the same order.  The two matrix products stay in numpy, where BLAS
+makes them, and so does exp, whose SIMD loops C cannot reproduce.  One
+guard, ``_kernel_matches``, decides draws, steps, gradients and softmax
+together; without the kernel all take their numpy paths.
 """
 
 from __future__ import annotations
@@ -95,6 +103,9 @@ __all__ = [
     "quadratic_grads",
     "add_batch_noise",
     "QuadraticGrads",
+    "weight_penalty",
+    "softmax_grads",
+    "SoftmaxGrads",
 ]
 
 _MASK32 = (1 << 32) - 1
@@ -434,7 +445,7 @@ class _GradArgs(ctypes.Structure):
         (name, ctypes.c_void_p) for name in ("scale", "b", "raw", "x0", "x1", "out")]
 
 
-_FLOAT64 = np.dtype(np.float64)
+_FLOAT64, _INT64 = np.dtype(np.float64), np.dtype(np.int64)
 
 
 class QuadraticGrads:
@@ -468,8 +479,8 @@ class QuadraticGrads:
         args, d, n = self._args, self._d, rows.stop - rows.start
         if not (0 <= rows.start < rows.stop <= self._n and rows.step is None and 1 <= len(xs) <= 2):
             return None
-        x0 = _float64_address(xs[0], (d,))
-        x1 = x0 if len(xs) == 1 else _float64_address(xs[1], (d,))  # the kernel reads x1 only for two
+        x0 = _array_address(xs[0], (d,))
+        x1 = x0 if len(xs) == 1 else _array_address(xs[1], (d,))  # the kernel reads x1 only for two
         samples = _samples(raw, n, d)
         if x0 is None or x1 is None or samples is None:
             return None
@@ -492,14 +503,17 @@ def _samples(raw, n: int, d: int) -> tuple[int | None, int] | None:
     if raw is None:
         return None, 1
     batch = raw.shape[-1] // d if isinstance(raw, np.ndarray) and raw.ndim == 2 else 0
-    address = _float64_address(raw, (n, batch * d)) if batch == 1 or (batch > 1 and d > 1) else None
+    address = _array_address(raw, (n, batch * d)) if batch == 1 or (batch > 1 and d > 1) else None
     return None if address is None else (address, batch)
 
 
-def _float64_address(a, shape: tuple) -> int | None:
-    """``_address(a)`` where ``a`` is a writable C-contiguous float64 array of
-    ``shape``, else None."""
-    if not isinstance(a, np.ndarray) or a.dtype is not _FLOAT64 or a.shape != shape:
+def _array_address(a, shape: tuple, dtype: np.dtype = _FLOAT64) -> int | None:
+    """``_address(a)`` where ``a`` is a writable C-contiguous array of
+    ``shape`` and ``dtype`` (float64 by default), else None.  The dtype is
+    compared by value: an unpickled array, as a pool worker receives its
+    problem's, holds a copy of its dtype, and so does every array computed
+    from it."""
+    if not isinstance(a, np.ndarray) or a.dtype != dtype or a.shape != shape:
         return None
     try:
         return _address(a)
@@ -565,7 +579,7 @@ class TopKStep:
         if len(xs) != self._iterates:
             raise ValueError(f"the rule takes its sample gradients at {self._iterates} iterates, got {len(xs)}")
         self._xs, self._args.eta, self._args.gamma = xs, eta, gamma
-        addresses = [_float64_address(x, (self._d,)) for x in xs] if self._has_quad else [None]
+        addresses = [_array_address(x, (self._d,)) for x in xs] if self._has_quad else [None]
         self._in_kernel = None not in addresses
         if self._in_kernel:
             self._quad.iterates, self._quad.x0, self._quad.x1 = len(xs), addresses[0], addresses[-1]
@@ -588,6 +602,108 @@ class TopKStep:
         if sent < 0:
             raise MemoryError("no work buffer for the TopK step")
         return sent
+
+
+def weight_penalty(reg: float, wmat: np.ndarray) -> tuple[float, np.ndarray]:
+    """The logistic regression's regularizer reg sum w^2 / (1 + w^2) over
+    every column of the weights ``wmat`` (c, l + 1) but the last (the bias),
+    and its gradient, (2 reg) w / (1 + w^2)^2 with +0.0 on the bias, as one
+    (c (l + 1),) row; in numpy, w^2 and 1 + w^2 formed once for both."""
+    w = wmat[:, :-1]
+    square = w**2
+    den = 1.0 + square
+    grad = np.zeros_like(wmat)
+    grad[:, :-1] = reg * 2.0 * w / den**2
+    return reg * float(np.sum(square / den)), grad.ravel()
+
+
+def softmax_grads(logits: np.ndarray, a: np.ndarray, y: np.ndarray, reg: float | None = None, wmat=None):
+    """The softmax and cross-entropy gradient of r stacked batches of m
+    examples, in numpy, from their ``logits`` (r, m, c), which it turns into
+    the residuals in place, their examples ``a`` (r, m, l + 1) and zero-based
+    labels ``y`` (r, m): the softmax probability of each true label, (r, m),
+    and one gradient row per batch, (r, c (l + 1)), the mean of its examples'
+    residual times example, plus the regularizer's gradient at ``wmat`` where
+    ``reg`` is given.  Softmax is stabilized by max subtraction.  The numpy
+    path of ``SoftmaxGrads``."""
+    r, m = y.shape
+    logits -= logits.max(axis=2, keepdims=True)
+    probs = np.exp(logits, out=logits)  # in place: a stack over every node is the largest temporary
+    probs /= probs.sum(axis=2, keepdims=True)
+    true = (np.arange(r)[:, None], np.arange(m), y)
+    p_true = probs[true]
+    probs[true] -= 1.0  # the residual, in place
+    return p_true, _residual_rows(probs, a, reg, wmat)
+
+
+def _residual_rows(probs: np.ndarray, a: np.ndarray, reg: float | None, wmat) -> np.ndarray:
+    """``softmax_grads``' rows from the residuals ``probs``: each batch's
+    product with its examples, one BLAS call per batch as for that batch
+    alone, over m, plus the regularizer's gradient where ``reg`` is given."""
+    r, m, c = probs.shape
+    grads = ((probs.transpose(0, 2, 1) @ a) / m).reshape(r, c * a.shape[2])
+    return grads if reg is None else grads + weight_penalty(reg, wmat)[1]
+
+
+class _SoftmaxArgs(ctypes.Structure):
+    """The kernel's ``softmax_t``: ``rows`` rows of ``classes`` logits ``z``,
+    their labels ``y`` and ``p_true``; at a batch of one, where ``out`` is
+    set, their examples ``a`` (``width`` each), the weights ``w`` and ``reg``."""
+
+    _fields_ = [(name, ctypes.c_ssize_t) for name in ("rows", "classes", "width")] + [("reg", ctypes.c_double)] + [
+        (name, ctypes.c_void_p) for name in ("z", "p_true", "out", "y", "a", "w")]
+
+
+class SoftmaxGrads:
+    """The logistic regression's softmax over c classes and examples of
+    ``width`` values, two ``softmax_rows`` calls per block of batches.
+
+    Called with ``softmax_grads``' arguments, it returns what that does, bit
+    for bit but a NaN's.  numpy keeps the
+    two products and exp, whose bits C cannot reproduce: ``logits`` comes
+    from BLAS, and numpy's exp has its own SIMD loops.  The kernel takes
+    what numpy does slowly over the short class axis: before exp, each row's
+    shift by its maximum; after it, the division by the row's sum, in
+    numpy's pairwise order, p_true and the residual at the true class.  At a
+    batch of one with the regularizer it also writes each gradient row,
+    which numpy forms without BLAS, as a column times a row.  It returns
+    None, and touches nothing, where ``logits`` is not a writable
+    C-contiguous float64 (r, m, c) array, or ``y`` a writable C-contiguous
+    int64 (r, m) array with every label in [0, c).  The arguments are set in
+    one ``_SoftmaxArgs`` updated in place, under a lock, since a problem's
+    oracle may be called from several threads.
+    """
+
+    def __init__(self, lib, classes: int, width: int):
+        self._classes, self._width = classes, width
+        self._args = _SoftmaxArgs(classes=classes, width=width)
+        self._ref = ctypes.byref(self._args)
+        self._softmax_rows = lib.softmax_rows
+        self._lock = threading.Lock()
+
+    def __call__(self, logits, a, y, reg: float | None = None, wmat=None):
+        (r, m), args = y.shape, self._args
+        z, labels = _array_address(logits, (r, m, self._classes)), _array_address(y, (r, m), _INT64)
+        if z is None or labels is None:
+            return None
+        d, examples, weights = self._classes * self._width, None, None
+        if reg is not None and m == 1:  # each row written here, where the kernel takes the example and weights
+            examples, weights = _array_address(a, (r, 1, self._width)), _array_address(wmat, (self._classes, self._width))
+        direct = examples is not None and weights is not None
+        out = np.empty(r * m + (r * d if direct else 0))  # p_true, then the rows
+        address, p_true = _address(out), out[: r * m].reshape(r, m)
+        rows = out[r * m :].reshape(r, d) if direct else None
+        with self._lock:
+            args.rows, args.z, args.y, args.p_true, args.out = r * m, z, labels, address, None
+            if self._softmax_rows(self._ref, 0) < 0:
+                return None
+            np.exp(logits, out=logits)
+            if direct:
+                args.out, args.a, args.w, args.reg = address + 8 * r * m, examples, weights, reg
+            failed = self._softmax_rows(self._ref, 1) < 0
+        if failed:
+            raise MemoryError("no work buffer for the softmax's gradient rows")
+        return p_true, (_residual_rows(logits, a, reg, wmat) if rows is None else rows)
 
 
 def topk_step(k: int, g: np.ndarray, states: dict, acc: np.ndarray, oracle, quad: QuadraticGrads | None = None) -> TopKStep | None:
@@ -1194,6 +1310,119 @@ npy_intp step_rows(const step_t *s)
     }
     return s->rows * k;
 }
+
+/* The logistic regression's softmax, each operation the one numpy makes in
+   ``softmax_grads`` in the same order: rows of ``classes`` logits z (in
+   place), each row's true class y and its probability p_true; at a batch of
+   one, where out is set, each row's gradient from its example a (width
+   values), the weights w (classes x width) and the regularizer reg */
+typedef struct {
+    npy_intp rows, classes, width;
+    double reg;
+    double *z, *p_true, *out;
+    const int64_t *y;
+    const double *a, *w;
+} softmax_t;
+
+/* a's lanes where mask is set, else b's */
+static inline pair pick(lanes mask, pair a, pair b) { return (pair)((mask & (lanes)a) | (~mask & (lanes)b)); }
+
+/* z -= the row's largest entry, numpy's max but where the row goes on to
+   exp and its sum cannot show the difference: the sign of a zero (exp(+-0)
+   = 1), and a NaN, which numpy's max returns and this one may pass over,
+   but which makes the row's sum, and so every entry, NaN either way */
+static void shift_row(double *z, npy_intp c)
+{
+    pair top = {z[0], z[0]};
+    npy_intp k = 0;
+    for (; k + 2 <= c; k += 2)
+        top = pick(PAIR(z + k) > top, PAIR(z + k), top);
+    double m = top[1] > top[0] ? top[1] : top[0];
+    m = k < c && z[k] > m ? z[k] : m;
+    for (k = 0; k + 2 <= c; k += 2)
+        PAIR(z + k) = PAIR(z + k) - m;
+    if (k < c)
+        z[k] = z[k] - m;
+}
+
+/* numpy's pairwise sum of x[0 .. n-1]: in order from 0.0 below 8 terms;
+   up to 128, eight accumulators (four pairs) over blocks of 8, combined as
+   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in order;
+   above, the sums of two halves split at n / 2 rounded down to a multiple of 8 */
+static double pairwise(const double *x, npy_intp n)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (npy_intp i = 0; i < n; i++)
+            s += x[i];
+        return s;
+    }
+    if (n > 128) {
+        npy_intp half = n / 2 - n / 2 % 8;
+        return pairwise(x, half) + pairwise(x + half, n - half);
+    }
+    pair r01 = PAIR(x), r23 = PAIR(x + 2), r45 = PAIR(x + 4), r67 = PAIR(x + 6);
+    npy_intp i = 8;
+    for (; i < n - n % 8; i += 8) {
+        r01 += PAIR(x + i), r23 += PAIR(x + i + 2);
+        r45 += PAIR(x + i + 4), r67 += PAIR(x + i + 6);
+    }
+    double s = ((r01[0] + r01[1]) + (r23[0] + r23[1])) + ((r45[0] + r45[1]) + (r67[0] + r67[1]));
+    for (; i < n; i++)
+        s += x[i];
+    return s;
+}
+
+/* Stage 0, before numpy's exp: shift each row by its maximum; -1 (and no
+   row touched) where a label lies outside [0, classes).  Stage 1, after it:
+   divide each row by its sum (numpy's reduction adds the pairwise sum to
+   +0.0), read p_true and subtract 1.0 at the true class; where out is set,
+   write each row's gradient as numpy's product of a column and a row makes
+   it, (0.0 + z_k a_f) / 1.0, plus the regularizer's gradient (2 reg) w /
+   ((1 + w^2)(1 + w^2)), +0.0 on the bias (the last column).  Returns 0, or
+   -1 where no work buffer could be allocated */
+int softmax_rows(const softmax_t *s, int stage)
+{
+    npy_intp c = s->classes, width = s->width, d = c * width, f;
+    if (stage == 0) {
+        for (npy_intp j = 0; j < s->rows; j++)
+            if ((uint64_t)s->y[j] >= (uint64_t)c)
+                return -1;
+        for (npy_intp j = 0; j < s->rows; j++)
+            shift_row(s->z + j * c, c);
+        return 0;
+    }
+    for (npy_intp j = 0; j < s->rows; j++) {
+        double *z = s->z + j * c, sum = 0.0 + pairwise(z, c);
+        npy_intp k = 0;
+        for (; k + 2 <= c; k += 2)
+            PAIR(z + k) = PAIR(z + k) / sum;
+        if (k < c)
+            z[k] = z[k] / sum;
+        s->p_true[j] = z[s->y[j]];
+        z[s->y[j]] = z[s->y[j]] - 1.0;
+    }
+    if (s->out == NULL)
+        return 0;
+    double *rg = work(d), twice = s->reg * 2.0;
+    if (rg == NULL)
+        return -1;
+    for (f = 0; f < d; f++) {
+        double w = s->w[f], t = 1.0 + w * w;
+        rg[f] = f % width == width - 1 ? 0.0 : twice * w / (t * t);
+    }
+    for (npy_intp j = 0; j < s->rows; j++) {
+        const double *a = s->a + j * width;
+        for (npy_intp k = 0; k < c; k++) {
+            double p = s->z[j * c + k], *out = s->out + j * d + k * width, *g = rg + k * width;
+            for (f = 0; f + 2 <= width; f += 2)
+                PAIR(out + f) = (0.0 + p * PAIR(a + f)) / 1.0 + PAIR(g + f);
+            if (f < width)
+                out[f] = (0.0 + p * a[f]) / 1.0 + g[f];
+        }
+    }
+    return 0;
+}
 """
 # the compiled kernel is cached beside the package's bytecode, under a hash of
 # its source and gcc command; no multiply may be fused into an add, as numpy's are not
@@ -1204,10 +1433,11 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 @functools.cache
 def _kernel():
     """The compiled library, which draws (``draw_block`` and the draw ahead),
-    steps TopK blocks (``step_rows``) and takes the quadratic's gradients
-    (``quad_grads``), or None where it cannot be built or loaded or does not
-    reproduce the per-node draws, the numpy step and the numpy gradients (one
-    guard, decided once per process, on first use).  It uses only numpy's public
+    steps TopK blocks (``step_rows``), takes the quadratic's gradients
+    (``quad_grads``) and the logistic regression's softmax (``softmax_rows``),
+    or None where it cannot be built or loaded or does not reproduce the
+    per-node draws, the numpy step, the numpy gradients and the numpy softmax
+    (one guard, decided once per process, on first use).  It uses only numpy's public
     ``bitgen_t`` and samplers, and its library probes numpy's ziggurat tables
     when it loads.  A build is cached under a hash of the source and the gcc
     command; it writes its own temporary file, moves it onto the cached name
@@ -1243,6 +1473,7 @@ def _kernel():
     lib.ahead_drain.argtypes, lib.ahead_drain.restype = [], None
     lib.step_rows.argtypes, lib.step_rows.restype = [ctypes.POINTER(_StepArgs)], ctypes.c_ssize_t
     lib.quad_grads.argtypes, lib.quad_grads.restype = [ctypes.POINTER(_GradArgs)], ctypes.c_int
+    lib.softmax_rows.argtypes, lib.softmax_rows.restype = [ctypes.POINTER(_SoftmaxArgs), ctypes.c_int], ctypes.c_int
     atexit.register(lib.ahead_drain)  # no draw ahead may outlive its buffer
     return lib if _kernel_matches(lib) else None
 
@@ -1256,10 +1487,10 @@ def _kernel_matches(lib) -> bool:
     after the word the fast path takes last (sign bit set) and the word it
     sends to numpy's wedge or tail first; that a block drawn ahead, which
     the calling thread waits for at once and so helps draw, equals the same
-    block drawn in the calling thread; and that its TopK steps and quadratic
-    gradients match their numpy references (``_steps_match``,
-    ``_grads_match``)."""
-    if not (_steps_match(lib) and _grads_match(lib)):
+    block drawn in the calling thread; and that its TopK steps, quadratic
+    gradients and softmax match their numpy references (``_steps_match``,
+    ``_grads_match``, ``_softmax_matches``)."""
+    if not (_steps_match(lib) and _grads_match(lib) and _softmax_matches(lib)):
         return False
     factory = StreamFactory(SEED_MAX)
     bounds = np.array([1, 3, 1000, (1 << 31) + 1, _MASK32, 1 << 32, (1 << 33) + 7, (1 << 63) - 1])
@@ -1359,4 +1590,34 @@ def _grads_match(lib) -> bool:
                     add_batch_noise(want, raw, 0.5)
             if got is None or any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
                 return False
+    return True
+
+
+def _softmax_matches(lib) -> bool:
+    """Whether ``SoftmaxGrads`` gives the residuals, true-label
+    probabilities and gradient rows of ``softmax_grads`` bit for bit but a
+    NaN's: at 1, 3, 10 and 130 classes (every branch of numpy's pairwise
+    sum), on rows past the first, at a batch of one, its rows written in the
+    kernel where the regularizer is given (reg 0 and 1e-3), with labels on
+    the first and last class, and logits and weights holding ties at the
+    maximum, signed zeros, infinities, a NaN and a subnormal.  A larger
+    batch gives the kernel the same rows of logits and leaves the product
+    to numpy; leaving it out keeps BLAS's gemm, and its buffers, out of
+    processes that never call it."""
+    rng, specials = derive_stream(SEED_MAX, 3, 0), [-0.0, 0.0, 5e-324, -np.inf]
+    for c, reg in itertools.product((1, 3, 10, 130), (None, 0.0, 1e-3)):
+        logits, a, wmat = 4.0 * rng.standard_normal((9, 1, c)), rng.standard_normal((9, 1, 3)), rng.standard_normal((c, 3))
+        logits[1, 0, : (c + 1) // 2] = logits[1, 0].max()  # ties at the maximum
+        logits[2, 0, -1], logits[3, 0, 0] = np.nan, np.inf
+        logits[4, 0] = np.resize(specials, c)
+        logits[5, 0, -1] = logits[5, 0].max() + 1.0  # the last entry, past the pairs, is the maximum
+        wmat[0, :2], wmat[-1, 1] = (-0.0, np.inf), (np.nan if c > 1 else 5e-324)
+        y = rng.integers(0, c, size=(9, 1))
+        y[1, 0], y[2, 0] = 0, c - 1
+        got, want = logits.copy(), logits.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = SoftmaxGrads(lib, c, 3)(got[1:], a[1:], y[1:], reg, wmat)
+            ref = softmax_grads(want[1:], a[1:], y[1:], reg, wmat)
+        if out is None or any(_nan_as_nan(g) != _nan_as_nan(w) for g, w in zip((got, *out), (want, *ref))):
+            return False
     return True

@@ -85,6 +85,18 @@ class Problem:
         ``stoch_grads_at`` returns."""
         return None
 
+    def _own_oracles(self, cls: type) -> bool:
+        """Whether this problem's ``full_grads`` and ``stoch_grads_at`` are
+        ``cls``'s own: no subclass or instance redefines either, so the
+        compiled kernel may stand in for them."""
+        kind, attributes = type(self), vars(self)
+        return (
+            kind.full_grads is cls.full_grads
+            and kind.stoch_grads_at is cls.stoch_grads_at
+            and "full_grads" not in attributes
+            and "stoch_grads_at" not in attributes
+        )
+
     def value(self, x: np.ndarray) -> float:
         """Global objective f(x) = (1/n) sum_i f_i(x)."""
         raise NotImplementedError

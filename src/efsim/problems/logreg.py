@@ -7,6 +7,17 @@ d = (l+1) * c.  The node objective is the mean cross-entropy of its
 examples plus ``reg * sum_y sum_k w_k^2 / (1 + w_k^2)`` over the weight
 coordinates (bias excluded).  Stochastic gradients are mini-batches sampled
 with replacement from the node's examples.
+
+Every gradient goes through one formula, ``_softmax_grads``: logits from one
+BLAS product, the softmax and its residual, and the rows from a second
+product.  Where the compiled kernel loaded, it takes the softmax
+(``core.SoftmaxGrads``): the shift by each row's maximum, the row's sum in
+numpy's pairwise order, the division and the residual, which numpy takes
+slowly over the short class axis, and, at a batch of one, the rows
+themselves, which numpy forms without BLAS.  The products and exp stay in
+numpy either way: BLAS and numpy's SIMD exp give bits that C cannot
+reproduce.  The values are those of numpy's ``core.softmax_grads``, which
+runs where the kernel did not load.
 """
 
 from __future__ import annotations
@@ -15,7 +26,8 @@ import math
 
 import numpy as np
 
-from ..core import Sample, add_rows, atomic_write
+from .. import core
+from ..core import Sample, SoftmaxGrads, add_rows, atomic_write, softmax_grads, weight_penalty
 from .base import Problem
 
 __all__ = [
@@ -69,40 +81,47 @@ class LogRegProblem(Problem):
     def _weights(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.classes, self.n_features + 1)
 
-    def _reg_value(self, x: np.ndarray) -> float:
-        w = self._weights(x)[:, : self.n_features]
-        return self.reg * float(np.sum(w**2 / (1.0 + w**2)))
-
-    def _reg_grad(self, x: np.ndarray) -> np.ndarray:
-        wmat = self._weights(x)
-        out = np.zeros_like(wmat)
-        w = wmat[:, : self.n_features]
-        out[:, : self.n_features] = self.reg * 2.0 * w / (1.0 + w**2) ** 2
-        return out.ravel()
-
-    def _softmax_grads(self, x: np.ndarray, a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _softmax_grads(self, x: np.ndarray, a: np.ndarray, y: np.ndarray, reg: float | None = None):
         """The one softmax and cross-entropy gradient formula, over r stacked
         batches of m examples: ``a`` (r, m, l+1), zero-based labels ``y``
         (r, m).
 
         Returns the softmax probability of each true label, (r, m), and one
-        data-gradient row per batch, (r, d), without the regularizer.
-        Softmax is stabilized by max subtraction.  Each batch's two products
-        are the same BLAS calls as for that batch alone, so a row does not
-        depend on what else is stacked with it.
+        gradient row per batch, (r, d): the data's, plus the regularizer's
+        where ``reg`` is given.  The logits are one BLAS product, and the
+        rows, at a batch above one, another, each the same call for a batch
+        as for that batch alone, so a row does not depend on what else is
+        stacked with it.  Between them, ``kernel_softmax`` takes the softmax
+        where the kernel loaded, bit for bit as numpy's ``softmax_grads``
+        takes it otherwise; numpy's exp is used either way.
         """
-        r, m = y.shape
-        if m == 0:
+        if y.shape[1] == 0:
             raise ValueError("empty batch")
-        logits = a @ self._weights(x).T  # (r, m, c)
-        logits -= logits.max(axis=2, keepdims=True)
-        probs = np.exp(logits, out=logits)  # in place: a stack over every node is the largest temporary
-        probs /= probs.sum(axis=2, keepdims=True)
-        true = (np.arange(r)[:, None], np.arange(m), y)
-        p_true = probs[true]
-        probs[true] -= 1.0  # the residual, in place
-        grads = (probs.transpose(0, 2, 1) @ a) / m  # (r, c, l+1)
-        return p_true, grads.reshape(r, self.dim)
+        wmat = self._weights(x)
+        logits = a @ wmat.T  # (r, m, c)
+        softmax = self.kernel_softmax()
+        got = None if softmax is None else softmax(logits, a, y, reg, wmat)
+        return softmax_grads(logits, a, y, reg, wmat) if got is None else got
+
+    # the kernel's softmax, built on first use (the kernel is loaded there, not at construction)
+    _kernel_softmax = None
+
+    def kernel_softmax(self) -> SoftmaxGrads | None:
+        """The compiled kernel's softmax (``core.SoftmaxGrads``), or None
+        where the kernel did not load or a subclass or the instance defines
+        its own ``full_grads`` or ``stoch_grads_at``, whose values the
+        kernel may not stand in for."""
+        if not self._own_oracles(LogRegProblem):
+            return None
+        lib = core._kernel()
+        if lib is None:
+            return None
+        if self._kernel_softmax is None:
+            self._kernel_softmax = SoftmaxGrads(lib, self.classes, self.n_features + 1)
+        return self._kernel_softmax
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_kernel_softmax": None}  # a ctypes structure does not pickle
 
     def _full_pass(self, rows: slice, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """``_softmax_grads`` over the full local datasets of nodes ``rows``:
@@ -125,7 +144,7 @@ class LogRegProblem(Problem):
     # -- Problem interface -------------------------------------------------
 
     def full_grads(self, rows: slice, x: np.ndarray) -> np.ndarray:
-        return self._full_pass(rows, x)[1] + self._reg_grad(x)
+        return self._full_pass(rows, x)[1] + weight_penalty(self.reg, self._weights(x))[1]
 
     def sample(self, batch: int) -> Sample:
         """Example indices, sampled with replacement."""
@@ -134,21 +153,22 @@ class LogRegProblem(Problem):
     def stoch_grads_at(self, rows: slice, xs, raw) -> list[np.ndarray]:
         idx = self._start[rows, None] + np.asarray(raw)  # (r, batch) rows of the stacked data
         a, y = self._a_all[idx], self._y_all[idx]
-        return [self._softmax_grads(x, a, y)[1] + self._reg_grad(x) for x in xs]
+        return [self._softmax_grads(x, a, y, self.reg)[1] for x in xs]
 
     def value(self, x: np.ndarray) -> float:
         return self.value_and_mean_grad(x)[0]
 
     def value_and_mean_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """One full-data pass over every node serves both quantities.  A
-        node's loss is the mean of its examples' -log p_true, taken for a
-        part's nodes at once: each row's mean sums the same values in the
-        same order as the mean of that row alone."""
+        """One full-data pass over every node, and one of the regularizer,
+        serve both quantities.  A node's loss is the mean of its examples'
+        -log p_true, taken for a part's nodes at once: each row's mean sums
+        the same values in the same order as the mean of that row alone."""
         p_true, grads = self._full_pass(slice(0, self.n_nodes), x)
+        penalty, penalty_grad = weight_penalty(self.reg, self._weights(x))
         losses = np.concatenate([-np.log(p + 1e-300).mean(axis=1) for p in p_true])
         g = np.zeros(self.dim)
-        add_rows(g, grads + self._reg_grad(x))
-        return float(np.mean(losses + self._reg_value(x))), g / self.n_nodes
+        add_rows(g, grads + penalty_grad)
+        return float(np.mean(losses + penalty)), g / self.n_nodes
 
 
 # -- dataset handling -------------------------------------------------------

@@ -104,8 +104,7 @@ class QuadraticProblem(Problem):
         (``core.QuadraticGrads``), or None where the kernel did not load or a
         subclass or the instance defines its own ``full_grads`` or
         ``stoch_grads_at``, which nothing may bypass."""
-        own = QuadraticProblem.full_grads, QuadraticProblem.stoch_grads_at
-        if tuple(getattr(f, "__func__", None) for f in (self.full_grads, self.stoch_grads_at)) != own:
+        if not self._own_oracles(QuadraticProblem):
             return None
         lib = core._kernel()
         if lib is None:

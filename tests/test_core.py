@@ -502,9 +502,10 @@ def fresh_kernel():
 
 
 def _run_outputs(tmp_path, capfd) -> tuple[dict[str, bytes], str]:
-    """Every file one small quadratic experiment (Gaussian samples, batch 2)
-    writes, always to the same directory, and what it printed."""
-    exp = {
+    """Every file two small experiments write, always to the same directory,
+    and what they printed: a quadratic (Gaussian samples, batch 2) and a
+    logistic regression on blobs (bounded-integer samples, batch 1)."""
+    quadratic = {
         "name": "q",
         "problem": {"kind": "quadratic", "n": 5, "d": 30, "lam": 0.1, "s": 1.0, "seed": 2, "sigma": 0.1},
         "algorithms": ["ef21_sgdm", "ef14_sgd"],
@@ -513,11 +514,22 @@ def _run_outputs(tmp_path, capfd) -> tuple[dict[str, bytes], str]:
         "seeds": [0, 1],
         "metric_every": 5,
     }
-    path, out = tmp_path / "exp.json", tmp_path / "out"
-    path.write_text(json.dumps(exp))
+    blobs = {
+        "name": "b",
+        "problem": {"kind": "blobs", "classes": 4, "features": 5, "examples": 120, "n": 6, "seed": 1, "split": "by_label"},
+        "algorithms": ["ef21_sgdm", "ef14_sgd"],
+        "compressor": {"kind": "topk", "k": 5},
+        "hyper": {"gamma": 0.5, "eta": 0.3, "rounds": 20, "batch": 1, "b_init": 4},
+        "seeds": [0],
+        "metric_every": 5,
+    }
+    out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
     capfd.readouterr()
-    assert main(["run", str(path), "--out", str(out), "--workers", "1"]) == 0
+    for exp in (quadratic, blobs):
+        path = tmp_path / f"{exp['name']}.json"
+        path.write_text(json.dumps(exp))
+        assert main(["run", str(path), "--out", str(out), "--workers", "1"]) == 0
     printed = capfd.readouterr()
     return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}, printed.out + printed.err
 
@@ -541,6 +553,8 @@ _PLANTS = {
         "(2.0 * PAIR(x + c) - PAIR(x + c + 1)) - PAIR(x + c - 1)",
         "(2.0 * PAIR(x + c) - PAIR(x + c - 1)) - PAIR(x + c + 1)",
     ),
+    # the softmax sums 8 to 128 classes in order, not with numpy's eight accumulators
+    "softmax_sum_in_order": ("    if (n < 8) {\n", "    if (n <= 128) {\n"),
 }
 
 

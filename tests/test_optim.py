@@ -444,6 +444,69 @@ def test_quadratic_rounds_take_gradients_from_the_kernel(kind, monkeypatch):
     assert [c for c in calls if not c[2]] == [(rows, 1, False, True) for _ in range(2) for rows in blocks]
 
 
+def _blobs_problem(cls=LogRegProblem) -> LogRegProblem:
+    x, y = make_blobs(classes=4, n_features=5, examples=120, seed=6)
+    feats, labs = split_examples(x, y, 6, "by_label")
+    return cls(feats, labs, classes=4)
+
+
+@pytest.mark.parametrize("kind", ["ef21_sgdm", "ef21_storm", "ef14_sgd"])
+def test_blobs_rounds_and_metric_rows_take_the_kernels_softmax(kind, monkeypatch):
+    """Every block of a logistic-regression round at a batch of one takes its
+    softmax, and its gradient rows with the regularizer, from ``SoftmaxGrads``
+    at each iterate, the start's batch too, and every metric row's full-data
+    pass as well, so a silent fall back to numpy cannot pass for the kernel."""
+    _require_kernel()
+    calls, call = [], core.SoftmaxGrads.__call__
+
+    def spy(self, logits, a, y, reg=None, wmat=None):
+        got = call(self, logits, a, y, reg, wmat)
+        calls.append((y.shape, reg is not None, got is not None))
+        return got
+
+    monkeypatch.setattr(core.SoftmaxGrads, "__call__", spy)
+    problem, hp = _blobs_problem(), HyperParams(gamma=0.05, eta=0.3, batch=1, b_init=8, rounds=6)
+    run(RunConfig(kind, problem, top_k(3, problem.dim), hp, metric_every=3), 0)
+    batch, iterates = (1 if kind == "ef14_sgd" else 8), (2 if kind == "ef21_storm" else 1)
+    start = [((6, batch), True, True)]
+    rounds = [((6, 1), True, True)] * (6 * iterates)
+    metric_rows = [((6, 20), False, True)] * 3  # rounds 0, 3 and 6, each node holding 20 examples
+    assert sorted(calls) == sorted(start + rounds + metric_rows)
+
+
+class _OwnStochGrads(LogRegProblem):
+    def stoch_grads_at(self, rows, xs, raw):
+        return [2.0 * g for g in super().stoch_grads_at(rows, xs, raw)]
+
+
+class _OwnFullGrads(LogRegProblem):
+    def full_grads(self, rows, x):
+        return super().full_grads(rows, x) + 1.0
+
+
+@pytest.mark.parametrize("cls", [_OwnStochGrads, _OwnFullGrads])
+def test_logreg_subclass_oracles_take_no_softmax_from_the_kernel(cls, monkeypatch):
+    """A subclass with its own ``stoch_grads_at`` or ``full_grads`` is never
+    bypassed: no value of it comes from the kernel's softmax, and a run steps
+    its own stochastic gradients."""
+    _require_kernel()
+    monkeypatch.setattr(core.SoftmaxGrads, "__call__", lambda *args: pytest.fail("the kernel took a softmax"))
+    steps = _spy_steps(monkeypatch)
+    problem, hp = _blobs_problem(cls), HyperParams(gamma=0.05, eta=0.3, rounds=4)
+    assert problem.kernel_softmax() is None
+    for kind in ("ef21_sgdm", "ef21_sgd_ideal"):
+        run(RunConfig(kind, problem, top_k(3, problem.dim), hp, metric_every=2), 0)
+    assert len(steps) == 4 and not any(in_kernel for _, _, in_kernel in steps)  # the subclass's rows
+    x = 0.1 * np.ones(problem.dim)
+    scale = 2.0 if cls is _OwnStochGrads else 1.0
+    plain = _blobs_problem()
+    raw = StreamFactory(1).block(slice(0, 6), 1, problem.sample(1))[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_kernel", lambda: None)
+        want = scale * plain.stoch_grads_at(slice(0, 6), (x,), raw)[0]
+    assert problem.stoch_grads_at(slice(0, 6), (x,), raw)[0].tobytes() == want.tobytes()
+
+
 def test_dense_quadratic_rounds_take_no_gradients_from_the_kernel(monkeypatch):
     _require_kernel()
     monkeypatch.setattr(core.QuadraticGrads, "__call__", lambda *args: pytest.fail("the kernel computed a gradient"))

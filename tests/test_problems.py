@@ -2,7 +2,9 @@ import itertools
 import math
 import pickle
 import shutil
+import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh_tridiagonal
 
 from efsim import core, harness
-from efsim.core import add_batch_noise, derive_stream, norm_sq, quadratic_grads
+from efsim.problems import logreg as logreg_module
+from efsim.core import add_batch_noise, derive_stream, norm_sq, quadratic_grads, weight_penalty
 from efsim.problems import (
     CounterexampleProblem,
     LogRegProblem,
@@ -416,7 +419,7 @@ def test_logreg_stacked_full_pass_equals_per_node_calls_bitwise(examples, one_bl
     prob = _uneven_logreg(examples=examples)[0]
     n = prob.n_nodes
     x = 0.5 * derive_stream(16, 0, 0).standard_normal(prob.dim)
-    reg_value, reg = prob._reg_value(x), prob._reg_grad(x)
+    reg_value, reg = weight_penalty(prob.reg, prob._weights(x))
     losses, grads = [], []
     for i in range(n):
         a, y = node_data(prob, i)
@@ -456,8 +459,93 @@ def test_logreg_value_takes_each_nodes_loss_bitwise(sizes, one_blas_thread):
     for i in range(prob.n_nodes):
         a, lab = node_data(prob, i)
         p_true = prob._softmax_grads(w, a[None], lab[None])[0][0]
-        losses.append(-float(np.mean(np.log(p_true + 1e-300))) + prob._reg_value(w))
+        losses.append(-float(np.mean(np.log(p_true + 1e-300))) + weight_penalty(prob.reg, prob._weights(w))[0])
     assert prob.value_and_mean_grad(w)[0].hex() == float(np.mean(losses)).hex()
+
+
+_LOGIT_ENTRIES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5]) | st.floats(-30.0, 30.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    classes=st.sampled_from([*range(1, 13), 127, 128, 129, 130, 300]),
+    batch=st.sampled_from([1, 2, 32, 200]),
+    rows=st.tuples(st.integers(1, 3), st.integers(1, 11)),
+    width=st.integers(1, 5),
+    reg=st.sampled_from([None, 0.0, 1e-3]),
+    taken=st.sampled_from(["all", "all", "all", "not_the_rows", "int32_labels"]),
+    data=st.data(),
+)
+def test_kernel_softmax_equals_numpy_path_bitwise(classes, batch, rows, width, reg, taken, data):
+    """``core.SoftmaxGrads`` gives the residuals, true-label probabilities
+    and gradient rows of numpy's ``core.softmax_grads`` bit for bit, a NaN's
+    bits aside: at 1 to 12, 127 to 130 and 300 classes (every branch of
+    numpy's pairwise sum), batches of 1, 2, 32 and 200, on 1 to 11 rows past
+    the first, whose neighbours it leaves alone, with logits and weights
+    holding infinities, NaN, ties at the maximum, signed zeros and
+    subnormals, labels on the first and last class, and reg 0, 1e-3 and none.
+    It takes every input but int64 labels, and writes the rows itself just
+    where the regularizer is given at a batch of one and the examples and
+    weights are C-contiguous."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler to build the kernel")
+    lib = core._kernel()
+    assert lib is not None
+    start, n = rows
+    rows, rng = slice(start, start + n), derive_stream(data.draw(st.integers(0, 2**32 - 1)), 0, 0)
+    logits = 4.0 * rng.standard_normal((start + n + 1, batch, classes))
+    flat = logits.reshape(-1, classes)
+    specials = data.draw(arrays(np.float64, 12, elements=_LOGIT_ENTRIES))
+    # every other example row: a NaN or +inf turns its whole row NaN, which hides the rest
+    flat[2 * rng.integers(0, len(flat) // 2 + 1, 12) % len(flat), rng.integers(0, classes, 12)] = specials
+    ties = rng.integers(0, len(flat), 4)
+    flat[ties, : (classes + 1) // 2] = flat[ties].max(axis=1, keepdims=True)  # ties at the maximum
+    a = rng.standard_normal((start + n + 1, batch, width))
+    a[rng.random(a.shape) < 0.3] = rng.choice([0.0, -0.0])  # residual times a zero: the product's signed zeros
+    wmat = rng.standard_normal((classes, 2 * width))
+    wmat.flat[rng.integers(0, wmat.size, 6)] = data.draw(arrays(np.float64, 6, elements=_LOGIT_ENTRIES))
+    wmat = wmat[:, ::2] if taken == "not_the_rows" else wmat[:, :width].copy()  # a strided view is not taken for the rows
+    y = rng.integers(0, classes, size=(start + n + 1, batch))
+    y[start, 0], y[start + n - 1, -1] = 0, classes - 1
+    y = y.astype(np.int32) if taken == "int32_labels" else y
+    got, want = logits.copy(), logits.copy()
+    with np.errstate(all="ignore"), mock.patch.object(core, "_residual_rows", wraps=core._residual_rows) as product:
+        out = core.SoftmaxGrads(lib, classes, width)(got[rows], a[rows], y[rows], reg, wmat)
+        ref = core.softmax_grads(want[rows], a[rows], y[rows], reg, wmat)
+    if taken == "int32_labels":
+        assert out is None and got.tobytes() == logits.tobytes()
+        return
+    assert out is not None
+    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip((got, *out), (want, *ref)))
+    direct = reg is not None and batch == 1 and wmat.flags.c_contiguous
+    assert product.call_count == (2 if not direct else 1)  # the kernel's rows skip numpy's product
+
+
+def test_kernel_softmax_from_several_threads():
+    """Threads that share a problem's softmax, more of them than cores and
+    switched as often as the interpreter can, each get their own iterate's
+    gradients: the kernel's arguments are set under a lock."""
+    prob = _uneven_logreg(classes=10, features=20, examples=400, nodes=8)[0]
+    rows, rng = slice(0, prob.n_nodes), derive_stream(24, 0, 0)
+    xs, raw = 0.1 * rng.standard_normal((4, prob.dim)), core.StreamFactory(5).block(rows, 1, prob.sample(1))[0].copy()
+    want = [(prob.stoch_grads_at(rows, (x,), raw)[0].tobytes(), prob.full_grads(rows, x).tobytes()) for x in xs]
+    same = [None] * 4
+
+    def work(k):
+        got = [(prob.stoch_grads_at(rows, (xs[k],), raw)[0].tobytes(), prob.full_grads(rows, xs[k]).tobytes()) for _ in range(40)]
+        same[k] = all(g == want[k] for g in got)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and same == [True] * 4
 
 
 def test_logreg_pickles_its_data_once():
@@ -467,6 +555,24 @@ def test_logreg_pickles_its_data_once():
     copy = pickle.loads(pickle.dumps(prob))
     x = 0.1 * derive_stream(15, 0, 0).standard_normal(prob.dim)
     assert np.array_equal(copy.full_grads(slice(0, prob.n_nodes), x), prob.full_grads(slice(0, prob.n_nodes), x))
+
+
+def test_unpickled_problems_take_the_kernel(monkeypatch):
+    """A pool worker unpickles its problem, whose arrays then hold a copy of
+    their dtype, as does every iterate computed from them; the kernel takes
+    them all the same: no logistic-regression gradient comes from numpy's
+    softmax, and the quadratic's come from ``QuadraticGrads``."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler to build the kernel")
+    assert core._kernel() is not None
+    logreg = pickle.loads(pickle.dumps(_uneven_logreg()[0]))
+    quad = pickle.loads(pickle.dumps(generate_quadratic(4, 20, 0.1, 1.0, seed=3, sigma=0.5)))
+    monkeypatch.setattr(logreg_module, "softmax_grads", lambda *args: pytest.fail("numpy took the softmax"))
+    rows, x = slice(0, logreg.n_nodes), logreg.x0 + 0.25
+    raw = core.StreamFactory(2).block(rows, 1, logreg.sample(1))[0].copy()
+    logreg.stoch_grads_at(rows, (x,), raw), logreg.full_grads(rows, x), logreg.value_and_mean_grad(x)
+    raw = core.StreamFactory(2).block(slice(0, 4), 1, quad.sample(2))[0]
+    assert quad.kernel_grads()(slice(0, 4), [quad.x0 - 0.5], raw) is not None
 
 
 def test_logreg_zero_weights_symmetric():
@@ -503,7 +609,7 @@ def test_regularizer_gradient_hand_value():
     # bias coordinates are not regularized
     x2 = np.zeros(prob.dim)
     x2[2] = 1.0
-    g_reg = prob._reg_grad(x2)
+    g_reg = weight_penalty(prob.reg, prob._weights(x2))[1]
     assert np.all(g_reg == 0.0)
 
 
