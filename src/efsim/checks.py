@@ -407,13 +407,14 @@ def check_floors(seed: int = 0) -> list[CheckResult]:
 
     for sigma in (0.01, 0.001):
         problem = generate_quadratic(20, 100, 0.01, 1.0, seed=0, sigma=sigma)
-        best = []
+        sweeps = []
         for algo, eta in ((optim.EF14_SGD, 1.0), (optim.EF21_SGDM, 0.1)):
             hp = HyperParams(gamma=1.0, eta=eta, rounds=8000)
             tune = RunConfig(algo, problem, top_k(5, 100), hp, (seed,), metric_every=hp.rounds)
-            best.append(replace(sweep(tune, power_grid(-8, 0)).best_config, seeds=tuple(range(seed, seed + 3))))
+            sweeps.append(sweep(tune, power_grid(-8, 0)))
+        best = [replace(res.best_config, seeds=tuple(range(seed, seed + 3))) for res in sweeps]
         rows = {}
-        for cfg, traces in zip(best, run_all(best)):
+        for cfg, traces in zip(best, run_all(best, sweeps=sweeps)):  # seed ``seed`` comes from the sweep
             gaps = np.array([tr.final.obj_gap for tr in traces])
             z, text = _vs_floor(cfg, gaps, "gap")
             text += f" ({'sgd' if cfg.hyper.eta == 1.0 else 'sgdm'} at tuned gamma {cfg.hyper.gamma:.3g})"

@@ -159,7 +159,7 @@ def cmd_sweep(args) -> int:
     rc = 0
     problem = build_problem(exp["problem"])
     runs = len(exp["algorithms"]) * (args.k_hi - args.k_lo + 1) * len(exp["seeds"])
-    with worker_pool(args.workers, runs) as pool:
+    with worker_pool(args.workers, runs, problem) as pool:
         for algorithm in exp["algorithms"]:
             try:
                 result = tune_gamma(exp, algorithm, problem, tune, pool)

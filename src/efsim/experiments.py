@@ -15,7 +15,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from . import __version__, optim
 from .compress import Compressor, absolute_delta, contraction_alpha
 from .core import SEED_MAX, _kernel, atomic_write
 from .harness import (
+    ProblemPool,
     RunConfig,
     SweepResult,
     _with_gamma,
@@ -297,15 +297,16 @@ def _build_config(exp: dict, algorithm: str, problem: Problem) -> RunConfig:
     )
 
 
-def worker_pool(workers: int, runs: int):
-    """A process pool of at most ``workers`` workers and one per run (a
-    forking pool starts every worker at its first submit), or a null context
-    yielding None when that is a single worker."""
+def worker_pool(workers: int, runs: int, problem: Problem | None = None):
+    """A ``ProblemPool`` of at most ``workers`` workers and one per run (a
+    forking pool starts every worker at its first submit), each handed
+    ``problem`` once at its start, or a null context yielding None when that
+    is a single worker."""
     workers = min(workers, runs)
     if workers < 2:
         return contextlib.nullcontext()
     _kernel()  # the draw path is decided here, once, and forked workers inherit it
-    return ProcessPoolExecutor(max_workers=workers)
+    return ProblemPool(workers, problem)
 
 
 def tune_gamma(exp: dict, algorithm: str, problem: Problem, tune: dict, pool=None) -> SweepResult:
@@ -315,8 +316,9 @@ def tune_gamma(exp: dict, algorithm: str, problem: Problem, tune: dict, pool=Non
     The sweep runs the tune section's seeds, if it names any, else the
     experiment's, and never computes the Lyapunov diagnostic, which no
     criterion reads.  Every run is of the configuration built here on
-    ``problem``, in this process or, with a pool, in a worker.  If every
-    step size diverges, ``SweepDiverged`` is raised.
+    ``problem``, in this process or, with a pool, in a worker.  The result
+    keeps the tuned configuration's traces.  If every step size diverges,
+    ``SweepDiverged`` is raised.
     """
     doc = {**exp, "seeds": tune["seeds"] or exp["seeds"], "lyapunov": False}
     grid = power_grid(tune["k_lo"], tune["k_hi"])
@@ -329,9 +331,12 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict
 
     Every configuration is built, and so checked, before ``out_dir`` is
     made.  Every run, the tuning sweeps' and the final ones, is of a
-    configuration built here; with ``workers > 1`` one process pool of at
-    most one worker per run serves them all.  The outputs do not depend on
-    ``workers``.
+    configuration built here on the one problem built here, and none is made
+    twice: a final run that its algorithm's sweep made at the tuned step
+    size (the same seed, and no Lyapunov column, which tuning never
+    computes) is taken from the sweep.  With ``workers > 1`` one process
+    pool of at most one worker per run made serves them all, and each worker
+    is handed the problem once.  The outputs do not depend on ``workers``.
     If every tuning step size of an algorithm diverges, ``SweepDiverged``
     is raised.
     """
@@ -340,14 +345,21 @@ def run_experiment(exp: dict, out_dir: str, workers: int = 1) -> tuple[str, dict
     algorithms, seeds, tune = exp["algorithms"], exp["seeds"], exp["tune"]
     configs = {a: _build_config(exp, a, problem) for a in algorithms}
     os.makedirs(out_dir, exist_ok=True)
-    tune_runs = 0 if tune is None else (tune["k_hi"] - tune["k_lo"] + 1) * len(tune["seeds"] or seeds)
+    runs = len(seeds)  # per algorithm: its sweep's runs and the final runs the sweep does not make
+    if tune is not None:
+        tuned = tune["seeds"] or seeds
+        # a sweep's config differs from the final one in its seeds and, where set, the Lyapunov column
+        reused = set() if exp["lyapunov"] else set(tuned)
+        runs = (tune["k_hi"] - tune["k_lo"] + 1) * len(tuned) + len(set(seeds) - reused)
 
-    with worker_pool(workers, len(algorithms) * (tune_runs + len(seeds))) as pool:
+    with worker_pool(workers, len(algorithms) * runs, problem) as pool:
+        sweeps = []
         if tune is not None:
             for a in algorithms:
-                configs[a] = _with_gamma(configs[a], tune_gamma(exp, a, problem, tune, pool).best_gamma)
+                sweeps.append(tune_gamma(exp, a, problem, tune, pool))
+                configs[a] = _with_gamma(configs[a], sweeps[-1].best_gamma)
         # with a pool, every final run is submitted before any is collected
-        traces = dict(zip(algorithms, run_all([configs[a] for a in algorithms], pool)))
+        traces = dict(zip(algorithms, run_all([configs[a] for a in algorithms], pool, sweeps)))
 
     outputs = []
     summary = {}

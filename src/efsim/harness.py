@@ -18,6 +18,7 @@ import functools
 import glob
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "QuantileTrace",
     "run",
     "run_all",
+    "ProblemPool",
     "run_quantiles",
     "lyapunov",
     "SweepResult",
@@ -230,15 +232,51 @@ def _run_on_one_blas_thread(cfg: RunConfig, seed: int) -> RunTrace:
         threads.value = previous
 
 
-def run_all(cfgs, pool=None) -> list[list[RunTrace]]:
+class ProblemPool(ProcessPoolExecutor):
+    """A process pool that hands each worker ``problem`` once, at its start:
+    under fork nothing is pickled, under spawn or forkserver the problem once
+    per worker.  ``run_all`` sends it a config on ``problem`` without it."""
+
+    def __init__(self, max_workers: int, problem: Problem | None = None):
+        super().__init__(max_workers, initializer=_hold_problem, initargs=(problem,))
+        self.problem = problem
+
+
+_held_problem = None  # in a ``ProblemPool`` worker: the problem it was handed
+
+
+def _hold_problem(problem) -> None:
+    global _held_problem
+    _held_problem = problem
+
+
+def _run_pooled(cfg, seed: int) -> RunTrace:
+    """A pool task: a config sent without its problem runs on the worker's."""
+    if isinstance(cfg, RunConfig) and cfg.problem is None:
+        cfg = replace(cfg, problem=_held_problem)
+    return _run_on_one_blas_thread(cfg, seed)
+
+
+def run_all(cfgs, pool=None, sweeps=()) -> list[list[RunTrace]]:
     """The traces of ``run(cfg, seed)``, each on one BLAS thread, one list per
     config of ``cfgs`` in the order of its own ``seeds``: run in this process
     without a pool, else through ``pool.map``, which submits every run at
-    once, one task per run."""
-    jobs = [(cfg, seed) for cfg in cfgs for seed in cfg.seeds]
+    once, one task per run.  A config on a ``ProblemPool``'s problem is
+    sent without it, since each worker holds it.
+
+    A run that a sweep made is not made again: a config equal to the best
+    one of a sweep result of ``sweeps`` but for its seeds takes that
+    sweep's trace of each seed they share."""
+    made = [
+        {tr.seed: tr for res in sweeps if replace(res.best_config, seeds=cfg.seeds) == cfg for tr in res.best_traces}
+        for cfg in cfgs
+    ]
+    held = pool.problem if isinstance(pool, ProblemPool) else None
+    sent = [replace(cfg, problem=None) if held is not None and cfg.problem is held else cfg for cfg in cfgs]
+    jobs = [(cfg, seed) for cfg, done in zip(sent, made) for seed in cfg.seeds if seed not in done]
     runs = [cfg for cfg, _ in jobs], [seed for _, seed in jobs]
-    traces = iter((map if pool is None else pool.map)(_run_on_one_blas_thread, *runs))
-    return [[next(traces) for _ in cfg.seeds] for cfg in cfgs]
+    traces = iter(map(_run_on_one_blas_thread, *runs) if pool is None else pool.map(_run_pooled, *runs))
+    return [[done[seed] if seed in done else next(traces) for seed in cfg.seeds] for cfg, done in zip(cfgs, made)]
 
 
 def _record_finite(rec: MetricsRecord) -> bool:
@@ -301,9 +339,14 @@ def trace_diverged(trace: RunTrace) -> bool:
 
 @dataclass
 class SweepResult:
+    """The winner of a step-size sweep: its step size, score and config, and
+    the traces of that config's runs, one per seed of it; and the table of
+    every grid point."""
+
     best_gamma: float
     best_score: float
     best_config: RunConfig
+    best_traces: list[RunTrace]
     table: list[dict]  # one row per grid point: gamma, score, diverged
 
 
@@ -321,7 +364,9 @@ def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss", pool=N
     ``criterion`` is 'final_loss' (mean final objective gap over seeds) or
     'final_grad_norm'.  Grid points where every seed diverges are dropped;
     if nothing survives ``SweepDiverged`` (a RuntimeError) is raised.  The
-    (gamma, seed) runs go through ``run_all`` with ``pool``.
+    (gamma, seed) runs go through ``run_all`` with ``pool``, and the result
+    keeps the winner's traces, so a later ``run_all`` given it as one of its
+    ``sweeps`` does not make them again.
     """
     if criterion not in ("final_loss", "final_grad_norm"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -329,21 +374,19 @@ def sweep(cfg_template: RunConfig, gammas, criterion: str = "final_loss", pool=N
     if not gammas:
         raise ValueError("empty step-size grid")
     col = "obj_gap" if criterion == "final_loss" else "grad_norm"
-    traces = run_all([_with_gamma(cfg_template, gamma) for gamma in gammas], pool)
+    cfgs = [_with_gamma(cfg_template, gamma) for gamma in gammas]
     table = []
     best = None
-    for gamma, runs in zip(gammas, traces):
+    for gamma, cfg, runs in zip(gammas, cfgs, run_all(cfgs, pool)):
         finals = [getattr(tr.final, col) for tr in runs if not trace_diverged(tr)]
         diverged = len(finals) == 0
         score = float(np.mean(finals)) if finals else math.inf
         table.append({"gamma": gamma, "score": score, "diverged": diverged})
         if not diverged and (best is None or score < best[1]):
-            best = (gamma, score)
+            best = (gamma, score, cfg, runs)
     if best is None:
         raise SweepDiverged(f"{cfg_template.algorithm}: all grid points diverged")
-    return SweepResult(
-        best_gamma=best[0], best_score=best[1], best_config=_with_gamma(cfg_template, best[0]), table=table
-    )
+    return SweepResult(*best, table)
 
 
 # -- CSV I/O ------------------------------------------------------------------

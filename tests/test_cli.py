@@ -2,6 +2,7 @@ import ctypes
 import glob
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -579,24 +580,30 @@ def test_serial_run_builds_the_problem_once(tmp_path, monkeypatch):
 def pool_sizes(monkeypatch):
     """The ``max_workers`` of every pool the experiments module opens.  The
     pools are thread pools, which start their threads lazily, so a large
-    ``max_workers`` starts nothing."""
+    ``max_workers`` starts nothing; their threads share the problem, so
+    ``run_all`` sends it with each config."""
     from efsim import experiments
 
     sizes = []
 
     class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, problem=None):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "ProblemPool", RecordingPool)
     return sizes
 
 
 @pytest.mark.parametrize(
     "seeds, tune, sizes",
-    [([0, 1], None, [2]), ([0], None, []), ([0, 1], {"k_lo": -4, "k_hi": -2, "seeds": [5]}, [5])],
-    ids=["two_runs", "one_run", "tuned"],
+    [
+        ([0, 1], None, [2]),
+        ([0], None, []),
+        ([0, 1], {"k_lo": -4, "k_hi": -2, "seeds": [5]}, [5]),
+        ([0, 1], {"k_lo": -4, "k_hi": -2, "seeds": None}, [6]),  # every final run is the sweep's
+    ],
+    ids=["two_runs", "one_run", "tuned", "tuned_on_run_seeds"],
 )
 def test_worker_pool_has_no_more_workers_than_runs(tmp_path, pool_sizes, seeds, tune, sizes):
     # a forking pool starts all its workers at the first submit; the parent opened 64 here
@@ -610,6 +617,110 @@ def test_cmd_sweep_pool_has_no_more_workers_than_runs(tmp_path, capsys, pool_siz
     path = write_exp(tmp_path, minimal_experiment(seeds=[0, 1]))
     assert main(["sweep", path, "--k-lo", "-12", "--k-hi", "-10", "--workers", "64"]) == 0
     assert pool_sizes == [6]  # 3 grid points x 2 seeds
+
+
+def _tuned_on_shared_seeds(lyapunov: bool) -> dict:
+    """Two algorithms tuned on seeds 2 and 7, then run on seeds 0, 1 and 2."""
+    exp = minimal_experiment(seeds=[0, 1, 2], algorithms=["ef21_sgdm", "ef21_sgd2m"], metric_every=10)
+    exp["problem"] = {"kind": "quadratic", "n": 4, "d": 20, "lam": 0.1, "s": 1.0, "sigma": 0.05}
+    exp["compressor"] = {"kind": "topk", "k": 2}
+    exp["hyper"] = {"eta": 0.1, "rounds": 40}
+    exp["tune"] = {"k_lo": -6, "k_hi": -2, "seeds": [2, 7]}
+    return exp | {"lyapunov": lyapunov, "lyapunov_every": 5}
+
+
+# the files ``_tuned_on_shared_seeds`` wrote when every final run was made
+# afresh: taking final runs from the sweep must not change a byte
+TUNED_ON_SHARED_SEEDS_SHA256 = {
+    False: {
+        "mini__ef21_sgd2m__quantiles.csv": "abd601e65f3415fba19d65e51532713f9cf92dacb87ce37f98f81480c6cc135d",
+        "mini__ef21_sgd2m__seed0.csv": "65b4e2c51fdf36fe36b37270960b7da525276f62d622601ca4802c24a901b6fd",
+        "mini__ef21_sgd2m__seed1.csv": "42536a41c269db2a2bda10c18230022e18615e979ec45eb710ff84c9d08067da",
+        "mini__ef21_sgd2m__seed2.csv": "edc4a48f786c8bfb1b401ccca53183471713e17bb1e45f81e0d8cd90159a1e45",
+        "mini__ef21_sgdm__quantiles.csv": "7c662ada21774b8274bde440698ee50335792578c1fbff0d067aec42da7be0dc",
+        "mini__ef21_sgdm__seed0.csv": "81a8f8b90ba4d1374e3bdd014b15e056a75358e36984a5c5a0a10971a1cc6160",
+        "mini__ef21_sgdm__seed1.csv": "b6db9a3aa0f7a000406d5117f3be6119445b46e734601b86700b0a54c2aca04e",
+        "mini__ef21_sgdm__seed2.csv": "3122993f63e5edf5b66c2767224468f5e752b93975df0c7417ee7a39545afd7d",
+        "mini__manifest.json": "ae56abde3698075f86cc66d07764ae7496a704f4e1a88bd45e9d1eda554548ec",
+    },
+    True: {
+        "mini__ef21_sgd2m__quantiles.csv": "b555ca6177603456465892cb4e27d996ac54cea2e56263018f9fce2723bc5628",
+        "mini__ef21_sgd2m__seed0.csv": "5f6b1859f758333df536f80b6ed4f0fa60e1a6f8b6f6bdd103355d3f6ab12c83",
+        "mini__ef21_sgd2m__seed1.csv": "813b818c7b96e3df176b58cf3ae76d3ad3e66e3da8043f897fee16b8455683df",
+        "mini__ef21_sgd2m__seed2.csv": "bf2cf289fa4a792dc483fcbeaeef4923d4be90d18378d214437b228a64a5367d",
+        "mini__ef21_sgdm__quantiles.csv": "0a595df504526a89d21cf86f9580e5f397baf7172a7aaced67d563d993f7a3a2",
+        "mini__ef21_sgdm__seed0.csv": "11e09912b67a0ee6541e909265e775ed30a63b000cb567ef79229bedeb7e9323",
+        "mini__ef21_sgdm__seed1.csv": "a990be75eef556b5d77085f141ff83c0feee22f93a0eeb568c820cbbb2e94d49",
+        "mini__ef21_sgdm__seed2.csv": "5665b682510bb5ecf84ef00c8caed5157399e81c52f9360415901183328f8fb4",
+        "mini__manifest.json": "8fe90fa60802d34891443358131b5c00209b7819efe5d7216da9c499c4962ff8",
+    },
+}
+
+
+@pytest.mark.parametrize("lyapunov", [False, True], ids=["final_runs_from_the_sweep", "lyapunov_reuses_nothing"])
+def test_each_tuned_run_is_made_once(tmp_path, monkeypatch, lyapunov):
+    # the serial pass's runs are counted here (a forked worker appends to its
+    # own copy of the list); the pooled pass must write the same bytes
+    made = []
+    real = harness.run
+    monkeypatch.setattr(harness, "run", lambda cfg, seed: made.append((cfg, seed)) or real(cfg, seed))
+    exp = _tuned_on_shared_seeds(lyapunov)
+    out = _assert_workers_match(tmp_path, exp)
+    keys = [(cfg.algorithm, cfg.hyper.gamma, cfg.lyapunov, seed) for cfg, seed in made]
+    assert len(set(keys)) == len(keys)
+    # per algorithm 5 grid points x 2 tune seeds, then the final seeds no sweep ran
+    assert len(keys) == 2 * (10 + (3 if lyapunov else 2))
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in sorted(os.listdir(out))}
+    assert digests == TUNED_ON_SHARED_SEEDS_SHA256[lyapunov]
+    for algo in exp["algorithms"]:
+        for seed in exp["seeds"]:
+            lyap = read_trace_csv(str(out / f"mini__{algo}__seed{seed}.csv")).column("lyapunov")
+            assert np.isfinite(lyap).any() if lyapunov else np.isnan(lyap).all()
+
+
+def _count_problem_pickles(monkeypatch) -> list:
+    """Every logistic regression or quadratic this process pickles from now on."""
+    from efsim.problems import LogRegProblem, QuadraticProblem
+
+    pickled = []
+    for cls in (LogRegProblem, QuadraticProblem):
+        monkeypatch.setattr(cls, "__getstate__", lambda self, real=cls.__getstate__: pickled.append(self) or real(self))
+    return pickled
+
+
+_POOLED_PROBLEMS = {
+    "logreg": {"kind": "blobs", "classes": 3, "features": 4, "examples": 60, "n": 3, "split": "uniform"},
+    "quadratic": {"kind": "quadratic", "n": 4, "d": 20, "lam": 0.1, "s": 1.0, "sigma": 0.05},
+}
+
+
+def _tuned_pair(problem: str) -> dict:
+    exp = minimal_experiment(seeds=[0, 1], algorithms=["ef21_sgdm", "ef14_sgd"], problem=_POOLED_PROBLEMS[problem])
+    exp["compressor"] = {"kind": "topk", "k": 2}
+    exp["hyper"] = {"eta": 0.3, "rounds": 10}
+    exp["tune"] = {"k_lo": -6, "k_hi": -4, "seeds": [0, 5]}
+    return exp
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("problem", sorted(_POOLED_PROBLEMS))
+def test_pooled_runs_pickle_the_problem_at_most_once_per_worker(tmp_path, monkeypatch, command, problem):
+    # under fork a worker inherits the problem it is handed, so none is pickled
+    pickled = _count_problem_pickles(monkeypatch)
+    path = write_exp(tmp_path, _tuned_pair(problem))
+    argv = ["--out", str(tmp_path / "out")] if command == "run" else ["--k-lo", "-6", "--k-hi", "-4"]
+    assert main([command, path, "--workers", "2", *argv]) == 0
+    assert len(pickled) <= (0 if multiprocessing.get_start_method() == "fork" else 2)
+
+
+def test_spawned_workers_unpickle_the_problem_once_each(tmp_path, monkeypatch):
+    # under spawn or forkserver (Python 3.14's default) a worker starts from
+    # a fresh import and is sent the problem once, at its start
+    real_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: real_context(method or "spawn"))
+    pickled = _count_problem_pickles(monkeypatch)
+    _assert_workers_match(tmp_path, _tuned_pair("logreg"))
+    assert len(pickled) == 2
 
 
 def _blas_threads() -> tuple[int, int]:
